@@ -206,9 +206,6 @@ class Basket:
     def r_max(self) -> int:
         return max((r for _, r in self._points), default=1)
 
-    def count_of_r(self, r: int) -> int:
-        return sum(1 for _, ri in self._points if ri == r)
-
 
 def _parse_terms(compact: str) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []

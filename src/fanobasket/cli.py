@@ -2,7 +2,8 @@
 
 Subcommands: rr, enumerate, replay, index-bound, pencil, thresholds, wci.
 Exit codes: 0 success, 1 a computation contradicted an expected conclusion,
-2 usage error.  All tables print exact fractions, never decimals.
+2 usage error or a search cap that would truncate silently.  All tables print
+exact fractions, never decimals.
 """
 
 from __future__ import annotations
@@ -17,7 +18,12 @@ from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import non_pencil_threshold, thm1_threshold
-from .search import ConstraintSet, enumerate_geometric, replay_delta1
+from .search import (
+    ConstraintSet,
+    SearchBudgetExceeded,
+    enumerate_geometric,
+    replay_delta1,
+)
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
 
@@ -26,11 +32,11 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_mrange(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    m = int(text)
-    return range(m, m + 1)
+    lo, sep, hi = text.partition("..")
+    ms = range(int(lo), int(hi if sep else lo) + 1)
+    if not ms or ms.start < 1:
+        raise ValueError(f"--m needs degrees 1 <= lo <= hi, got {text!r}")
+    return ms
 
 
 def _emit(args, text: str) -> None:
@@ -293,7 +299,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (BasketParseError, ValueError) as exc:
+    except (BasketParseError, ValueError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

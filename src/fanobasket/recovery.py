@@ -13,16 +13,60 @@ with sigma5 the total tail count.  The stage-5 basket and the prime-packing
 counts eps_5..eps_8 follow from further linear formulas, with eps_6 = 0 as a
 hard consistency identity.  Negative counts, negative eps, or eps_6 != 0
 certify that no basket realizes the given data.
+
+Tails are drawn from Kawamata's 24-budget: a stage-0 basket with
+gamma(B^(0)) = 24 - sum(r - 1/r) < 0 has no packing with gamma >= 0, so only
+tails that fit the budget beside n_{1,2}, n_{1,3}, n_{1,4} are tried.  Costs
+are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from math import lcm
+from typing import Iterator, Optional, Union
 
 from .basket import Basket, PlurigenusSequence
 
 TAIL_R_CAP = 24  # a single (1, r) with r > 24 already violates sum(r - 1/r) <= 24
+COST_UNIT = lcm(*range(2, TAIL_R_CAP + 1))  # r - 1/r is a whole number of 1/COST_UNIT
+BUDGET = 24 * COST_UNIT
+
+
+def cost(r: int) -> int:
+    """r - 1/r in units of 1/COST_UNIT; exact for 2 <= r <= TAIL_R_CAP."""
+    return (r * r - 1) * (COST_UNIT // r)
+
+
+def tail_budget(n12: int, n13: int, n14: int) -> int:
+    """What the 24-budget leaves for the tail beside n_{1,2}, n_{1,3}, n_{1,4}."""
+    return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)
+
+
+def budgeted_tails(
+    sigma5: int, budget: int, strict: bool = False, r_cap: int = TAIL_R_CAP
+) -> Iterator[tuple[int, ...]]:
+    """Non-decreasing tails of exactly sigma5 points r in [5, r_cap] costing
+    at most `budget` (less than `budget` when strict)."""
+    if sigma5 < 0:
+        raise ValueError("sigma5 must be >= 0")
+    top = min(r_cap, TAIL_R_CAP)
+
+    def rec(lo: int, left: int, k: int, chosen: list[int]):
+        if k == 0:
+            if left > 0 or (left == 0 and not strict):
+                yield tuple(chosen)
+            return
+        for r in range(lo, top + 1):
+            c = cost(r)
+            if c * k > left:
+                return  # every point still to come costs at least c
+            chosen.append(r)
+            yield from rec(r, left - c, k - 1, chosen)
+            chosen.pop()
+
+    yield from rec(5, budget, sigma5, [])
 
 
 @dataclass(frozen=True)
@@ -81,27 +125,32 @@ class RecoveredData:
         return Basket(pairs)
 
 
+def stage0_head(
+    p: PlurigenusSequence, sigma5: int
+) -> tuple[Optional[int], Optional[int], Optional[int]]:
+    """(n_{1,2}, n_{1,3}, n_{1,4}) of the stage-0 basket; None where unknown."""
+    if not p.has(2):
+        raise ValueError("recovery needs at least P_{-1} and P_{-2}")
+    p1, p2 = p[1], p[2]
+    p3, p4 = (p[m] if p.has(m) else None for m in (3, 4))
+    n12 = None if p3 is None else 5 - 6 * p1 + 4 * p2 - p3
+    if p4 is None:
+        return n12, None, None
+    n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
+    return n12, n13, 1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5
+
+
 def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
     """Evaluate the recovery formulas; first violated identity wins."""
     p = inp.p
     s5 = inp.sigma5
-
-    def P(m: int) -> Optional[int]:
-        return p[m] if p.has(m) else None
-
-    p1, p2, p3, p4 = P(1), P(2), P(3), P(4)
-    if p1 is None or p2 is None:
-        raise ValueError("recovery needs at least P_{-1} and P_{-2}")
+    n12, n13, n14 = stage0_head(p, s5)
+    p1, p2, p3, p4, p5, p6, p7, p8 = (p[m] if p.has(m) else None for m in range(1, 9))
     sigma = 10 - 5 * p1 + p2
     if sigma < 0:
         return Infeasible("sigma >= 0", sigma)
 
-    delta3 = None if p3 is None else 5 - 6 * p1 + 4 * p2 - p3
     delta4 = None if p4 is None else 14 - 14 * p1 + 6 * p2 + p3 - p4
-
-    n12 = delta3
-    n13 = None if p4 is None else 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-    n14 = None if p4 is None else 1 + 3 * p1 - p2 - 2 * p3 + p4 - s5
     for name, val in (("n0_{1,2}", n12), ("n0_{1,3}", n13), ("n0_{1,4}", n14)):
         if val is not None and val < 0:
             return Infeasible(f"{name} >= 0", val)
@@ -113,7 +162,6 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
     if eps < 0:
         return Infeasible("eps = 2 sigma5 - n0_{1,5} >= 0", eps)
 
-    p5, p6, p7, p8 = P(5), P(6), P(7), P(8)
     eps5 = None if p5 is None else 2 + p2 - 2 * p4 + p5 - s5
     if eps5 is not None and eps5 < 0:
         return Infeasible("eps_5 >= 0", eps5)
@@ -152,7 +200,7 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
 
     return RecoveredData(
         sigma=sigma,
-        delta3=delta3,
+        delta3=n12,  # n0_{1,2} = Delta^3
         delta4=delta4,
         n0={2: n12, 3: n13, 4: n14},
         tail={r: c for r, c in inp.tail_counts.items() if c},
@@ -161,32 +209,21 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
     )
 
 
-def _tail_multisets(sigma5: int, r_cap: int):
-    """All tail-count dictionaries with total sigma5 over 5 <= r <= r_cap."""
-    if sigma5 == 0:
-        yield {}
-        return
-    import itertools
-
-    for combo in itertools.combinations_with_replacement(
-        range(5, r_cap + 1), sigma5
-    ):
-        counts: dict[int, int] = {}
-        for r in combo:
-            counts[r] = counts.get(r, 0) + 1
-        yield counts
-
-
 def feasible_tails(
     p: PlurigenusSequence, sigma5_max: int, r_cap: int = TAIL_R_CAP
 ) -> list[RecoveryInput]:
-    """Every (sigma5, tail) choice the recovery identities accept."""
+    """Every (sigma5, tail) choice the recovery identities accept whose
+    stage-0 basket has gamma >= 0."""
     if sigma5_max < 0:
         raise ValueError("sigma5_max must be >= 0")
     out = []
     for s5 in range(sigma5_max + 1):
-        for counts in _tail_multisets(s5, r_cap):
-            inp = RecoveryInput(p, s5, counts)
+        head = stage0_head(p, s5)
+        if any(n is not None and n < 0 for n in head):
+            continue  # recover rejects every tail
+        left = tail_budget(*(n or 0 for n in head))  # unknown counts cost nothing
+        for tail in budgeted_tails(s5, left, r_cap=r_cap):
+            inp = RecoveryInput(p, s5, dict(Counter(tail)))
             if not isinstance(recover(inp), Infeasible):
                 out.append(inp)
     out.sort(key=lambda i: (i.sigma5, i.tail_key()))

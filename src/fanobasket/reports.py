@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .basket import WeightedBasket
 
@@ -110,10 +109,3 @@ class ReplayReport:
             lines.append("axioms consumed: " + ", ".join(sorted(set(self.axioms))))
         lines.append(f"conclusion: {self.conclusion}")
         return "\n".join(lines)
-
-    def eliminated_certificates(self, branch: Optional[str] = None) -> list[str]:
-        return [
-            e.certificate
-            for e in self.eliminated
-            if branch is None or e.branch == branch
-        ]

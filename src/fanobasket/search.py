@@ -12,17 +12,14 @@ replays are built on top of the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .basket import Basket, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import structural_tail
+from .recovery import budgeted_tails, structural_tail, tail_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
-
-F = Fraction
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -103,34 +100,20 @@ def is_geometric_candidate(
     return True, None
 
 
-def _cost(r: int) -> Fraction:
-    return F(r) - F(1, r)
-
-
-def _tails(budget: Fraction, size_cap: int, r_cap: int):
-    """Tail multisets over r in [5, r_cap] within an exact cost budget."""
-
-    def rec(r: int, remaining: Fraction, left: int, chosen: list[int]):
-        yield tuple(chosen)
-        if left == 0:
-            return
-        for rr in range(r, r_cap + 1):
-            c = _cost(rr)
-            if c <= remaining:
-                chosen.append(rr)
-                yield from rec(rr, remaining - c, left - 1, chosen)
-                chosen.pop()
-
-    yield from rec(5, budget, size_cap, [])
+def _stage0_baskets(n12: int, n13: int, n14_base: int, cs: ConstraintSet):
+    """Stage-0 baskets over this head whose tails fit the 24-budget."""
+    for s5 in range(min(n14_base, cs.sigma5_max) + 1):
+        n14 = n14_base - s5
+        head = [(1, 2)] * n12 + [(1, 3)] * n13 + [(1, 4)] * n14
+        left = tail_budget(n12, n13, n14)
+        for tail in budgeted_tails(s5, left, cs.fano_strict):
+            yield Basket(head + [(1, r) for r in tail])
 
 
 @dataclass
 class EnumerationResult:
     survivors: list[WeightedBasket]
     eliminated: list[tuple[WeightedBasket, str]]
-
-    def survivor_set(self) -> set[WeightedBasket]:
-        return set(self.survivors)
 
 
 def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
@@ -148,12 +131,15 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
         raise SearchBudgetExceeded(
             "max_r below 24 could silently drop admissible tails"
         )
+    # 5 x (1,5) costs exactly 24: the budget allows 4 tail points under
+    # gamma > 0 and 5 under gamma >= 0
+    if cs.sigma5_max < (4 if cs.fano_strict else 5):
+        raise SearchBudgetExceeded(
+            f"sigma5_max={cs.sigma5_max} could silently drop admissible tails"
+        )
 
     survivors: dict[WeightedBasket, None] = {}
     eliminated: dict[WeightedBasket, str] = {}
-
-    def cost_ok(total: Fraction) -> bool:
-        return total < 24 if cs.fano_strict else total <= 24
 
     p2_lo = max(0, cs.p_min.get(2, 0))
     p2_hi = 6 + 5 * p1  # sigma <= 16 under the gamma budget
@@ -181,29 +167,9 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
             for p4 in p4_values:
                 n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
                 n14_base = 1 + 3 * p1 - p2 - 2 * p3 + p4
-                if n13 < 0 or n14_base < 0:
+                if n13 < 0:
                     continue
-                head_cost = n12 * _cost(2) + n13 * _cost(3)
-                if not cost_ok(head_cost):
-                    continue
-                tail_budget = 24 - head_cost
-                for tail in _tails(tail_budget, cs.sigma5_max, cs.max_r):
-                    sigma5 = len(tail)
-                    n14 = n14_base - sigma5
-                    if n14 < 0:
-                        continue
-                    total = head_cost + n14 * _cost(4) + sum(
-                        (_cost(r) for r in tail), F(0)
-                    )
-                    if not cost_ok(total):
-                        continue
-                    pairs = (
-                        [(1, 2)] * n12
-                        + [(1, 3)] * n13
-                        + [(1, 4)] * n14
-                        + [(1, r) for r in tail]
-                    )
-                    b0 = Basket(pairs)
+                for b0 in _stage0_baskets(n12, n13, n14_base, cs):
                     for cand in dominated_baskets(b0, prune=cs.gamma_ok):
                         wb = WeightedBasket(cand, p1)
                         if wb in survivors or wb in eliminated:

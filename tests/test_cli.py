@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import fanobasket.cli as cli
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.cli import main
+from fanobasket.search import SearchBudgetExceeded
 
 GOLDEN = Path(__file__).parent / "golden" / "p1_p2_zero_table.txt"
 
@@ -112,3 +114,23 @@ def test_replay_birat_exit_codes(capsys):
     assert code == 0
     data = json.loads(out)
     assert max(leaf["threshold"] for leaf in data["leaves"]) == 97
+
+
+def test_rr_degree_range_must_be_ordered_and_positive(capsys):
+    for m in ("0..3", "3..1", "0", "-2"):
+        assert main(["rr", "--basket", "(1,2)", "--p1", "1", "--m", m]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --m needs degrees 1 <= lo <= hi"), err
+    assert main(["rr", "--basket", "(1,2)", "--p1", "1", "--m", "x..3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_search_budget_exceeded_exits_2(capsys, monkeypatch):
+    def refuse(cs):
+        raise SearchBudgetExceeded("sigma5_max=3 could silently drop admissible tails")
+
+    monkeypatch.setattr(cli, "enumerate_geometric", refuse)
+    assert main(["enumerate", "--p1", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: sigma5_max=3 could silently drop admissible tails\n"
+    )

@@ -1,16 +1,34 @@
 """Recovery of stage-0/stage-5 data from plurigenus sequences."""
 
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.canonical import epsilon_n, unpack
 from fanobasket.recovery import (
+    BUDGET,
+    COST_UNIT,
+    TAIL_R_CAP,
     Infeasible,
     RecoveryInput,
+    budgeted_tails,
+    cost,
     feasible_tails,
     recover,
     structural_tail,
+    tail_budget,
+)
+from fanobasket.wci import (
+    X6D_PAIRS,
+    X19,
+    X24_30,
+    X42,
+    X66,
+    anti_plurigenera_from_hilbert,
+    x6d_member,
 )
 
 B = Basket.parse
@@ -96,3 +114,88 @@ def test_short_sequences_leave_late_eps_unknown():
     out = recover(RecoveryInput(seq(1, 1, 1, 1, 2), 1, {5: 1}))
     assert not isinstance(out, Infeasible)
     assert out.eps[6] is None and out.eps[7] is None and out.eps[8] is None
+
+
+def test_cost_unit_is_exact_up_to_the_cap():
+    assert COST_UNIT == 5_354_228_880 and BUDGET == 24 * COST_UNIT
+    for r in range(2, TAIL_R_CAP + 1):
+        assert Fraction(cost(r), COST_UNIT) == r - Fraction(1, r)
+    assert tail_budget(2, 1, 1) == (24 - 3 - Fraction(8, 3) - Fraction(15, 4)) * COST_UNIT
+
+
+def test_budgeted_tails_match_fraction_brute_force():
+    budgets = [
+        Fraction(24),
+        Fraction(24) - 5 * Fraction(3, 2),
+        Fraction(48, 5),
+        Fraction(73, 7),
+        Fraction(5) - Fraction(1, 5),
+        Fraction(0),
+        Fraction(-1, 2),
+    ]
+    for k in range(6):
+        combos = list(combinations_with_replacement(range(5, TAIL_R_CAP + 1), k))
+        costs = [sum((r - Fraction(1, r) for r in c), Fraction(0)) for c in combos]
+        for budget in budgets:
+            scaled = budget * COST_UNIT
+            assert scaled.denominator == 1
+            for strict in (False, True):
+                expected = [
+                    c
+                    for c, total in zip(combos, costs)
+                    if (total < budget if strict else total <= budget)
+                ]
+                got = list(budgeted_tails(k, int(scaled), strict))
+                assert got == expected, (k, budget, strict)
+
+
+def test_budgeted_tails_boundary_and_cap():
+    # 5 x (1,5) costs exactly 24: kept under gamma >= 0, dropped under gamma > 0
+    assert 5 * cost(5) == BUDGET
+    assert list(budgeted_tails(5, BUDGET)) == [(5, 5, 5, 5, 5)]
+    assert list(budgeted_tails(5, BUDGET, strict=True)) == []
+    assert list(budgeted_tails(6, BUDGET)) == []
+    assert list(budgeted_tails(4, BUDGET, strict=True))[0] == (5, 5, 5, 5)
+    # r > 24 alone exceeds the budget, so larger caps are clamped
+    assert list(budgeted_tails(1, BUDGET, r_cap=40)) == [(r,) for r in range(5, 25)]
+    assert list(budgeted_tails(0, 0)) == [()] and list(budgeted_tails(0, 0, True)) == []
+
+
+def _exhaustive_feasible(p: PlurigenusSequence, sigma5_max: int) -> list[RecoveryInput]:
+    """recover over every tail multiset, then gamma(B^(0)) >= 0."""
+    out = []
+    for k in range(sigma5_max + 1):
+        for combo in combinations_with_replacement(range(5, TAIL_R_CAP + 1), k):
+            inp = RecoveryInput(p, k, dict(Counter(combo)))
+            data = recover(inp)
+            if not isinstance(data, Infeasible) and data.basket0().gamma() >= 0:
+                out.append(inp)
+    out.sort(key=lambda i: (i.sigma5, i.tail_key()))
+    return out
+
+
+def test_feasible_tails_equal_exhaustive_recovery_on_fixtures():
+    fixtures = [seq(1, 1, 1, 1, 2, 2, 2), seq(2, 3, 4, 5, 6, 7), seq(0, 0, 0, 2, 0)]
+    wcis = [X66, X42, X24_30, X19] + [x6d_member(a, b) for a, b in X6D_PAIRS]
+    fixtures += [anti_plurigenera_from_hilbert(w, 40) for w in wcis]
+    for p in fixtures:
+        assert feasible_tails(p, 4) == _exhaustive_feasible(p, 4), p.values
+
+
+def test_feasible_tails_equal_exhaustive_recovery_on_random_baskets():
+    pool = [
+        (b, r) for r in range(2, 14) for b in range(1, r // 2 + 1) if gcd(b, r) == 1
+    ]
+    rng = random.Random(20261018)
+    hits = 0
+    for _ in range(50):
+        basket = Basket(rng.choices(pool, k=rng.randint(1, 7)))
+        p = WeightedBasket(basket, rng.randint(0, 3)).plurigenera(8)
+        picks = feasible_tails(p, 4)
+        assert picks == _exhaustive_feasible(p, 4), basket.text()
+        s5, tail = structural_tail(basket)
+        if basket.gamma() >= 0 and s5 <= 4:
+            # a packing only lowers gamma: the true tail is always kept
+            assert RecoveryInput(p, s5, tail) in picks, basket.text()
+            hits += 1
+    assert hits >= 10

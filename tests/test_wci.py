@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanobasket.recovery import recover
 from fanobasket.wci import (
     X19,
     X24_30,
@@ -68,6 +69,50 @@ def test_fit_basket_named_families():
         # the fit reproduces every provided coefficient, not just the head
         seq = fits[0].plurigenera(40)
         assert list(seq.values) == list(p.values)
+
+
+X6D_FITS = {
+    (1, 1): "(1,2)",
+    (1, 2): "3x(1,2),(1,3)",
+    (1, 3): "2x(1,3),(1,4)",
+    (1, 4): "(1,2),(1,4),(1,5)",
+    (2, 3): "3x(1,2),2x(1,3),(2,5)",
+    (1, 5): "(2,5),(1,6)",
+    (1, 6): "(1,2),(1,3),(1,7)",
+    (2, 5): "3x(1,2),(1,5),(3,7)",
+    (3, 4): "(1,2),2x(1,3),(1,4),(2,7)",
+    (3, 5): "2x(1,3),(1,5),(3,8)",
+    (4, 5): "(1,2),(1,4),(2,5),(2,9)",
+    (5, 6): "(1,2),(1,3),(2,5),(2,11)",
+}
+
+
+def test_fit_basket_x6d_family():
+    assert sorted(X6D_FITS) == sorted(X6D_PAIRS)
+    for (a, b), text in X6D_FITS.items():
+        wci = x6d_member(a, b)
+        p = anti_plurigenera_from_hilbert(wci, 40)
+        fits = fit_basket(p)
+        assert [w.basket.text() for w in fits] == [text], (a, b)
+        assert fits[0].volume() == wci.hypersurface_volume()
+
+
+def test_fit_basket_recovers_only_budgeted_tails(monkeypatch):
+    import fanobasket.recovery as recovery
+    import fanobasket.wci as wci_module
+
+    calls = []
+
+    def counted(inp):
+        calls.append(inp)
+        return recover(inp)
+
+    monkeypatch.setattr(recovery, "recover", counted)
+    monkeypatch.setattr(wci_module, "recover", counted)
+    fits = fit_basket(anti_plurigenera_from_hilbert(X66, 40))
+    assert [w.basket.text() for w in fits] == ["(1,2),(1,3),(2,5),(2,11)"]
+    # of the 230,230 tail multisets with sigma5 <= 6, only a few fit the budget
+    assert 0 < len(calls) < 100
 
 
 def test_fit_basket_rejects_flat_zero_sequence():
