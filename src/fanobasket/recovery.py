@@ -45,20 +45,19 @@ def tail_budget(n12: int, n13: int, n14: int) -> int:
 
 
 def budgeted_tails(
-    sigma5: int, budget: int, strict: bool = False, r_cap: int = TAIL_R_CAP
+    sigma5: int, budget: int, strict: bool = False
 ) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing tails of exactly sigma5 points r in [5, r_cap] costing
-    at most `budget` (less than `budget` when strict)."""
+    """Non-decreasing tails of exactly sigma5 points r in [5, TAIL_R_CAP]
+    costing at most `budget` (less than `budget` when strict)."""
     if sigma5 < 0:
         raise ValueError("sigma5 must be >= 0")
-    top = min(r_cap, TAIL_R_CAP)
 
     def rec(lo: int, left: int, k: int, chosen: list[int]):
         if k == 0:
             if left > 0 or (left == 0 and not strict):
                 yield tuple(chosen)
             return
-        for r in range(lo, top + 1):
+        for r in range(lo, TAIL_R_CAP + 1):
             c = cost(r)
             if c * k > left:
                 return  # every point still to come costs at least c
@@ -209,11 +208,10 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
     )
 
 
-def feasible_tails(
-    p: PlurigenusSequence, sigma5_max: int, r_cap: int = TAIL_R_CAP
-) -> list[RecoveryInput]:
-    """Every (sigma5, tail) choice the recovery identities accept whose
-    stage-0 basket has gamma >= 0."""
+def feasible_tails(p: PlurigenusSequence, sigma5_max: int) -> list[RecoveryInput]:
+    """Every (sigma5, tail) choice the recovery identities accept whose known
+    stage-0 counts leave room in the 24-budget: gamma(B^(0)) >= 0 when
+    P_{-1}..P_{-4} are given, a superset of those tails otherwise."""
     if sigma5_max < 0:
         raise ValueError("sigma5_max must be >= 0")
     out = []
@@ -222,7 +220,7 @@ def feasible_tails(
         if any(n is not None and n < 0 for n in head):
             continue  # recover rejects every tail
         left = tail_budget(*(n or 0 for n in head))  # unknown counts cost nothing
-        for tail in budgeted_tails(s5, left, r_cap=r_cap):
+        for tail in budgeted_tails(s5, left):
             inp = RecoveryInput(p, s5, dict(Counter(tail)))
             if not isinstance(recover(inp), Infeasible):
                 out.append(inp)

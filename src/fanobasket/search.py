@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .basket import Basket, WeightedBasket
+from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import budgeted_tails, structural_tail, tail_budget
+from .recovery import budgeted_tails, stage0_head, structural_tail, tail_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -40,7 +40,6 @@ class ConstraintSet:
     horizon: int = 12
     max_points: int = 17
     max_r: int = 24
-    sigma5_max: int = 5
 
     def describe(self) -> str:
         bits = [f"P_-{m}={v}" for m, v in sorted(self.p_exact.items())]
@@ -102,7 +101,7 @@ def is_geometric_candidate(
 
 def _stage0_baskets(n12: int, n13: int, n14_base: int, cs: ConstraintSet):
     """Stage-0 baskets over this head whose tails fit the 24-budget."""
-    for s5 in range(min(n14_base, cs.sigma5_max) + 1):
+    for s5 in range(n14_base + 1):
         n14 = n14_base - s5
         head = [(1, 2)] * n12 + [(1, 3)] * n13 + [(1, 4)] * n14
         left = tail_budget(n12, n13, n14)
@@ -131,12 +130,6 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
         raise SearchBudgetExceeded(
             "max_r below 24 could silently drop admissible tails"
         )
-    # 5 x (1,5) costs exactly 24: the budget allows 4 tail points under
-    # gamma > 0 and 5 under gamma >= 0
-    if cs.sigma5_max < (4 if cs.fano_strict else 5):
-        raise SearchBudgetExceeded(
-            f"sigma5_max={cs.sigma5_max} could silently drop admissible tails"
-        )
 
     survivors: dict[WeightedBasket, None] = {}
     eliminated: dict[WeightedBasket, str] = {}
@@ -157,17 +150,15 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
             [cs.p_exact[3]] if 3 in cs.p_exact else list(range(0, p3_hi + 1))
         )
         for p3 in p3_values:
-            n12 = 5 - 6 * p1 + 4 * p2 - p3
-            if n12 < 0:
-                continue
             p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n0_{1,3} >= 0
             p4_values = (
                 [cs.p_exact[4]] if 4 in cs.p_exact else list(range(0, p4_hi + 1))
             )
             for p4 in p4_values:
-                n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-                n14_base = 1 + 3 * p1 - p2 - 2 * p3 + p4
-                if n13 < 0:
+                n12, n13, n14_base = stage0_head(
+                    PlurigenusSequence((p1, p2, p3, p4)), 0
+                )
+                if n12 < 0 or n13 < 0:
                     continue
                 for b0 in _stage0_baskets(n12, n13, n14_base, cs):
                     for cand in dominated_baskets(b0, prune=cs.gamma_ok):

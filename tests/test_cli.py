@@ -127,10 +127,10 @@ def test_rr_degree_range_must_be_ordered_and_positive(capsys):
 
 def test_search_budget_exceeded_exits_2(capsys, monkeypatch):
     def refuse(cs):
-        raise SearchBudgetExceeded("sigma5_max=3 could silently drop admissible tails")
+        raise SearchBudgetExceeded("max_r below 24 could silently drop admissible tails")
 
     monkeypatch.setattr(cli, "enumerate_geometric", refuse)
     assert main(["enumerate", "--p1", "0"]) == 2
     assert capsys.readouterr().err == (
-        "error: sigma5_max=3 could silently drop admissible tails\n"
+        "error: max_r below 24 could silently drop admissible tails\n"
     )

@@ -156,8 +156,8 @@ def test_budgeted_tails_boundary_and_cap():
     assert list(budgeted_tails(5, BUDGET, strict=True)) == []
     assert list(budgeted_tails(6, BUDGET)) == []
     assert list(budgeted_tails(4, BUDGET, strict=True))[0] == (5, 5, 5, 5)
-    # r > 24 alone exceeds the budget, so larger caps are clamped
-    assert list(budgeted_tails(1, BUDGET, r_cap=40)) == [(r,) for r in range(5, 25)]
+    # r > 24 alone exceeds the budget
+    assert list(budgeted_tails(1, BUDGET)) == [(r,) for r in range(5, 25)]
     assert list(budgeted_tails(0, 0)) == [()] and list(budgeted_tails(0, 0, True)) == []
 
 

@@ -91,19 +91,6 @@ def test_enumeration_needs_p1_and_honest_caps():
         enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}, max_r=13))
 
 
-def test_sigma5_cap_below_the_budget_bound_is_refused():
-    # 5 x (1,5) costs exactly 24: up to 4 tail points under gamma > 0, 5 under >= 0
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}, sigma5_max=3))
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_geometric(
-            ConstraintSet(p_exact={1: 0, 2: 0}, fano_strict=False, sigma5_max=4)
-        )
-    at_bound = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}, sigma5_max=4))
-    assert at_bound == enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
-    assert len(at_bound) == 23
-
-
 def test_forced_ladders():
     assert forced_ladder(2, 1, 6) == {m: m + 1 for m in range(1, 7)}
     assert forced_ladder(1, 4, 6) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2}
