@@ -13,11 +13,9 @@ from .basket import (
     Basket,
     BasketParseError,
     IntegralityFault,
-    OrbifoldPoint,
     PlurigenusSequence,
     WeightedBasket,
     local_correction,
-    parse_basket,
 )
 from .canonical import (
     canonical_chain,
@@ -52,7 +50,6 @@ __all__ = [
     "BirationalityInputs",
     "ConstraintSet",
     "IntegralityFault",
-    "OrbifoldPoint",
     "PlurigenusSequence",
     "RecoveryInput",
     "SearchBudgetExceeded",
@@ -75,7 +72,6 @@ __all__ = [
     "max_index_report",
     "minimal_baskets",
     "non_pencil_threshold",
-    "parse_basket",
     "prime_packings",
     "recover",
     "replay_birationality",

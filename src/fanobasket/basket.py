@@ -59,25 +59,6 @@ def _normalize_pair(b: int, r: int) -> list[tuple[int, int]]:
     return [(b, r)] * k
 
 
-@dataclass(frozen=True, order=True)
-class OrbifoldPoint:
-    """One canonical orbifold point (b, r); sorts by (r, b)."""
-
-    r: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if not (self.r >= 2 and 0 < self.b * 2 <= self.r and gcd(self.b, self.r) == 1):
-            raise ValueError(f"non-canonical orbifold point ({self.b}, {self.r})")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.b, self.r)
-
-    def __repr__(self) -> str:
-        return f"({self.b},{self.r})"
-
-
 _TERM_RE = re.compile(r"^(?:(\d+)x)?\((\d+),(\d+)\)$")
 
 
@@ -232,10 +213,6 @@ def _parse_terms(compact: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def parse_basket(text: str) -> Basket:
-    return Basket.parse(text)
-
-
 # --- per-point kernels ------------------------------------------------------
 
 
@@ -311,17 +288,11 @@ def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:
 # --- weighted baskets and plurigenera ----------------------------------------
 
 
-class Source:
-    COMPUTED = "ComputedFromBasket"
-    CONSTRAINT = "Constraint"
-
-
 @dataclass(frozen=True)
 class PlurigenusSequence:
-    """Integer sequence P_{-1}, P_{-2}, ... with provenance."""
+    """Integer sequence P_{-1}, P_{-2}, ..."""
 
     values: tuple[int, ...]
-    source: str = Source.CONSTRAINT
 
     def __getitem__(self, m: int) -> int:
         if not 1 <= m <= len(self.values):
@@ -395,7 +366,7 @@ class WeightedBasket:
                 raise IntegralityFault(f"non-integral increment at m={k} for {self}")
             current += q
             values.append(current)
-        return PlurigenusSequence(tuple(values[:upto]), Source.COMPUTED)
+        return PlurigenusSequence(tuple(values[:upto]))
 
     def gorenstein_index(self) -> int:
         return self.basket.gorenstein_index()
@@ -412,36 +383,3 @@ class WeightedBasket:
     def from_json(data: dict) -> "WeightedBasket":
         return WeightedBasket(Basket.from_json(data), data["p1"])
 
-
-# convenience module-level spellings used throughout the package and tests
-
-def sigma(basket: Basket) -> int:
-    return basket.sigma()
-
-
-def sigma_prime(basket: Basket) -> Fraction:
-    return basket.sigma_prime()
-
-
-def delta_m(basket: Basket, m: int) -> int:
-    return basket.delta(m)
-
-
-def gamma(basket: Basket) -> Fraction:
-    return basket.gamma()
-
-
-def l_neg(basket: Basket, n: int) -> Fraction:
-    return basket.l_neg(n)
-
-
-def volume(wb: WeightedBasket) -> Fraction:
-    return wb.volume()
-
-
-def anti_plurigenus(wb: WeightedBasket, m: int) -> int:
-    return wb.anti_plurigenus(m)
-
-
-def gorenstein_index(basket: Basket) -> int:
-    return basket.gorenstein_index()

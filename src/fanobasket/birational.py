@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
-from typing import Optional
+from itertools import product
+from math import floor, gcd
+from typing import Iterator, Optional
 
 from .basket import Basket, WeightedBasket
 from .indexbound import (
@@ -37,6 +38,7 @@ from .tables import P1_P2_ZERO_TABLE
 F = Fraction
 
 GENUS_CASES = ("g0", "g1", "g_ge2", "unknown")
+INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
 
 
 @dataclass(frozen=True)
@@ -152,30 +154,24 @@ def _rows_by_no() -> dict[int, WeightedBasket]:
     }
 
 
-def _unique_zero_p1_basket(
-    index_sets: list[tuple[int, ...]], extra_pins: dict[int, int]
-) -> list[WeightedBasket]:
+def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
+    """Every basket with one point (b, r) per entry r of each index set, over
+    all canonical residues b."""
+    for rset in index_sets:
+        choices = [[b for b in range(1, r // 2 + 1) if gcd(b, r) == 1] for r in rset]
+        for bs in product(*choices):
+            yield Basket(list(zip(bs, rset)))
+
+
+def _unique_zero_p1_basket(index_sets: list[tuple[int, ...]]) -> list[WeightedBasket]:
     """All weighted baskets with p1 = 0 on the given index multisets that
     pass the weak geometric constraints; used for the 'only basket' claims."""
-    from itertools import product
-    from math import gcd
-
-    cs = ConstraintSet(
-        p_exact={1: 0, **extra_pins},
-        p_min={2: 1, 4: 2},
-        fano_strict=False,
-        horizon=12,
-    )
-    found = []
-    for rset in index_sets:
-        choices = [
-            [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1] for r in rset
-        ]
-        for bs in product(*choices):
-            wb = WeightedBasket(Basket(list(zip(bs, rset))), 0)
-            ok, _ = is_geometric_candidate(wb, cs)
-            if ok and wb not in found:
-                found.append(wb)
+    cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
+    found: dict[WeightedBasket, None] = {}
+    for basket in _residue_baskets(index_sets):
+        wb = WeightedBasket(basket, 0)
+        if is_geometric_candidate(wb, cs)[0]:
+            found[wb] = None
     return sorted(found, key=lambda w: w.basket.points)
 
 
@@ -406,8 +402,6 @@ def _no_two_forces_nonpositive_volume() -> bool:
     under the 24-budget, and the p1 = 0 volume 2(sum b(r-b)/(2r) - 3) cannot
     be positive.  The per-point inequality is checked exhaustively.
     """
-    from math import gcd
-
     for r in range(3, 25):
         for b in range(1, r // 2 + 1):
             if gcd(b, r) != 1:
@@ -538,9 +532,7 @@ def _replay_weak_97() -> ReplayReport:
         for value in attainable_indices(r, must_contain=(2,) if r != 2 else ()):
             assert 840 % value == 0
             assert value <= 420 or value == 840
-    dead840 = _unique_zero_p1_basket(
-        [(3, 5, 7, 8), (2, 3, 5, 7, 8)], extra_pins={}
-    )
+    dead840 = _unique_zero_p1_basket(INDEX_840_SETS)
     assert dead840 == []
     report.eliminated.append(
         EliminatedRow(
@@ -576,9 +568,7 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_VOL],
     )
     sets630 = admissible_index_sets_with_lcm(630, 9, must_contain=(2,))
-    only630 = _unique_zero_p1_basket(
-        sets630 + [(2,) + s for s in sets630], extra_pins={}
-    )
+    only630 = _unique_zero_p1_basket(sets630 + [(2,) + s for s in sets630])
     assert [wb.basket.text() for wb in only630] == ["2x(1,2),(2,5),(3,7),(4,9)"]
     wb630 = only630[0]
     seq = wb630.plurigenera(61)
@@ -639,7 +629,7 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_VOL],
     )
     sets660 = admissible_index_sets_with_lcm(660, 11, must_contain=(2,))
-    dead660 = _unique_zero_p1_basket(sets660, extra_pins={})
+    dead660 = _unique_zero_p1_basket(sets660)
     assert dead660 == []
     report.eliminated.append(
         EliminatedRow(
@@ -649,9 +639,7 @@ def _replay_weak_97() -> ReplayReport:
         )
     )
     sets462 = admissible_index_sets_with_lcm(462, 11, must_contain=(2,))
-    only462 = _unique_zero_p1_basket(
-        sets462 + [(2,) + s for s in sets462], extra_pins={}
-    )
+    only462 = _unique_zero_p1_basket(sets462 + [(2,) + s for s in sets462])
     assert [wb.basket.text() for wb in only462] == ["2x(1,2),(1,3),(3,7),(5,11)"]
     wb462 = only462[0]
     seq462 = wb462.plurigenera(52)
@@ -699,9 +687,7 @@ def _replay_weak_97() -> ReplayReport:
     )
     sets546 = admissible_index_sets_with_lcm(546, 13, must_contain=(2,))
     assert sets546 == [(2, 3, 7, 13)]
-    only546 = _unique_zero_p1_basket(
-        sets546 + [(2,) + s for s in sets546], extra_pins={}
-    )
+    only546 = _unique_zero_p1_basket(sets546 + [(2,) + s for s in sets546])
     assert [wb.basket.text() for wb in only546] == ["(1,2),(1,3),(3,7),(6,13)"]
     wb546 = only546[0]
     seq546 = wb546.plurigenera(57)
@@ -754,21 +740,13 @@ def _index_840_sweep() -> int:
     p1 = 0..10; counts the volume-positive cases, each checked on degrees
     71..150 together with the linear envelope for l(-n).
     """
-    from itertools import product
-    from math import gcd
-
     count = 0
-    for rset in [(3, 5, 7, 8), (2, 3, 5, 7, 8)]:
-        choices = [
-            [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1] for r in rset
-        ]
-        for bs in product(*choices):
-            basket = Basket(list(zip(bs, rset)))
-            for p1 in range(0, 11):
-                wb = WeightedBasket(basket, p1)
-                if wb.volume() <= 0:
-                    continue
-                assert wb.volume() >= F(1, 330)
-                assert thm2_check_840(wb, horizon=150)
-                count += 1
+    for basket in _residue_baskets(INDEX_840_SETS):
+        for p1 in range(0, 11):
+            wb = WeightedBasket(basket, p1)
+            if wb.volume() <= 0:
+                continue
+            assert wb.volume() >= F(1, 330)
+            assert thm2_check_840(wb, horizon=150)
+            count += 1
     return count

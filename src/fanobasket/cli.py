@@ -2,8 +2,10 @@
 
 Subcommands: rr, enumerate, replay, index-bound, pencil, thresholds, wci.
 Exit codes: 0 success, 1 a computation contradicted an expected conclusion,
-2 usage error or a search cap that would truncate silently.  All tables print
-exact fractions, never decimals.
+2 usage error, malformed or out-of-bounds input (degrees and horizons lie in
+1..MAX_DEGREE, a Hilbert series has at most MAX_SERIES terms), or a search cap
+that would truncate silently.  All tables print exact fractions, never
+decimals.
 """
 
 from __future__ import annotations
@@ -27,15 +29,38 @@ from .search import (
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+MAX_DEGREE = 1000  # bound on --m, --upto and --horizon
+MAX_SERIES = 100_000  # bound on the Hilbert series length upto * iota
+
+
+def _parse_fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} needs an exact fraction, got {text!r}") from None
+
+
+def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
+def _bounded(flag: str, value: int) -> int:
+    if not 1 <= value <= MAX_DEGREE:
+        raise ValueError(f"{flag} must lie in 1..{MAX_DEGREE}, got {value}")
+    return value
 
 
 def _parse_mrange(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    ms = range(int(lo), int(hi if sep else lo) + 1)
-    if not ms or ms.start < 1:
-        raise ValueError(f"--m needs degrees 1 <= lo <= hi, got {text!r}")
+    try:
+        ms = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        ms = range(0)
+    if not ms or ms.start < 1 or ms.stop > MAX_DEGREE + 1:
+        raise ValueError(f"--m needs degrees 1 <= lo <= hi <= {MAX_DEGREE}, got {text!r}")
     return ms
 
 
@@ -100,7 +125,7 @@ def cmd_enumerate(args) -> int:
     cs = ConstraintSet(
         p_exact={1: args.p1, **({2: args.p2} if args.p2 is not None else {})},
         fano_strict=not args.weak,
-        horizon=args.horizon,
+        horizon=_bounded("--horizon", args.horizon),
     )
     survivors = enumerate_geometric(cs)
     if args.json:
@@ -153,8 +178,9 @@ def cmd_index_bound(args) -> int:
 
 def cmd_pencil(args) -> int:
     wb = _wb_from_args(args)
-    scan = non_pencil_threshold(wb, args.horizon)
-    star = thm1_threshold(wb, args.t)
+    t = _parse_fraction("--t", args.t)
+    scan = non_pencil_threshold(wb, _bounded("--horizon", args.horizon))
+    star = thm1_threshold(wb, t)
     if args.json:
         payload = {
             "basket": wb.basket.text(),
@@ -174,7 +200,7 @@ def cmd_pencil(args) -> int:
     vol, r_x = wb.volume(), wb.gorenstein_index()
     lines = [
         f"basket {wb.basket.text()}  p1 = {wb.p1}  -K^3 = {vol}  r_X = {r_x}",
-        f"growth threshold (t = {args.t}): P_-m >= r_X(-K^3)m + 2 for m >= {star}",
+        f"growth threshold (t = {t}): P_-m >= r_X(-K^3)m + 2 for m >= {star}",
         f"{'m':>4} {'P_-m':>8} {'r_X(-K^3)m+1':>14}  verdict",
     ]
     for v in scan.verdicts:
@@ -186,8 +212,9 @@ def cmd_pencil(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    mu0 = _parse_fraction("--mu0", args.mu0)
     inp = BirationalityInputs(
-        m0=args.m0, m1=args.m1, mu0_upper=args.mu0, rmax=args.rmax, nu0=args.nu0
+        m0=args.m0, m1=args.m1, mu0_upper=mu0, rmax=args.rmax, nu0=args.nu0
     )
     value = thm_main_threshold(inp, args.variant)
     if args.json:
@@ -198,9 +225,11 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_wci(args) -> int:
-    weights = tuple(int(x) for x in args.weights.split(","))
-    degrees = tuple(int(x) for x in args.degrees.split(",")) if args.degrees else ()
+    weights = _parse_ints("--weights", args.weights)
+    degrees = _parse_ints("--degrees", args.degrees) if args.degrees else ()
     wci = WeightedCI(weights, degrees)
+    if _bounded("--upto", args.upto) * wci.fano_index > MAX_SERIES:
+        raise ValueError(f"--upto times the Fano index exceeds {MAX_SERIES} series terms")
     p = anti_plurigenera_from_hilbert(wci, args.upto)
     fits = fit_basket(p) if args.fit else None
     if args.json:
@@ -235,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("--out", help="write the report to a file")
-        p.add_argument("--seed", type=int, default=0, help="seed for sweeps")
 
     p = sub.add_parser("rr", help="anti-plurigenera of a weighted basket")
     p.add_argument("--basket", required=True)
@@ -265,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pencil", help="pencil verdicts and growth thresholds")
     p.add_argument("--basket", required=True)
     p.add_argument("--p1", type=int, required=True)
-    p.add_argument("--t", type=_parse_fraction, default=Fraction(8))
+    p.add_argument("--t", default="8", help="exact fraction in (0, 37]")
     p.add_argument("--horizon", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_pencil)
@@ -273,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="birationality threshold formulas")
     p.add_argument("--m0", type=int, required=True)
     p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--mu0", type=_parse_fraction, required=True)
+    p.add_argument("--mu0", required=True, help="exact fraction")
     p.add_argument("--rmax", type=int)
     p.add_argument("--nu0", type=int)
     p.add_argument("--variant", choices=["i", "ii", "iii"], required=True)

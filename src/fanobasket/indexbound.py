@@ -5,50 +5,47 @@ its maximal prime-power factors only lowers that sum (for coprime a, b > 1
 one has ab - 1/(ab) >= a - 1/a + b - 1/b + 2), and preserves the lcm, so
 the index maximum can be searched over multisets of prime powers under the
 same budget.  For per-r_max questions the search runs on raw index values
-directly.
+directly.  Costs are the exact integers of `recovery.cost`, in units of
+1/COST_UNIT: every value summed here is at most 24, and a product of coprime
+values at most 24 divides COST_UNIT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
-F = Fraction
+from .recovery import BUDGET, COST_UNIT, cost
 
 # prime powers s with s - 1/s <= 24 (25 = 5^2 already exceeds the budget)
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
-
-BUDGET = F(24)
-
-
-def _cost(v: int) -> Fraction:
-    return F(v) - F(1, v)
 
 
 @dataclass(frozen=True)
 class PrimePowerMultiset:
     values: tuple[int, ...]  # non-increasing
 
-    def budget(self) -> Fraction:
-        return sum((_cost(v) for v in self.values), F(0))
+    def budget(self) -> int:
+        """Total cost in units of 1/COST_UNIT."""
+        return sum(cost(v) for v in self.values)
 
     def lcm(self) -> int:
         return lcm(*self.values) if self.values else 1
 
 
-def enumerate_admissible(budget: Fraction = BUDGET) -> list[PrimePowerMultiset]:
-    """All prime-power multisets with total cost <= budget; complete."""
+def enumerate_admissible(budget: int = BUDGET) -> list[PrimePowerMultiset]:
+    """All prime-power multisets with total cost <= budget (in units of
+    1/COST_UNIT); complete."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     out: list[PrimePowerMultiset] = []
     values = sorted(PRIME_POWERS, reverse=True)
 
-    def rec(start: int, remaining: Fraction, chosen: list[int]) -> None:
+    def rec(start: int, remaining: int, chosen: list[int]) -> None:
         out.append(PrimePowerMultiset(tuple(chosen)))
         for i in range(start, len(values)):
-            c = _cost(values[i])
+            c = cost(values[i])
             if c <= remaining:
                 chosen.append(values[i])
                 rec(i, remaining - c, chosen)
@@ -72,7 +69,7 @@ class IndexReport:
         }
 
 
-def max_index_report(budget: Fraction = BUDGET) -> IndexReport:
+def max_index_report() -> IndexReport:
     """Global maximum of lcm over admissible prime-power multisets.
 
     Witness multisets are deduplicated on their distinct-value support
@@ -81,7 +78,7 @@ def max_index_report(budget: Fraction = BUDGET) -> IndexReport:
     best = 0
     second = 0
     witnesses: set[tuple[int, ...]] = set()
-    for ms in enumerate_admissible(budget):
+    for ms in enumerate_admissible():
         value = ms.lcm()
         if value > best:
             second = best
@@ -105,15 +102,15 @@ def _raw_subsets(
     base = [r_max, *must_contain]
     if len(set(base)) != len(base):
         raise ValueError("must_contain should not repeat r_max or itself")
-    start_cost = sum((_cost(v) for v in base), F(0))
+    start_cost = sum(cost(v) for v in base)
     if start_cost > BUDGET:
         return
     rest = [v for v in range(2, r_max) if v not in must_contain]
 
-    def rec(idx: int, remaining: Fraction, chosen: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(idx: int, remaining: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
         yield tuple(sorted(base + chosen))
         for i in range(idx, len(rest)):
-            c = _cost(rest[i])
+            c = cost(rest[i])
             if c <= remaining:
                 chosen.append(rest[i])
                 yield from rec(i + 1, remaining - c, chosen)
@@ -154,13 +151,15 @@ def admissible_index_sets_with_lcm(
 
 
 def coprime_split_inequality(a: int, b: int, slack: int = 0) -> bool:
-    """ab - 1/(ab) >= a - 1/a + b - 1/b + slack for coprime a, b > 1.
+    """ab - 1/(ab) >= a - 1/a + b - 1/b + slack for coprime 1 < a, b <= 24.
 
-    slack=0 is what makes the prime-power reduction budget-sound and holds
-    for every coprime pair; the sharper slack=2 form fails exactly at
-    {a, b} = {2, 3} (35/6 < 37/6).
+    slack (a whole number) = 0 is what makes the prime-power reduction
+    budget-sound and holds for every coprime pair; the sharper slack=2 form
+    fails exactly at {a, b} = {2, 3} (35/6 < 37/6).
     """
-    return _cost(a * b) >= _cost(a) + _cost(b) + slack
+    if COST_UNIT % (a * b):
+        raise ValueError(f"{a} * {b} does not divide COST_UNIT; need coprime a, b <= 24")
+    return cost(a * b) >= cost(a) + cost(b) + slack * COST_UNIT
 
 
 def prime_power_parts(n: int) -> tuple[int, ...]:

@@ -29,11 +29,6 @@ from .basket import Basket, WeightedBasket, f_periodic
 F = Fraction
 
 
-def f_local(x: int, r: int) -> Fraction:
-    """F(x) = x̄ (r - x̄)/(2r), period r."""
-    return f_periodic(x, r)
-
-
 def g_min(b: int, r: int, m: int) -> Fraction:
     """min over all integers x of G(x), by end-point reduction.
 
@@ -44,11 +39,11 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
     l = m % r
-    base = sum(f_local(j * b, r) for j in range(l + 1))
+    base = sum(f_periodic(j * b, r) for j in range(l + 1))
     best = F(0)
     for j in range(1, l + 1):
         x = -j * b
-        val = sum(f_local(x + k * b, r) for k in range(l + 1)) - base
+        val = sum(f_periodic(x + k * b, r) for k in range(l + 1)) - base
         if val < best:
             best = val
     return best
@@ -57,9 +52,9 @@ def g_min(b: int, r: int, m: int) -> Fraction:
 def g_min_bruteforce(b: int, r: int, m: int) -> Fraction:
     """Direct minimum of G over a full period; oracle for `g_min`."""
     l = m % r
-    base = sum(f_local(j * b, r) for j in range(l + 1))
+    base = sum(f_periodic(j * b, r) for j in range(l + 1))
     return min(
-        sum(f_local(x + k * b, r) for k in range(l + 1)) - base for x in range(r)
+        sum(f_periodic(x + k * b, r) for k in range(l + 1)) - base for x in range(r)
     )
 
 
@@ -88,7 +83,7 @@ def k1_condition_tabulated(point: tuple[int, int], m: int) -> Optional[bool]:
     if l == 3 % r:
         clauses.append(4 * b >= r)
     if l == 4 % r:
-        fb, f2, f3, f4 = (f_local(k * b, r) for k in (1, 2, 3, 4))
+        fb, f2, f3, f4 = (f_periodic(k * b, r) for k in (1, 2, 3, 4))
         clauses.append(fb >= f4 and fb + f2 >= f3 + f4)
     if not clauses:
         return None
@@ -181,18 +176,8 @@ def thm1_threshold(wb: WeightedBasket, t: Fraction) -> int:
     Beyond the threshold the anti-plurigenus satisfies
     P_{-m} >= r_X (-K^3) m + 2, hence |-mK| is not composed with a pencil.
     """
-    t = Fraction(t)
-    if not 0 < t <= 37:
-        raise ValueError(f"t must lie in (0, 37], got {t}")
-    vol = wb.volume()
-    if vol <= 0:
-        raise ValueError("threshold needs positive volume")
-    r_x = wb.gorenstein_index()
-    r_max = wb.basket.r_max()
-    return max(
-        37,
-        _ceil_fraction(Fraction(r_max) * t / 3),
-        _ceil_sqrt(6 * r_x + 12 / (t * vol)),
+    return thm1_threshold_from_bounds(
+        wb.gorenstein_index(), wb.volume(), wb.basket.r_max(), t
     )
 
 

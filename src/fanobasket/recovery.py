@@ -35,7 +35,8 @@ BUDGET = 24 * COST_UNIT
 
 
 def cost(r: int) -> int:
-    """r - 1/r in units of 1/COST_UNIT; exact for 2 <= r <= TAIL_R_CAP."""
+    """r - 1/r in units of 1/COST_UNIT; exact whenever r divides COST_UNIT,
+    so for every r <= TAIL_R_CAP and every product of coprime such r."""
     return (r * r - 1) * (COST_UNIT // r)
 
 
@@ -81,9 +82,6 @@ class RecoveryInput:
             raise ValueError("tail counts must be non-negative")
         if sum(self.tail_counts.values()) != self.sigma5:
             raise ValueError("sigma5 must equal the total tail count")
-
-    def tail_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted((r, c) for r, c in self.tail_counts.items() if c))
 
 
 @dataclass(frozen=True)
@@ -208,23 +206,21 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
     )
 
 
-def feasible_tails(p: PlurigenusSequence, sigma5_max: int) -> list[RecoveryInput]:
-    """Every (sigma5, tail) choice the recovery identities accept whose known
-    stage-0 counts leave room in the 24-budget: gamma(B^(0)) >= 0 when
-    P_{-1}..P_{-4} are given, a superset of those tails otherwise."""
-    if sigma5_max < 0:
-        raise ValueError("sigma5_max must be >= 0")
+def feasible_tails(p: PlurigenusSequence) -> list[RecoveredData]:
+    """The recovered data of every (sigma5, tail) choice the recovery
+    identities accept whose known stage-0 counts leave room in the 24-budget:
+    gamma(B^(0)) >= 0 when P_{-1}..P_{-4} are given, a superset of those tails
+    otherwise.  Ordered by sigma5, then by the non-decreasing tail."""
     out = []
-    for s5 in range(sigma5_max + 1):
+    for s5 in range(BUDGET // cost(5) + 1):  # (1, 5) is the cheapest tail point
         head = stage0_head(p, s5)
         if any(n is not None and n < 0 for n in head):
             continue  # recover rejects every tail
         left = tail_budget(*(n or 0 for n in head))  # unknown counts cost nothing
         for tail in budgeted_tails(s5, left):
-            inp = RecoveryInput(p, s5, dict(Counter(tail)))
-            if not isinstance(recover(inp), Infeasible):
-                out.append(inp)
-    out.sort(key=lambda i: (i.sigma5, i.tail_key()))
+            data = recover(RecoveryInput(p, s5, dict(Counter(tail))))
+            if not isinstance(data, Infeasible):
+                out.append(data)
     return out
 
 

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .basket import WeightedBasket
-
-
-def frac(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -24,7 +19,7 @@ class SurvivorRow:
         return {
             "basket": self.wb.basket.text(),
             "p1": self.wb.p1,
-            "volume": frac(self.wb.volume()),
+            "volume": str(self.wb.volume()),
             "rX": self.wb.gorenstein_index(),
             "rmax": self.wb.basket.r_max(),
             "P": list(seq.values),

@@ -34,22 +34,19 @@ class ConstraintSet:
     p_min: dict[int, int] = field(default_factory=dict)
     p_max: dict[int, int] = field(default_factory=dict)
     fano_strict: bool = True  # gamma > 0; False relaxes to gamma >= 0
-    require_volume_positive: bool = True
-    require_superadditive: bool = True
-    require_nonnegative: bool = True
     horizon: int = 12
-    max_points: int = 17
-    max_r: int = 24
+
+    def __post_init__(self) -> None:
+        pinned = [*self.p_exact, *self.p_min, *self.p_max]
+        if self.horizon < 1 or any(not 1 <= m <= self.horizon for m in pinned):
+            raise ValueError(f"horizon {self.horizon} must be >= 1 and >= every pinned degree")
 
     def describe(self) -> str:
         bits = [f"P_-{m}={v}" for m, v in sorted(self.p_exact.items())]
         bits += [f"P_-{m}>={v}" for m, v in sorted(self.p_min.items())]
         bits += [f"P_-{m}<={v}" for m, v in sorted(self.p_max.items())]
         bits.append("gamma>0" if self.fano_strict else "gamma>=0")
-        if self.require_volume_positive:
-            bits.append("-K^3>0")
-        if self.require_superadditive:
-            bits.append("superadditive")
+        bits += ["-K^3>0", "superadditive"]
         return ", ".join(bits)
 
     def gamma_ok(self, basket: Basket) -> bool:
@@ -60,7 +57,7 @@ class ConstraintSet:
 def is_geometric_candidate(
     wb: WeightedBasket, cs: ConstraintSet
 ) -> tuple[bool, Optional[str]]:
-    """All enabled constraints, checked in a fixed order; first failure named."""
+    """All constraints, checked in a fixed order; first failure named."""
     seq = wb.plurigenera(cs.horizon)
     for m, v in sorted(cs.p_exact.items()):
         if seq[m] != v:
@@ -71,31 +68,28 @@ def is_geometric_candidate(
     for m, v in sorted(cs.p_max.items()):
         if seq[m] > v:
             return False, f"P_-{m} = {seq[m]} > {v}"
-    if cs.require_volume_positive:
-        vol = wb.volume()
-        if vol <= 0:
-            return False, f"-K^3 = {vol} <= 0"
+    vol = wb.volume()
+    if vol <= 0:
+        return False, f"-K^3 = {vol} <= 0"
     g = wb.basket.gamma()
     if cs.fano_strict and not g > 0:
         return False, f"gamma = {g} <= 0"
     if not cs.fano_strict and not g >= 0:
         return False, f"gamma = {g} < 0"
-    if cs.require_nonnegative:
-        for m in range(1, cs.horizon + 1):
-            if seq[m] < 0:
-                return False, f"P_-{m} = {seq[m]} < 0"
-    if cs.require_superadditive:
-        for m in range(1, cs.horizon):
-            if seq[m] <= 0:
+    for m in range(1, cs.horizon + 1):
+        if seq[m] < 0:
+            return False, f"P_-{m} = {seq[m]} < 0"
+    for m in range(1, cs.horizon):
+        if seq[m] <= 0:
+            continue
+        for n in range(m, cs.horizon + 1 - m):
+            if seq[n] <= 0:
                 continue
-            for n in range(m, cs.horizon + 1 - m):
-                if seq[n] <= 0:
-                    continue
-                if seq[m + n] < seq[m] + seq[n] - 1:
-                    return False, (
-                        f"P_-{m + n} = {seq[m + n]} <"
-                        f" P_-{m} + P_-{n} - 1 = {seq[m] + seq[n] - 1}"
-                    )
+            if seq[m + n] < seq[m] + seq[n] - 1:
+                return False, (
+                    f"P_-{m + n} = {seq[m + n]} <"
+                    f" P_-{m} + P_-{n} - 1 = {seq[m] + seq[n] - 1}"
+                )
     return True, None
 
 
@@ -126,10 +120,6 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
     if 1 not in cs.p_exact:
         raise ValueError("the enumeration needs P_{-1} pinned")
     p1 = cs.p_exact[1]
-    if cs.max_r < 24:
-        raise SearchBudgetExceeded(
-            "max_r below 24 could silently drop admissible tails"
-        )
 
     survivors: dict[WeightedBasket, None] = {}
     eliminated: dict[WeightedBasket, str] = {}
@@ -142,8 +132,7 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
         else list(range(p2_lo, min(p2_hi, cs.p_max.get(2, p2_hi)) + 1))
     )
     for p2 in p2_values:
-        sigma = 10 - 5 * p1 + p2
-        if sigma < 0 or sigma > cs.max_points:
+        if 10 - 5 * p1 + p2 < 0:  # sigma < 0; sigma > 16 fails the budget
             continue
         p3_hi = 5 - 6 * p1 + 4 * p2  # n0_{1,2} >= 0
         p3_values = (
@@ -165,10 +154,6 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
                         wb = WeightedBasket(cand, p1)
                         if wb in survivors or wb in eliminated:
                             continue
-                        if cand.r_max() > cs.max_r:
-                            raise SearchBudgetExceeded(
-                                f"candidate {cand.text()} exceeds max_r={cs.max_r}"
-                            )
                         ok, cert = is_geometric_candidate(wb, cs)
                         if ok:
                             survivors[wb] = None

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .basket import PlurigenusSequence, Source, WeightedBasket
+from .basket import PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
-from .recovery import RecoveryInput, feasible_tails, recover
+from .recovery import feasible_tails
 from .search import SearchBudgetExceeded
 
 F = Fraction
+
+MAX_FIT_CANDIDATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,10 @@ def anti_plurigenera_from_hilbert(wci: WeightedCI, upto_m: int) -> PlurigenusSeq
     if iota < 1:
         raise ValueError("anti-plurigenus extraction needs Fano index >= 1")
     coeffs = hilbert_coeffs(wci, upto_m * iota)
-    return PlurigenusSequence(
-        tuple(coeffs[m * iota] for m in range(1, upto_m + 1)), Source.CONSTRAINT
-    )
+    return PlurigenusSequence(tuple(coeffs[m * iota] for m in range(1, upto_m + 1)))
 
 
-def fit_basket(
-    p: PlurigenusSequence,
-    sigma5_max: int = 6,
-    max_candidates: int = 200_000,
-) -> list[WeightedBasket]:
+def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
     """All weighted baskets whose Riemann-Roch output matches every entry of p.
 
     Recovery-first: enumerate the feasible tails, build the stage-0 basket,
@@ -115,23 +111,17 @@ def fit_basket(
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
     horizon = len(p)
-    p1 = p[1]
     seen = 0
-    fits: list[WeightedBasket] = []
-    for tail in feasible_tails(p, sigma5_max):
-        data = recover(RecoveryInput(p, tail.sigma5, tail.tail_counts))
-        b0 = data.basket0()
-        for cand in dominated_baskets(b0, prune=lambda b: b.gamma() >= 0):
+    fits: dict[WeightedBasket, None] = {}
+    for data in feasible_tails(p):
+        for cand in dominated_baskets(data.basket0(), prune=lambda b: b.gamma() >= 0):
             seen += 1
-            if seen > max_candidates:
-                raise SearchBudgetExceeded(f"fit exceeded {max_candidates} candidates")
-            wb = WeightedBasket(cand, p1)
-            seq = wb.plurigenera(horizon)
-            if all(seq[m] == p[m] for m in range(1, horizon + 1)):
-                if wb not in fits:
-                    fits.append(wb)
-    fits.sort(key=lambda w: w.basket.points)
-    return fits
+            if seen > MAX_FIT_CANDIDATES:
+                raise SearchBudgetExceeded(f"fit exceeded {MAX_FIT_CANDIDATES} candidates")
+            wb = WeightedBasket(cand, p[1])
+            if wb.plurigenera(horizon).values == p.values:
+                fits[wb] = None
+    return sorted(fits, key=lambda w: w.basket.points)
 
 
 # the named families realized as fixtures: general hypersurfaces and one

@@ -14,7 +14,6 @@ from fanobasket.basket import (
     f_periodic,
     local_correction,
     local_correction_unreduced,
-    parse_basket,
 )
 
 F = Fraction

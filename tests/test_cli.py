@@ -126,11 +126,59 @@ def test_rr_degree_range_must_be_ordered_and_positive(capsys):
 
 
 def test_search_budget_exceeded_exits_2(capsys, monkeypatch):
-    def refuse(cs):
-        raise SearchBudgetExceeded("max_r below 24 could silently drop admissible tails")
+    def refuse(p):
+        raise SearchBudgetExceeded("fit exceeded 200000 candidates")
 
-    monkeypatch.setattr(cli, "enumerate_geometric", refuse)
-    assert main(["enumerate", "--p1", "0"]) == 2
-    assert capsys.readouterr().err == (
-        "error: max_r below 24 could silently drop admissible tails\n"
-    )
+    monkeypatch.setattr(cli, "fit_basket", refuse)
+    assert main(["wci", "--weights", "1,5,6,22,33", "--degrees", "66", "--fit"]) == 2
+    assert capsys.readouterr().err == "error: fit exceeded 200000 candidates\n"
+
+
+HUGE_RANGE = "1.." + "9" * 20
+BAD_INPUTS = {
+    "--mu0": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1/0", "--variant", "i"],
+              "error: --mu0 needs an exact fraction, got '1/0'"),
+    "--t": (["pencil", "--basket", "(1,2)", "--p1", "3", "--t", "1/0"],
+            "error: --t needs an exact fraction, got '1/0'"),
+    "pinned beyond horizon": (["enumerate", "--p1", "0", "--p2", "0", "--horizon", "1"],
+                              "error: horizon 1 must be >= 1 and >= every pinned degree"),
+    "zero horizon": (["enumerate", "--p1", "0", "--p2", "0", "--horizon", "0"],
+                     "error: --horizon must lie in 1..1000, got 0"),
+    "open range": (["rr", "--basket", "(1,2)", "--p1", "1", "--m", "1.."],
+                   "error: --m needs degrees 1 <= lo <= hi <= 1000, got '1..'"),
+    "--weights": (["wci", "--weights", "1,a"],
+                  "error: --weights needs comma-separated integers, got '1,a'"),
+    "--degrees": (["wci", "--weights", "1,2", "--degrees", "3,,4"],
+                  "error: --degrees needs comma-separated integers, got '3,,4'"),
+    "huge range": (["rr", "--basket", "(1,2)", "--p1", "1", "--m", HUGE_RANGE],
+                   f"error: --m needs degrees 1 <= lo <= hi <= 1000, got '{HUGE_RANGE}'"),
+    "pencil horizon": (["pencil", "--basket", "(1,2)", "--p1", "3", "--horizon", "1001"],
+                       "error: --horizon must lie in 1..1000, got 1001"),
+    "enumerate horizon": (["enumerate", "--p1", "0", "--horizon", "100000"],
+                          "error: --horizon must lie in 1..1000, got 100000"),
+    "--upto": (["wci", "--weights", "1,5,6,22,33", "--degrees", "66", "--upto", "1001"],
+               "error: --upto must lie in 1..1000, got 1001"),
+    "series": (["wci", "--weights", "1,1,1,1,1000", "--upto", "1000"],
+               "error: --upto times the Fano index exceeds 100000 series terms"),
+}
+
+
+def test_bad_inputs_exit_2_with_one_line(capsys):
+    for name, (argv, message) in BAD_INPUTS.items():
+        assert main(argv) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n", (name, captured.err)
+
+
+def test_inputs_at_the_bounds_still_run(capsys):
+    assert main(["rr", "--basket", "(1,2)", "--p1", "1", "--m", "1000"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("P_-1000 = -584206749")
+    # Fano index 100: the series has exactly MAX_SERIES terms
+    assert main(["wci", "--weights", "1,1,1,1,96", "--upto", "1000"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("1000,43489628430510466")
+    assert main(["pencil", "--basket", "(1,2)", "--p1", "3", "--t", "16/2"]) == 0
+    assert "growth threshold (t = 8)" in capsys.readouterr().out
+
+
+def test_seed_flag_is_gone(capsys):
+    assert main(["index-bound", "--seed", "3"]) == 2

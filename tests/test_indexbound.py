@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from fanobasket.indexbound import (
     PRIME_POWERS,
     PrimePowerMultiset,
@@ -15,6 +17,7 @@ from fanobasket.indexbound import (
     max_index_report,
     prime_power_parts,
 )
+from fanobasket.recovery import BUDGET, COST_UNIT, cost
 
 F = Fraction
 
@@ -26,7 +29,7 @@ def test_prime_power_menu():
 
 
 def test_enumerate_admissible_tiny_budget():
-    got = {ms.values for ms in enumerate_admissible(F(2))}
+    got = {ms.values for ms in enumerate_admissible(2 * COST_UNIT)}
     assert got == {(), (2,)}
 
 
@@ -36,18 +39,18 @@ def test_enumerate_admissible_contains_witnesses():
     assert (2, 3, 5, 7, 8) in sets
     assert (2, 3, 4, 5, 7) in sets  # lcm 420, cost < 20
     ms = PrimePowerMultiset((7, 5, 4, 3, 2))
-    assert ms.budget() == F(2) - F(1, 2) + F(3) - F(1, 3) + F(4) - F(1, 4) + F(
-        5
-    ) - F(1, 5) + F(7) - F(1, 7)
+    assert ms.budget() == (
+        F(2) - F(1, 2) + F(3) - F(1, 3) + F(4) - F(1, 4) + F(5) - F(1, 5) + F(7) - F(1, 7)
+    ) * COST_UNIT
     assert ms.lcm() == 420
 
 
 def test_budget_and_maximality():
     sets = enumerate_admissible()
     for ms in sets:
-        assert ms.budget() <= 24
+        assert ms.budget() <= BUDGET
     # maximal multisets cannot absorb another 2 (the cheapest element)
-    maximal = [ms for ms in sets if ms.budget() + F(3, 2) > 24]
+    maximal = [ms for ms in sets if ms.budget() + cost(2) > BUDGET]
     assert maximal, "budget 24 admits saturated multisets"
 
 
@@ -119,6 +122,15 @@ def test_coprime_split_inequality_exhaustive():
                 assert coprime_split_inequality(a, b, slack=2) == (
                     {a, b} != {2, 3}
                 )
+
+
+def test_integer_costs_are_exact_on_coprime_products():
+    for a in range(2, 25):
+        for b in range(2, 25):
+            if gcd(a, b) == 1:
+                assert F(cost(a * b), COST_UNIT) == a * b - F(1, a * b)
+    with pytest.raises(ValueError):
+        coprime_split_inequality(2, 25)  # 50 does not divide COST_UNIT
 
 
 def test_prime_power_split_is_budget_sound():

@@ -5,12 +5,11 @@ from math import gcd
 
 import pytest
 
-from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.basket import Basket, WeightedBasket, f_periodic
 from fanobasket.pencil import (
     K2Thresholds,
     NOT_PENCIL,
     POSSIBLY_PENCIL,
-    f_local,
     g_min,
     g_min_bruteforce,
     k1_condition,
@@ -34,12 +33,6 @@ def canonical_pairs(r_cap: int):
                 yield b, r
 
 
-def test_f_local_examples():
-    assert f_local(0, 7) == 0
-    assert f_local(1, 2) == F(1, 4)
-    assert f_local(7, 5) == f_local(2, 5)
-
-
 def test_g_min_examples():
     # residues 0 and +-1 are always safe
     for b, r in [(1, 2), (2, 5), (3, 7), (5, 11)]:
@@ -48,7 +41,7 @@ def test_g_min_examples():
     # residue 2: sign decided by 3b vs r; the interior end point carries
     # F(b) - F(2b), and G(0) = 0 caps the minimum at zero
     assert g_min(1, 5, 7) == F(2, 5) - F(3, 5) == F(-1, 5)
-    assert f_local(2, 5) - f_local(4, 5) == F(1, 5)
+    assert f_periodic(2, 5) - f_periodic(4, 5) == F(1, 5)
     assert g_min(2, 5, 7) == 0
 
 

@@ -18,6 +18,7 @@ from fanobasket.recovery import (
     cost,
     feasible_tails,
     recover,
+    stage0_head,
     structural_tail,
     tail_budget,
 )
@@ -63,16 +64,14 @@ def test_recover_flags_violations_by_name():
 
 
 def test_feasible_tails_examples():
-    picks = feasible_tails(seq(1, 1, 1, 1, 2, 2, 2), sigma5_max=4)
-    assert [(t.sigma5, t.tail_key()) for t in picks] == [
-        (1, ((6, 1),)),
-        (2, ((5, 2),)),
-    ]
+    picks = feasible_tails(seq(1, 1, 1, 1, 2, 2, 2))
+    assert [t.tail for t in picks] == [{6: 1}, {5: 2}]
 
-    unique = feasible_tails(seq(2, 3, 4, 5, 6, 7), sigma5_max=4)
-    assert [(t.sigma5, t.tail_key()) for t in unique] == [(1, ((5, 1),))]
+    unique = feasible_tails(seq(2, 3, 4, 5, 6, 7))
+    assert [t.tail for t in unique] == [{5: 1}]
+    assert unique[0] == recover(RecoveryInput(seq(2, 3, 4, 5, 6, 7), 1, {5: 1}))
 
-    assert feasible_tails(seq(0, 0, 0, 2, 0), sigma5_max=4) == []
+    assert feasible_tails(seq(0, 0, 0, 2, 0)) == []
 
 
 def _round_trip(wb: WeightedBasket) -> None:
@@ -161,16 +160,30 @@ def test_budgeted_tails_boundary_and_cap():
     assert list(budgeted_tails(0, 0)) == [()] and list(budgeted_tails(0, 0, True)) == []
 
 
-def _exhaustive_feasible(p: PlurigenusSequence, sigma5_max: int) -> list[RecoveryInput]:
-    """recover over every tail multiset, then gamma(B^(0)) >= 0."""
+# a tail costing more than 24 on its own leaves gamma(B^(0)) < 0, so at
+# sigma5 = 5 the brute force only recovers the tails this Fraction filter keeps
+FIVE_POINT_TAILS = [
+    c
+    for c in combinations_with_replacement(range(5, TAIL_R_CAP + 1), 5)
+    if sum((r - Fraction(1, r) for r in c), Fraction(0)) <= 24
+]
+
+
+def test_only_five_times_one_fifth_fits_in_five_or_more_tail_points():
+    assert FIVE_POINT_TAILS == [(5, 5, 5, 5, 5)]
+    assert 6 * (5 - Fraction(1, 5)) > 24  # (1,5) is the cheapest tail point
+
+
+def _exhaustive_feasible(p: PlurigenusSequence) -> list:
+    """recover over every tail multiset with sigma5 <= 4 and over
+    FIVE_POINT_TAILS, then gamma(B^(0)) >= 0."""
     out = []
-    for k in range(sigma5_max + 1):
-        for combo in combinations_with_replacement(range(5, TAIL_R_CAP + 1), k):
-            inp = RecoveryInput(p, k, dict(Counter(combo)))
-            data = recover(inp)
+    for k in range(6):
+        combos = FIVE_POINT_TAILS if k == 5 else combinations_with_replacement(range(5, 25), k)
+        for combo in combos:
+            data = recover(RecoveryInput(p, k, dict(Counter(combo))))
             if not isinstance(data, Infeasible) and data.basket0().gamma() >= 0:
-                out.append(inp)
-    out.sort(key=lambda i: (i.sigma5, i.tail_key()))
+                out.append(data)
     return out
 
 
@@ -178,8 +191,13 @@ def test_feasible_tails_equal_exhaustive_recovery_on_fixtures():
     fixtures = [seq(1, 1, 1, 1, 2, 2, 2), seq(2, 3, 4, 5, 6, 7), seq(0, 0, 0, 2, 0)]
     wcis = [X66, X42, X24_30, X19] + [x6d_member(a, b) for a, b in X6D_PAIRS]
     fixtures += [anti_plurigenera_from_hilbert(w, 40) for w in wcis]
+    # n_{1,2} = n_{1,3} = 0 and n_{1,4} = 5 - sigma5: only 5 x (1,5) at sigma5 = 5
+    five = seq(2, 5, 13, 29)
+    assert stage0_head(five, 5) == (0, 0, 0)
+    fixtures.append(five)
     for p in fixtures:
-        assert feasible_tails(p, 4) == _exhaustive_feasible(p, 4), p.values
+        assert feasible_tails(p) == _exhaustive_feasible(p), p.values
+    assert feasible_tails(five)[-1].tail == {5: 5}
 
 
 def test_feasible_tails_equal_exhaustive_recovery_on_random_baskets():
@@ -191,11 +209,11 @@ def test_feasible_tails_equal_exhaustive_recovery_on_random_baskets():
     for _ in range(50):
         basket = Basket(rng.choices(pool, k=rng.randint(1, 7)))
         p = WeightedBasket(basket, rng.randint(0, 3)).plurigenera(8)
-        picks = feasible_tails(p, 4)
-        assert picks == _exhaustive_feasible(p, 4), basket.text()
+        picks = feasible_tails(p)
+        assert picks == _exhaustive_feasible(p), basket.text()
         s5, tail = structural_tail(basket)
-        if basket.gamma() >= 0 and s5 <= 4:
+        if basket.gamma() >= 0:
             # a packing only lowers gamma: the true tail is always kept
-            assert RecoveryInput(p, s5, tail) in picks, basket.text()
+            assert recover(RecoveryInput(p, s5, tail)) in picks, basket.text()
             hits += 1
     assert hits >= 10

@@ -5,7 +5,6 @@ import pytest
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.search import (
     ConstraintSet,
-    SearchBudgetExceeded,
     enumerate_geometric,
     enumerate_geometric_full,
     forced_ladder,
@@ -87,8 +86,21 @@ def test_enumerate_geometric_nine_basket_family():
 def test_enumeration_needs_p1_and_honest_caps():
     with pytest.raises(ValueError):
         enumerate_geometric(ConstraintSet(p_exact={2: 0}))
-    with pytest.raises(SearchBudgetExceeded):
-        enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}, max_r=13))
+
+
+def test_sigma_above_sixteen_leaves_nothing():
+    # sigma = 10 - 5 P_-1 + P_-2 = 27 stage-0 points cost more than the budget
+    for strict in (True, False):
+        cs = ConstraintSet(p_exact={1: 0, 2: 17}, fano_strict=strict)
+        result = enumerate_geometric_full(cs)
+        assert result.survivors == [] and result.eliminated == []
+
+
+def test_horizon_must_cover_every_pinned_degree():
+    for kwargs in ({"horizon": 0}, {"horizon": 1}, {"p_min": {13: 1}}, {"p_max": {0: 1}}):
+        with pytest.raises(ValueError):
+            ConstraintSet(p_exact={1: 0, 2: 0}, **kwargs)
+    assert ConstraintSet(p_exact={1: 0, 2: 0}, horizon=2).horizon == 2
 
 
 def test_forced_ladders():
