@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -36,12 +37,12 @@ class BasketParseError(ValueError):
     """Input text does not match the basket grammar."""
 
 
-def _normalize_pair(b: int, r: int) -> list[tuple[int, int]]:
-    """Reduce one raw (b, r) pair to canonical coprime points.
+def _normalize_pair(b: int, r: int) -> tuple[tuple[int, int], int]:
+    """Reduce one raw (b, r) pair to a canonical coprime point and its count.
 
-    Reflects b > r/2 to (r-b, r), and expands a pair with gcd k into k
-    copies of the reduced pair, following the {(2,4)} = {(1,2),(1,2)}
-    convention.  Raises on pairs that cannot be made canonical.
+    Reflects b > r/2 to (r-b, r), and reads a pair with gcd k as k copies of
+    the reduced pair, following the {(2,4)} = {(1,2),(1,2)} convention.
+    Raises on pairs that cannot be made canonical.
     """
     if r < 2:
         raise ValueError(f"orbifold index r must be >= 2, got ({b}, {r})")
@@ -56,31 +57,47 @@ def _normalize_pair(b: int, r: int) -> list[tuple[int, int]]:
     b, r = b // k, r // k
     if r < 2:
         raise ValueError(f"degenerate pair: reduces to ({b}, {r}) with r < 2")
-    return [(b, r)] * k
+    return (b, r), k
+
+
+Run = tuple[tuple[int, int], int]
+
+
+def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
+    """Canonical runs: every point once with its total count, sorted by (r, b)."""
+    counts: dict[tuple[int, int], int] = {}
+    for (b, r), n in runs:
+        if n < 0:
+            raise ValueError(f"negative count {n} of ({b}, {r})")
+        if n:
+            point, k = _normalize_pair(b, r)
+            counts[point] = counts.get(point, 0) + n * k
+    return tuple(sorted(counts.items(), key=lambda run: (run[0][1], run[0][0])))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)x)?\((\d+),(\d+)\)$")
 
 
 class Basket:
-    """A multiset of orbifold points, stored sorted by (r, b).
+    """A multiset of orbifold points, stored as runs ((b, r), n) sorted by (r, b).
 
-    Equality and hashing are multiset equality; `text()` is the canonical
-    serialization.  Instances are immutable.
+    Equality and hashing are multiset equality; baskets order like their
+    expanded point tuples; `text()` is the canonical serialization.
+    Instances are immutable.
     """
 
-    __slots__ = ("_points",)
+    __slots__ = ("_runs",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
-        pts: list[tuple[int, int]] = []
-        for b, r in pairs:
-            pts.extend(_normalize_pair(b, r))
-        pts.sort(key=lambda p: (p[1], p[0]))
-        object.__setattr__(self, "_points", tuple(pts))
+        self._runs = _normalize_runs((pair, 1) for pair in pairs)
 
-    @property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        return self._points
+    @classmethod
+    def from_counts(cls, runs: Iterable[Run]) -> "Basket":
+        """The basket holding n copies of every ((b, r), n); zero counts are
+        dropped and pairs normalize as in `Basket(pairs)`."""
+        basket = cls()  # through __init__, so a hook on it sees every basket made
+        basket._runs = _normalize_runs(runs)
+        return basket
 
     @staticmethod
     def parse(text: str) -> "Basket":
@@ -91,71 +108,78 @@ class Basket:
         compact = re.sub(r"\s+", "", text)
         if compact in ("", "{}"):
             return Basket()
-        return Basket(_parse_terms(compact))
+        return Basket.from_counts(_parse_terms(compact))
 
     def text(self) -> str:
         """Canonical serialization, counts collapsed, sorted by (r, b)."""
-        chunks = []
-        for (b, r), n in self.counts():
-            chunks.append(f"({b},{r})" if n == 1 else f"{n}x({b},{r})")
-        return ",".join(chunks)
+        return ",".join(
+            f"({b},{r})" if n == 1 else f"{n}x({b},{r})" for (b, r), n in self._runs
+        )
 
-    def counts(self) -> list[tuple[tuple[int, int], int]]:
-        out: list[tuple[tuple[int, int], int]] = []
-        for p in self._points:
-            if out and out[-1][0] == p:
-                out[-1] = (p, out[-1][1] + 1)
-            else:
-                out.append((p, 1))
-        return out
+    def counts(self) -> tuple[Run, ...]:
+        """The runs ((b, r), n), sorted by (r, b)."""
+        return self._runs
 
     def to_json(self) -> dict:
-        return {"points": [{"b": b, "r": r, "count": n} for (b, r), n in self.counts()]}
+        return {"points": [{"b": b, "r": r, "count": n} for (b, r), n in self._runs]}
 
     @staticmethod
     def from_json(data: dict) -> "Basket":
-        pairs = []
-        for entry in data["points"]:
-            pairs.extend([(entry["b"], entry["r"])] * entry.get("count", 1))
-        return Basket(pairs)
+        return Basket.from_counts(
+            ((entry["b"], entry["r"]), entry.get("count", 1)) for entry in data["points"]
+        )
 
     # --- multiset plumbing -------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._points)
+        """Every point, one per copy; for small baskets only."""
+        return chain.from_iterable(repeat(point, n) for point, n in self._runs)
 
     def __len__(self) -> int:
-        return len(self._points)
+        return sum(n for _, n in self._runs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Basket) and self._points == other._points
+        return isinstance(other, Basket) and self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        return hash(self._runs)
 
     def __lt__(self, other: "Basket") -> bool:
-        return self._points < other._points
+        """Lexicographic order of the expanded point tuples, read off the runs."""
+        a, b = self._runs, other._runs
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (p, n), (q, m) = a[i], b[j]
+            if p != q:
+                return p < q
+            if n < m:  # self moves on to its next point while other repeats p
+                return i + 1 == len(a) or a[i + 1][0] < p
+            if n > m:
+                return j + 1 < len(b) and p < b[j + 1][0]
+            i, j = i + 1, j + 1
+        return j < len(b)  # a proper prefix is smaller
 
     def __repr__(self) -> str:
         return f"Basket[{self.text() or 'empty'}]"
 
     def replace_pair_with(self, i: int, j: int, merged: tuple[int, int]) -> "Basket":
-        """New basket with points at positions i < j replaced by `merged`."""
-        pts = list(self._points)
-        del pts[j]
-        del pts[i]
-        pts.append(merged)
-        return Basket(pts)
+        """New basket with one point of run i and one of run j != i replaced
+        by `merged`."""
+        counts = dict(self._runs)
+        for k in (i, j):
+            counts[self._runs[k][0]] -= 1
+        counts[merged] = counts.get(merged, 0) + 1
+        return Basket.from_counts(counts.items())
 
     # --- exact invariants --------------------------------------------------
 
     def sigma(self) -> int:
         """sigma(B) = sum of the b_i."""
-        return sum(b for b, _ in self._points)
+        return sum(b * n for (b, _), n in self._runs)
 
     def sigma_prime(self) -> Fraction:
         """sigma'(B) = sum of b_i^2 / r_i, exact."""
-        return sum((Fraction(b * b, r) for b, r in self._points), Fraction(0))
+        return sum((Fraction(n * b * b, r) for (b, r), n in self._runs), Fraction(0))
 
     def delta(self, m: int) -> int:
         """Delta^m(B): the defect between reduced and unreduced local sums.
@@ -165,31 +189,37 @@ class Basket:
         """
         if m < 2:
             raise ValueError(f"delta requires m >= 2, got {m}")
-        return sum(_delta_point(b, r, m) for b, r in self._points)
+        return sum(n * _delta_point(b, r, m) for (b, r), n in self._runs)
 
     def gamma(self) -> Fraction:
         """gamma(B) = sum 1/r_i - sum r_i + 24; positive on Q-Fano baskets."""
         total = Fraction(24)
-        for _, r in self._points:
-            total += Fraction(1, r) - r
+        for (_, r), n in self._runs:
+            total += Fraction(n, r) - n * r
         return total
 
     def l_neg(self, n: int) -> Fraction:
         """l(-n): the periodic orbifold correction entering Riemann-Roch."""
         if n < 0:
             raise ValueError(f"l_neg requires n >= 0, got {n}")
-        return sum((_l_point(b, r, n) for b, r in self._points), Fraction(0))
+        # one full period of jb(r - jb) over a residue system sums to r(r^2-1)/6,
+        # so each period contributes (r^2 - 1)/12 after dividing by 2r
+        periods = Fraction(sum(k * (n // r) * (r * r - 1) for (_, r), k in self._runs), 12)
+        return sum(
+            (Fraction(k * _l_point_table(b, r)[n % r], 2 * r) for (b, r), k in self._runs),
+            periods,
+        )
 
     def gorenstein_index(self) -> int:
         """lcm of the local indices r_i (1 for the empty basket)."""
-        return lcm(*(r for _, r in self._points)) if self._points else 1
+        return lcm(*(r for (_, r), _ in self._runs)) if self._runs else 1
 
     def r_max(self) -> int:
-        return max((r for _, r in self._points), default=1)
+        return self._runs[-1][0][1] if self._runs else 1
 
 
-def _parse_terms(compact: str) -> list[tuple[int, int]]:
-    pairs: list[tuple[int, int]] = []
+def _parse_terms(compact: str) -> list[Run]:
+    runs: list[Run] = []
     pos = 0
     while pos < len(compact):
         end = compact.find(")", pos)
@@ -202,7 +232,7 @@ def _parse_terms(compact: str) -> list[tuple[int, int]]:
         count = int(m.group(1)) if m.group(1) else 1
         if count < 1:
             raise BasketParseError(f"bad multiplicity in {term!r}")
-        pairs.extend([(int(m.group(2)), int(m.group(3)))] * count)
+        runs.append(((int(m.group(2)), int(m.group(3))), count))
         pos = end + 1
         if pos < len(compact):
             if compact[pos] != ",":
@@ -210,7 +240,7 @@ def _parse_terms(compact: str) -> list[tuple[int, int]]:
             pos += 1
             if pos == len(compact):
                 raise BasketParseError("trailing comma")
-    return pairs
+    return runs
 
 
 # --- per-point kernels ------------------------------------------------------
@@ -234,13 +264,6 @@ def _l_point_table(b: int, r: int) -> tuple[int, ...]:
         acc += u * (r - u)
         prefix[j] = acc
     return tuple(prefix)
-
-
-def _l_point(b: int, r: int, n: int) -> Fraction:
-    whole, part = divmod(n, r)
-    # one full period of jb(r - jb) over a residue system sums to r(r^2-1)/6,
-    # so each period contributes (r^2 - 1)/12 after dividing by 2r
-    return Fraction(whole * (r * r - 1), 12) + Fraction(_l_point_table(b, r)[part], 2 * r)
 
 
 def f_periodic(x: int, r: int) -> Fraction:

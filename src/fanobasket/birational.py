@@ -172,7 +172,7 @@ def _unique_zero_p1_basket(index_sets: list[tuple[int, ...]]) -> list[WeightedBa
         wb = WeightedBasket(basket, 0)
         if is_geometric_candidate(wb, cs)[0]:
             found[wb] = None
-    return sorted(found, key=lambda w: w.basket.points)
+    return sorted(found, key=lambda w: w.basket)
 
 
 def replay_birationality(target_name: str) -> ReplayReport:

@@ -91,11 +91,11 @@ def unpack(basket: Basket, n: int) -> Basket:
         return basket
     sset = s_set(n, basket.r_max())
     table = set(sset.fractions)
-    pairs: list[tuple[int, int]] = []
-    for b, r in basket:
+    runs = []
+    for (b, r), count in basket.counts():
         frac = Fraction(b, r)
         if frac in table:
-            pairs.append((b, r))
+            runs.append(((b, r), count))
             continue
         (qh, ph), (ql, pl) = (
             (f.numerator, f.denominator) for f in sset.neighbours(frac)
@@ -103,9 +103,9 @@ def unpack(basket: Basket, n: int) -> Basket:
         count_low = r * qh - b * ph
         count_high = -r * ql + b * pl
         assert count_low > 0 and count_high > 0
-        pairs.extend([(ql, pl)] * count_low)
-        pairs.extend([(qh, ph)] * count_high)
-    return Basket(pairs)
+        runs.append(((ql, pl), count_low * count))
+        runs.append(((qh, ph), count_high * count))
+    return Basket.from_counts(runs)
 
 
 def epsilon_n(basket: Basket, n: int) -> int:
@@ -145,35 +145,32 @@ def canonical_chain(basket: Basket) -> CanonicalChain:
     return CanonicalChain(basket, tuple(stages))
 
 
-def prime_packings(basket: Basket, min_target: int = 0) -> list[Basket]:
-    """All distinct one-step prime packings of `basket`.
+def _packings(basket: Basket, legal: Callable[[int, int, int, int], bool]) -> list[Basket]:
+    """Every one-step packing of two distinct points that `legal` allows.
 
-    `min_target` restricts merges to r1 + r2 >= min_target, which walks
-    only the part of the order below a fixed canonical stage.
+    A point never packs with a copy of itself (b r - b r = 0 and the sum
+    (2b, 2r) is not coprime), and two different pairs of distinct points
+    never pack to the same basket, so pairing distinct runs i < j yields
+    each packed basket once.
     """
-    pts = basket.points
-    seen: set[Basket] = set()
-    out: list[Basket] = []
-    for i in range(len(pts)):
-        b1, r1 = pts[i]
-        for j in range(i + 1, len(pts)):
-            b2, r2 = pts[j]
-            if r1 + r2 < min_target:
-                continue
-            if abs(b1 * r2 - b2 * r1) != 1:
-                continue
-            merged = basket.replace_pair_with(i, j, (b1 + b2, r1 + r2))
-            if merged not in seen:
-                seen.add(merged)
-                out.append(merged)
+    runs = basket.counts()
+    out = []
+    for i, ((b1, r1), _) in enumerate(runs):
+        for j in range(i + 1, len(runs)):
+            b2, r2 = runs[j][0]
+            if legal(b1, r1, b2, r2):
+                out.append(basket.replace_pair_with(i, j, (b1 + b2, r1 + r2)))
     out.sort()
     return out
 
 
+def prime_packings(basket: Basket) -> list[Basket]:
+    """All distinct one-step prime packings of `basket`."""
+    return _packings(basket, lambda b1, r1, b2, r2: abs(b1 * r2 - b2 * r1) == 1)
+
+
 def dominated_baskets(
-    basket: Basket,
-    prune: Optional[Callable[[Basket], bool]] = None,
-    min_target: int = 0,
+    basket: Basket, prune: Optional[Callable[[Basket], bool]] = None
 ) -> list[Basket]:
     """Every basket reachable from `basket` by prime packings, itself included.
 
@@ -187,7 +184,7 @@ def dominated_baskets(
     stack = [basket]
     while stack:
         current = stack.pop()
-        for nxt in prime_packings(current, min_target=min_target):
+        for nxt in prime_packings(current):
             if nxt in seen:
                 continue
             if prune is not None and not prune(nxt):
@@ -197,13 +194,9 @@ def dominated_baskets(
     return sorted(seen)
 
 
-def minimal_baskets(basket: Basket, min_target: int = 0) -> list[Basket]:
+def minimal_baskets(basket: Basket) -> list[Basket]:
     """The dominated baskets admitting no further prime packing."""
-    return [
-        b
-        for b in dominated_baskets(basket, min_target=min_target)
-        if not prime_packings(b, min_target=min_target)
-    ]
+    return [b for b in dominated_baskets(basket) if not prime_packings(b)]
 
 
 def general_packings(basket: Basket) -> list[Basket]:
@@ -214,18 +207,4 @@ def general_packings(basket: Basket) -> list[Basket]:
     those no-ops are omitted.  Everything else with a non-coprime sum is
     not a packing move at all.
     """
-    pts = basket.points
-    seen: set[Basket] = set()
-    out = []
-    for i in range(len(pts)):
-        b1, r1 = pts[i]
-        for j in range(i + 1, len(pts)):
-            b2, r2 = pts[j]
-            if gcd(b1 + b2, r1 + r2) != 1:
-                continue
-            merged = basket.replace_pair_with(i, j, (b1 + b2, r1 + r2))
-            if merged not in seen:
-                seen.add(merged)
-                out.append(merged)
-    out.sort()
-    return out
+    return _packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)

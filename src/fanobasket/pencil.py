@@ -91,7 +91,7 @@ def k1_condition_tabulated(point: tuple[int, int], m: int) -> Optional[bool]:
 
 
 def k1_all_points(basket: Basket, m: int) -> bool:
-    return all(k1_condition(pt, m) for pt in basket)
+    return all(k1_condition(pt, m) for pt, _ in basket.counts())
 
 
 @dataclass(frozen=True)

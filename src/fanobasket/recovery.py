@@ -106,20 +106,15 @@ class RecoveredData:
     eps: dict[int, Optional[int]]  # eps_5, eps_6 (=0), eps_7, eps_8
 
     def basket0(self) -> Basket:
-        pairs = []
-        for r in (2, 3, 4):
-            pairs.extend([(1, r)] * self.n0[r])
-        for r, c in sorted(self.tail.items()):
-            pairs.extend([(1, r)] * c)
-        return Basket(pairs)
+        return Basket.from_counts(
+            [((1, r), self.n0[r]) for r in (2, 3, 4)]
+            + [((1, r), c) for r, c in self.tail.items()]
+        )
 
     def basket5(self) -> Basket:
-        pairs = []
-        for (b, r), c in self.n5.items():
-            pairs.extend([(b, r)] * c)
-        for r, c in sorted(self.tail.items()):
-            pairs.extend([(1, r)] * c)
-        return Basket(pairs)
+        return Basket.from_counts(
+            [*self.n5.items()] + [((1, r), c) for r, c in self.tail.items()]
+        )
 
 
 def stage0_head(
@@ -228,9 +223,7 @@ def structural_tail(basket: Basket) -> tuple[int, dict[int, int]]:
     """The true (sigma5, tail counts) of a basket, read off its stage-0 form."""
     from .canonical import unpack
 
-    counts: dict[int, int] = {}
-    for b, r in unpack(basket, 0):
-        assert b == 1
-        if r >= 5:
-            counts[r] = counts.get(r, 0) + 1
+    runs = unpack(basket, 0).counts()
+    assert all(b == 1 for (b, _), _ in runs)
+    counts = {r: n for (_, r), n in runs if r >= 5}
     return sum(counts.values()), counts

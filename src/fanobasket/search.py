@@ -11,13 +11,14 @@ replays are built on top of the same machinery.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import budgeted_tails, stage0_head, structural_tail, tail_budget
+from .recovery import BUDGET, budgeted_tails, cost, stage0_head, structural_tail, tail_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -71,11 +72,8 @@ def is_geometric_candidate(
     vol = wb.volume()
     if vol <= 0:
         return False, f"-K^3 = {vol} <= 0"
-    g = wb.basket.gamma()
-    if cs.fano_strict and not g > 0:
-        return False, f"gamma = {g} <= 0"
-    if not cs.fano_strict and not g >= 0:
-        return False, f"gamma = {g} < 0"
+    if not cs.gamma_ok(wb.basket):
+        return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
     for m in range(1, cs.horizon + 1):
         if seq[m] < 0:
             return False, f"P_-{m} = {seq[m]} < 0"
@@ -97,10 +95,15 @@ def _stage0_baskets(n12: int, n13: int, n14_base: int, cs: ConstraintSet):
     """Stage-0 baskets over this head whose tails fit the 24-budget."""
     for s5 in range(n14_base + 1):
         n14 = n14_base - s5
-        head = [(1, 2)] * n12 + [(1, 3)] * n13 + [(1, 4)] * n14
+        head = [((1, 2), n12), ((1, 3), n13), ((1, 4), n14)]
         left = tail_budget(n12, n13, n14)
         for tail in budgeted_tails(s5, left, cs.fano_strict):
-            yield Basket(head + [(1, r) for r in tail])
+            yield Basket.from_counts(head + [((1, r), c) for r, c in Counter(tail).items()])
+
+
+def _values(cs: ConstraintSet, m: int, lo: int, hi: int):
+    """P_{-m} as pinned by `cs`, else every value in [lo, hi]."""
+    return [cs.p_exact[m]] if m in cs.p_exact else range(lo, hi + 1)
 
 
 @dataclass
@@ -124,26 +127,16 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
     survivors: dict[WeightedBasket, None] = {}
     eliminated: dict[WeightedBasket, str] = {}
 
-    p2_lo = max(0, cs.p_min.get(2, 0))
-    p2_hi = 6 + 5 * p1  # sigma <= 16 under the gamma budget
-    p2_values = (
-        [cs.p_exact[2]]
-        if 2 in cs.p_exact
-        else list(range(p2_lo, min(p2_hi, cs.p_max.get(2, p2_hi)) + 1))
-    )
-    for p2 in p2_values:
-        if 10 - 5 * p1 + p2 < 0:  # sigma < 0; sigma > 16 fails the budget
-            continue
-        p3_hi = 5 - 6 * p1 + 4 * p2  # n0_{1,2} >= 0
-        p3_values = (
-            [cs.p_exact[3]] if 3 in cs.p_exact else list(range(0, p3_hi + 1))
-        )
-        for p3 in p3_values:
-            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n0_{1,3} >= 0
-            p4_values = (
-                [cs.p_exact[4]] if 4 in cs.p_exact else list(range(0, p4_hi + 1))
-            )
-            for p4 in p4_values:
+    # a stage-0 point costs at least cost(2) of the 24-budget, so sigma and
+    # n_{1,2} are at most BUDGET // cost(2) = 16 and n_{1,3} at most 9
+    n_max = BUDGET // cost(2)
+    p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
+    p2_hi = min(p2_hi, cs.p_max.get(2, p2_hi))
+    for p2 in _values(cs, 2, max(0, 5 * p1 - 10, cs.p_min.get(2, 0)), p2_hi):
+        p3_hi = 5 - 6 * p1 + 4 * p2  # n_{1,2} = p3_hi - P_-3
+        for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
+            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
+            for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
                 n12, n13, n14_base = stage0_head(
                     PlurigenusSequence((p1, p2, p3, p4)), 0
                 )
@@ -159,8 +152,8 @@ def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
                             survivors[wb] = None
                         else:
                             eliminated[wb] = cert
-    ordered = sorted(survivors, key=lambda w: w.basket.points)
-    elim = sorted(eliminated.items(), key=lambda kv: kv[0].basket.points)
+    ordered = sorted(survivors, key=lambda w: w.basket)
+    elim = sorted(eliminated.items(), key=lambda kv: kv[0].basket)
     return EnumerationResult(ordered, [(w, c) for w, c in elim])
 
 

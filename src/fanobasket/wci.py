@@ -121,7 +121,7 @@ def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
             wb = WeightedBasket(cand, p[1])
             if wb.plurigenera(horizon).values == p.values:
                 fits[wb] = None
-    return sorted(fits, key=lambda w: w.basket.points)
+    return sorted(fits, key=lambda w: w.basket)
 
 
 # the named families realized as fixtures: general hypersurfaces and one

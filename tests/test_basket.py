@@ -53,6 +53,29 @@ def test_invalid_pairs_rejected():
             Basket.parse(text)
 
 
+def test_runs_are_the_stored_form():
+    b = B("2x(1,2), 3x(2,5), (1,3), (2,4)")
+    assert b.counts() == (((1, 2), 4), ((1, 3), 1), ((2, 5), 3))
+    assert Basket.from_counts(b.counts()) == b == Basket(list(b))
+    # the {(2,4)} convention and reflection apply to counted pairs too
+    assert Basket.from_counts([((2, 4), 3), ((3, 5), 2), ((1, 7), 0)]) == B("6x(1,2),2x(2,5)")
+    with pytest.raises(ValueError):
+        Basket.from_counts([((1, 2), -1)])
+
+
+def test_order_is_that_of_the_expanded_points():
+    pool = [(1, 2), (1, 3), (2, 5), (1, 4), (3, 7), (2, 7), (1, 5), (3, 8)]
+    rng = random.Random(41)
+    baskets = [
+        Basket.from_counts((pt, rng.randint(1, 3)) for pt in rng.sample(pool, rng.randint(0, 4)))
+        for _ in range(150)
+    ]
+    for a in baskets:
+        for b in baskets[:40]:
+            assert (a < b) == (tuple(a) < tuple(b)), (a, b)
+    assert sorted(baskets) == sorted(baskets, key=tuple)
+
+
 def test_json_round_trip():
     wb = WB("2x(1,2),3x(2,5),(1,3),(1,4)", 0)
     assert WeightedBasket.from_json(wb.to_json()) == wb

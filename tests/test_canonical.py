@@ -83,6 +83,42 @@ def test_canonical_chain_examples():
     assert all(s.epsilon == 0 for s in fixed.stages)
 
 
+def _brute_packings(basket, legal):
+    """One-step packings over every pair of expanded points, deduplicated and
+    ordered by the expanded point tuple."""
+    pts = list(basket)
+    found = set()
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        (b1, r1), (b2, r2) = pts[i], pts[j]
+        if legal(b1, r1, b2, r2):
+            rest = pts[:i] + pts[i + 1 : j] + pts[j + 1 :]
+            found.add(Basket(rest + [(b1 + b2, r1 + r2)]))
+    return sorted(found, key=tuple)
+
+
+def brute_prime_packings(basket, min_r=0):
+    return _brute_packings(
+        basket, lambda b1, r1, b2, r2: abs(b1 * r2 - b2 * r1) == 1 and r1 + r2 >= min_r
+    )
+
+
+def brute_general_packings(basket):
+    return _brute_packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)
+
+
+def test_run_packings_match_brute_force_over_points():
+    pool = [(1, 2), (1, 3), (2, 5), (1, 4), (3, 7), (2, 7), (1, 5), (3, 8), (4, 9)]
+    rng = random.Random(29)
+    repeated = 0
+    for _ in range(200):
+        runs = [(pt, rng.randint(1, 4)) for pt in rng.sample(pool, rng.randint(1, 5))]
+        basket = Basket.from_counts(runs)
+        repeated += any(n > 1 for _, n in runs)
+        assert prime_packings(basket) == brute_prime_packings(basket)
+        assert general_packings(basket) == brute_general_packings(basket)
+    assert repeated > 100
+
+
 def test_prime_packings_examples():
     assert prime_packings(B("(1,2),(1,3)")) == [B("(2,5)")]
     assert prime_packings(B("(1,2)")) == []
@@ -134,19 +170,6 @@ def test_minimal_baskets_examples():
         B("9x(1,2),(2,7)"),
     }
     assert minimal_baskets(B("(1,2),(1,4)")) == [B("(1,2),(1,4)")]
-
-
-def test_min_target_restricts_stage():
-    # below stage 5 the (1,2)+(1,3) merge is forbidden
-    base = B("(1,2),(2,5),(1,3),(1,4),(1,6)")
-    full = dominated_baskets(base)
-    restricted = dominated_baskets(base, min_target=6)
-    assert B("2x(2,5),(1,4),(1,6)") in full
-    assert B("2x(2,5),(1,4),(1,6)") not in restricted
-    assert set(minimal_baskets(base, min_target=6)) == {
-        B("(3,7),(2,7),(1,6)"),
-        B("(1,2),(3,8),(1,4),(1,6)"),
-    }
 
 
 def test_packing_monotonicity_single_steps():
@@ -204,9 +227,17 @@ def test_prune_soundness_matches_post_filter():
 
 
 def test_unpacking_invariant_under_prime_packings():
-    # stage baskets of a packed basket never move above the packing stage
+    # stage baskets of a packed basket never move above the packing stage:
+    # walk only the prime packings with r1 + r2 >= 6, below stage 5
     base = B("(1,2),(2,5),(1,3),(1,4),(1,7)")
-    for packed in dominated_baskets(base, min_target=6):
+    seen, stack = {base}, [base]
+    while stack:
+        for packed in brute_prime_packings(stack.pop(), min_r=6):
+            if packed not in seen:
+                seen.add(packed)
+                stack.append(packed)
+    assert len(seen) == 5
+    for packed in seen:
         assert unpack(packed, 5) == unpack(base, 5)
         assert unpack(packed, 0) == unpack(base, 0)
 

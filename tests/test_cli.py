@@ -1,14 +1,22 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, golden table."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fanobasket.cli as cli
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.cli import main
 from fanobasket.search import SearchBudgetExceeded
 
-GOLDEN = Path(__file__).parent / "golden" / "p1_p2_zero_table.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "p1_p2_zero_table.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -72,6 +80,54 @@ def test_replay_list_matches_golden_bytes(capsys):
     code, out = run(capsys, "replay", "list")
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize(
+    "command", ["replay p2", "replay p1", "replay p0", "replay birat1", "replay birat2", "index-bound"]
+)
+def test_json_reports_match_golden_bytes(command, tmp_path):
+    """The full JSON reports (notes, P vectors, leaf checks) are pinned.
+
+    Regenerate a file only for an intended change, e.g.
+    PYTHONPATH=src python -m fanobasket.cli replay p0 --json --out tests/golden/replay_p0.json
+    (and likewise p2, p1, birat1, birat2, and index-bound --json).
+    """
+    golden = GOLDEN_DIR / (command.replace(" ", "_").replace("-", "_") + ".json")
+    out = tmp_path / golden.name
+    assert main([*command.split(), "--json", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """Run Python in a child with 512 MiB of address space and a timeout, so
+    an allocation that grows with a basket's counts fails instead of thrashing."""
+
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=cap,
+    )
+
+
+def test_huge_counts_cost_one_term():
+    huge = "100000000x(1,2)"
+    done = _run_capped(
+        "-c",
+        "from fanobasket.basket import Basket\n"
+        f"b = Basket.parse({huge!r})\n"
+        "print(len(b), b.sigma(), b.text())",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"100000000 100000000 {huge}\n"
+    done = _run_capped("-m", "fanobasket.cli", "rr", "--basket", huge, "--p1", "0", "--m", "1..3")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "P_-1 = 0  P_-2 = 99999990  P_-3 = 299999965"
+    done = _run_capped("-m", "fanobasket.cli", "pencil", "--basket", huge, "--p1", "0")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"basket {huge}  p1 = 0  -K^3 = 49999994  r_X = 2")
 
 
 def test_replay_p2_json(capsys):

@@ -36,6 +36,16 @@ def test_constraint_certificates_are_ordered_and_named():
     assert not ok and cert.startswith("P_-5 = 6 != pinned 1")
 
 
+def test_gamma_certificates_name_the_strict_and_weak_bound():
+    strict, weak = ConstraintSet(p_exact={}), ConstraintSet(p_exact={}, fano_strict=False)
+    boundary = WeightedBasket(B("5x(1,5)"), 2)  # gamma = 0, -K^3 = 2
+    assert is_geometric_candidate(boundary, strict) == (False, "gamma = 0 <= 0")
+    assert is_geometric_candidate(boundary, weak)[0]
+    beyond = WeightedBasket(B("6x(1,5)"), 2)  # gamma = -24/5
+    assert is_geometric_candidate(beyond, strict) == (False, "gamma = -24/5 <= 0")
+    assert is_geometric_candidate(beyond, weak) == (False, "gamma = -24/5 < 0")
+
+
 def test_enumerate_geometric_reproduces_the_23_rows():
     survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
     assert len(survivors) == 23
@@ -94,6 +104,14 @@ def test_sigma_above_sixteen_leaves_nothing():
         cs = ConstraintSet(p_exact={1: 0, 2: 17}, fano_strict=strict)
         result = enumerate_geometric_full(cs)
         assert result.survivors == [] and result.eliminated == []
+
+
+def test_large_p1_enumerates_inside_budget_derived_ranges():
+    # the P_-2/P_-3/P_-4 loops are cut by sigma, n_{1,2} <= 16 and n_{1,3} <= 9,
+    # not by P_-1; the survivor counts were measured with the uncut loops
+    for strict, count in ((True, 8314), (False, 8338)):
+        survivors = enumerate_geometric(ConstraintSet(p_exact={1: 40}, fano_strict=strict))
+        assert len(survivors) == count
 
 
 def test_horizon_must_cover_every_pinned_degree():
