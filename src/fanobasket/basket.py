@@ -363,12 +363,6 @@ class WeightedBasket:
             )
         return int(value)
 
-    def anti_plurigenus_recursive(self, m: int) -> int:
-        """P_{-m} by the increment recursion; must agree with the closed form."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        return self.plurigenera(m)[m]
-
     def plurigenera(self, upto: int) -> PlurigenusSequence:
         """P_{-1} .. P_{-upto} via the integer increment recursion.
 

@@ -28,6 +28,7 @@ from math import lcm
 from typing import Iterator, Optional, Union
 
 from .basket import Basket, PlurigenusSequence
+from .canonical import unpack
 
 TAIL_R_CAP = 24  # a single (1, r) with r > 24 already violates sum(r - 1/r) <= 24
 COST_UNIT = lcm(*range(2, TAIL_R_CAP + 1))  # r - 1/r is a whole number of 1/COST_UNIT
@@ -45,17 +46,15 @@ def tail_budget(n12: int, n13: int, n14: int) -> int:
     return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)
 
 
-def budgeted_tails(
-    sigma5: int, budget: int, strict: bool = False
-) -> Iterator[tuple[int, ...]]:
+def budgeted_tails(sigma5: int, budget: int) -> Iterator[tuple[int, ...]]:
     """Non-decreasing tails of exactly sigma5 points r in [5, TAIL_R_CAP]
-    costing at most `budget` (less than `budget` when strict)."""
+    costing at most `budget`."""
     if sigma5 < 0:
         raise ValueError("sigma5 must be >= 0")
 
     def rec(lo: int, left: int, k: int, chosen: list[int]):
         if k == 0:
-            if left > 0 or (left == 0 and not strict):
+            if left >= 0:
                 yield tuple(chosen)
             return
         for r in range(lo, TAIL_R_CAP + 1):
@@ -221,8 +220,6 @@ def feasible_tails(p: PlurigenusSequence) -> list[RecoveredData]:
 
 def structural_tail(basket: Basket) -> tuple[int, dict[int, int]]:
     """The true (sigma5, tail counts) of a basket, read off its stage-0 form."""
-    from .canonical import unpack
-
     runs = unpack(basket, 0).counts()
     assert all(b == 1 for (b, _), _ in runs)
     counts = {r: n for (_, r), n in runs if r >= 5}

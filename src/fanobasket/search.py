@@ -11,14 +11,13 @@ replays are built on top of the same machinery.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import BUDGET, budgeted_tails, cost, stage0_head, structural_tail, tail_budget
+from .recovery import BUDGET, cost, feasible_tails, structural_tail
 from .reports import EliminatedRow, ReplayReport, SurvivorRow
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -74,36 +73,57 @@ def is_geometric_candidate(
         return False, f"-K^3 = {vol} <= 0"
     if not cs.gamma_ok(wb.basket):
         return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
+    p = (None, *seq.values)  # p[m] = P_{-m}; plain indexing in the O(horizon^2) loop
     for m in range(1, cs.horizon + 1):
-        if seq[m] < 0:
-            return False, f"P_-{m} = {seq[m]} < 0"
+        if p[m] < 0:
+            return False, f"P_-{m} = {p[m]} < 0"
     for m in range(1, cs.horizon):
-        if seq[m] <= 0:
+        if p[m] <= 0:
             continue
         for n in range(m, cs.horizon + 1 - m):
-            if seq[n] <= 0:
+            if p[n] <= 0:
                 continue
-            if seq[m + n] < seq[m] + seq[n] - 1:
+            if p[m + n] < p[m] + p[n] - 1:
                 return False, (
-                    f"P_-{m + n} = {seq[m + n]} <"
-                    f" P_-{m} + P_-{n} - 1 = {seq[m] + seq[n] - 1}"
+                    f"P_-{m + n} = {p[m + n]} <"
+                    f" P_-{m} + P_-{n} - 1 = {p[m] + p[n] - 1}"
                 )
     return True, None
 
 
-def _stage0_baskets(n12: int, n13: int, n14_base: int, cs: ConstraintSet):
-    """Stage-0 baskets over this head whose tails fit the 24-budget."""
-    for s5 in range(n14_base + 1):
-        n14 = n14_base - s5
-        head = [((1, 2), n12), ((1, 3), n13), ((1, 4), n14)]
-        left = tail_budget(n12, n13, n14)
-        for tail in budgeted_tails(s5, left, cs.fano_strict):
-            yield Basket.from_counts(head + [((1, r), c) for r, c in Counter(tail).items()])
+def candidates(p: PlurigenusSequence, prune: Callable[[Basket], bool]) -> Iterator[Basket]:
+    """The prime-packing closure of every stage-0 basket recovered from p,
+    seed by seed in `feasible_tails` order; `prune` as in `dominated_baskets`.
+
+    A prime packing keeps B^(0), and distinct recovered data give distinct
+    stage-0 baskets, so the closures are disjoint: no basket comes twice.
+    """
+    for data in feasible_tails(p):
+        yield from dominated_baskets(data.basket0(), prune=prune)
 
 
 def _values(cs: ConstraintSet, m: int, lo: int, hi: int):
     """P_{-m} as pinned by `cs`, else every value in [lo, hi]."""
     return [cs.p_exact[m]] if m in cs.p_exact else range(lo, hi + 1)
+
+
+def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
+    """(P_-1, P_-2, P_-3, P_-4) over provably exhaustive ranges: count
+    non-negativity plus the 24-budget; P_{-1} must be pinned."""
+    if 1 not in cs.p_exact:
+        raise ValueError("the enumeration needs P_{-1} pinned")
+    p1 = cs.p_exact[1]
+    # a stage-0 point costs at least cost(2) of the 24-budget, so sigma and
+    # n_{1,2} are at most BUDGET // cost(2) = 16 and n_{1,3} at most 9
+    n_max = BUDGET // cost(2)
+    p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
+    p2_hi = min(p2_hi, cs.p_max.get(2, p2_hi))
+    for p2 in _values(cs, 2, max(0, 5 * p1 - 10, cs.p_min.get(2, 0)), p2_hi):
+        p3_hi = 5 - 6 * p1 + 4 * p2  # n_{1,2} = p3_hi - P_-3
+        for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
+            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
+            for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
+                yield PlurigenusSequence((p1, p2, p3, p4))
 
 
 @dataclass
@@ -115,46 +135,22 @@ class EnumerationResult:
 def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
     """Complete, duplicate-free enumeration with per-candidate certificates.
 
-    Requires P_{-1} pinned.  P_{-2}, P_{-3}, P_{-4} and the tail counts are
-    enumerated inside provably exhaustive ranges (count non-negativity plus
-    the gamma budget), then candidates are collected by prime-packing closure
-    and filtered exactly.
+    Requires P_{-1} pinned.  `candidates` of every head supplies the tails
+    and the prime-packing closure, and every candidate is filtered exactly.
     """
-    if 1 not in cs.p_exact:
-        raise ValueError("the enumeration needs P_{-1} pinned")
-    p1 = cs.p_exact[1]
-
-    survivors: dict[WeightedBasket, None] = {}
-    eliminated: dict[WeightedBasket, str] = {}
-
-    # a stage-0 point costs at least cost(2) of the 24-budget, so sigma and
-    # n_{1,2} are at most BUDGET // cost(2) = 16 and n_{1,3} at most 9
-    n_max = BUDGET // cost(2)
-    p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
-    p2_hi = min(p2_hi, cs.p_max.get(2, p2_hi))
-    for p2 in _values(cs, 2, max(0, 5 * p1 - 10, cs.p_min.get(2, 0)), p2_hi):
-        p3_hi = 5 - 6 * p1 + 4 * p2  # n_{1,2} = p3_hi - P_-3
-        for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
-            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
-            for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
-                n12, n13, n14_base = stage0_head(
-                    PlurigenusSequence((p1, p2, p3, p4)), 0
-                )
-                if n12 < 0 or n13 < 0:
-                    continue
-                for b0 in _stage0_baskets(n12, n13, n14_base, cs):
-                    for cand in dominated_baskets(b0, prune=cs.gamma_ok):
-                        wb = WeightedBasket(cand, p1)
-                        if wb in survivors or wb in eliminated:
-                            continue
-                        ok, cert = is_geometric_candidate(wb, cs)
-                        if ok:
-                            survivors[wb] = None
-                        else:
-                            eliminated[wb] = cert
-    ordered = sorted(survivors, key=lambda w: w.basket)
-    elim = sorted(eliminated.items(), key=lambda kv: kv[0].basket)
-    return EnumerationResult(ordered, [(w, c) for w, c in elim])
+    survivors: list[WeightedBasket] = []
+    eliminated: list[tuple[WeightedBasket, str]] = []
+    for head in _heads(cs):
+        for cand in candidates(head, cs.gamma_ok):
+            wb = WeightedBasket(cand, head[1])
+            ok, cert = is_geometric_candidate(wb, cs)
+            if ok:
+                survivors.append(wb)
+            else:
+                eliminated.append((wb, cert))
+    survivors.sort(key=lambda w: w.basket)
+    eliminated.sort(key=lambda e: e[0].basket)
+    return EnumerationResult(survivors, eliminated)
 
 
 def enumerate_geometric(cs: ConstraintSet) -> list[WeightedBasket]:
@@ -244,55 +240,46 @@ def replay_delta1(family: str) -> ReplayReport:
         return report
 
     if family == "P1_eq_2":
-        forced = forced_ladder(2, 1, 6)
-        assert forced == {k: k + 1 for k in range(1, 7)}
-        cs = ConstraintSet(p_exact=forced)
-        result = enumerate_geometric_full(cs)
-        report = ReplayReport(
-            case=family,
-            constraints=cs.describe(),
-            eliminated=[
-                EliminatedRow(wb, cert, branch="delta1>6")
-                for wb, cert in result.eliminated
-            ],
-            axioms=[AXIOM_LOCAL_CRITERION, AXIOM_DOUBLING],
-        )
-        assert not result.survivors, "the ladder family must be empty"
-        report.conclusion = "delta_1 <= 6"
-        return report
+        cs = ConstraintSet(p_exact=forced_ladder(2, 1, 6))
+        return _replay_ladders(family, cs.describe(), [("delta1>6", 6, cs)])
 
     if family == "P1_eq_1":
-        branches: list[tuple[str, int, dict[int, int], dict[int, int], dict[int, int]]] = []
-        for n0, l in ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8)):
-            branches.append((f"n0={n0}", l, forced_ladder(1, n0, l), {}, {}))
+        branches = [
+            (f"n0={n0}", l, ConstraintSet(p_exact=forced_ladder(1, n0, l)))
+            for n0, l in ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8))
+        ]
         # n0 in {7, 8} merged: pin only what both ladders force; P_-7 stays
         # free in {1, 2}
         l7, l8 = forced_ladder(1, 7, 9), forced_ladder(1, 8, 9)
         merged = {k: v for k, v in l7.items() if l8.get(k) == v}
-        branches.append(("n0>=7", 9, merged, {7: 1}, {7: 2}))
-
-        report = ReplayReport(
-            case=family,
-            constraints="P_-1 = 1, branches over n0 = 2..8",
-            axioms=[AXIOM_LOCAL_CRITERION, AXIOM_DOUBLING],
-        )
-        bounds = []
-        for label, l, pins, pmin, pmax in branches:
-            cs = ConstraintSet(p_exact=pins, p_min=pmin, p_max=pmax)
-            result = enumerate_geometric_full(cs)
-            assert not result.survivors, f"branch {label} must contradict"
-            report.eliminated.extend(
-                EliminatedRow(wb, cert, branch=label)
-                for wb, cert in result.eliminated
-            )
-            bounds.append(l)
-        report.conclusion = f"delta_1 <= {max(bounds)}"
-        return report
+        branches.append(("n0>=7", 9, ConstraintSet(p_exact=merged, p_min={7: 1}, p_max={7: 2})))
+        return _replay_ladders(family, "P_-1 = 1, branches over n0 = 2..8", branches)
 
     if family == "P1_eq_0":
         return _replay_p1_zero()
 
     raise ValueError(f"unknown family {family!r}")
+
+
+def _replay_ladders(
+    family: str, constraints: str, branches: list[tuple[str, int, ConstraintSet]]
+) -> ReplayReport:
+    """Every (label, failure horizon, constraints) branch must contradict;
+    delta_1 is then at most the longest ladder."""
+    report = ReplayReport(
+        case=family,
+        constraints=constraints,
+        axioms=[AXIOM_LOCAL_CRITERION, AXIOM_DOUBLING],
+    )
+    for label, _, cs in branches:
+        result = enumerate_geometric_full(cs)
+        if result.survivors:
+            raise AssertionError(f"branch {label} must contradict")
+        report.eliminated.extend(
+            EliminatedRow(wb, cert, branch=label) for wb, cert in result.eliminated
+        )
+    report.conclusion = f"delta_1 <= {max(l for _, l, _ in branches)}"
+    return report
 
 
 def _replay_p1_zero() -> ReplayReport:

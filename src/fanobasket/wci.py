@@ -15,9 +15,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .basket import PlurigenusSequence, WeightedBasket
-from .canonical import dominated_baskets
-from .recovery import feasible_tails
-from .search import SearchBudgetExceeded
+from .search import SearchBudgetExceeded, candidates
 
 F = Fraction
 
@@ -103,24 +101,20 @@ def anti_plurigenera_from_hilbert(wci: WeightedCI, upto_m: int) -> PlurigenusSeq
 def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
     """All weighted baskets whose Riemann-Roch output matches every entry of p.
 
-    Recovery-first: enumerate the feasible tails, build the stage-0 basket,
-    close under prime packings (the weak gamma bound prunes), and keep exact
+    Recovery-first: the search's `candidates` (feasible tails, stage-0
+    basket, prime-packing closure under the weak gamma bound), kept on exact
     full-sequence matches.  Sequences of length >= 8 are recommended; the
     longer the sequence, the tighter the fit.
     """
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
-    horizon = len(p)
-    seen = 0
-    fits: dict[WeightedBasket, None] = {}
-    for data in feasible_tails(p):
-        for cand in dominated_baskets(data.basket0(), prune=lambda b: b.gamma() >= 0):
-            seen += 1
-            if seen > MAX_FIT_CANDIDATES:
-                raise SearchBudgetExceeded(f"fit exceeded {MAX_FIT_CANDIDATES} candidates")
-            wb = WeightedBasket(cand, p[1])
-            if wb.plurigenera(horizon).values == p.values:
-                fits[wb] = None
+    fits = []
+    for seen, cand in enumerate(candidates(p, lambda b: b.gamma() >= 0), start=1):
+        if seen > MAX_FIT_CANDIDATES:
+            raise SearchBudgetExceeded(f"fit exceeded {MAX_FIT_CANDIDATES} candidates")
+        wb = WeightedBasket(cand, p[1])
+        if wb.plurigenera(len(p)).values == p.values:
+            fits.append(wb)
     return sorted(fits, key=lambda w: w.basket)
 
 

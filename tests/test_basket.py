@@ -208,10 +208,10 @@ def test_anti_plurigenus_examples():
 
 
 def test_anti_plurigenus_recursive_examples():
-    assert WB("(1,2),(1,3),(1,5)", 2).anti_plurigenus_recursive(6) == 7
-    assert WB("(1,2),(1,3),(3,7),(6,13)", 0).anti_plurigenus_recursive(57) == 3540
+    assert WB("(1,2),(1,3),(1,5)", 2).plurigenera(6)[6] == 7
+    assert WB("(1,2),(1,3),(3,7),(6,13)", 0).plurigenera(57)[57] == 3540
     for wb in [WB("(1,2)", 0), WB("2x(2,5)", 4), WB("", 1)]:
-        assert wb.anti_plurigenus_recursive(1) == wb.p1
+        assert wb.plurigenera(1)[1] == wb.p1
 
 
 def test_two_forms_agree():

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from fanobasket.birational import (
+    INDEX_840_SETS,
     BirationalityInputs,
+    _unique_zero_p1_basket,
     a_of_m0,
     replay_birationality,
     thm_main_threshold,
     zeta_lower_bound,
 )
+from fanobasket.indexbound import admissible_index_sets_with_lcm
+from fanobasket.search import ConstraintSet, enumerate_geometric
 from fanobasket.wci import X6D_PAIRS
 
 F = Fraction
@@ -138,3 +142,28 @@ def test_replays_carry_a_coverage_audit():
         rep = replay_birationality(target)
         assert rep.coverage and all(isinstance(c, str) for c in rep.coverage)
         assert "coverage" in rep.to_json()
+
+
+def test_weak97_residue_claims_match_the_enumeration():
+    # oracle for the residue loops: the complete weak P_-1 = 0, P_-2 >= 1,
+    # P_-4 >= 2 enumeration, filtered by Gorenstein index
+    survivors = enumerate_geometric(
+        ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
+    )
+    assert len(survivors) == 261
+
+    def residue_sets(index: int, rmax: int) -> list[tuple[int, ...]]:
+        sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
+        return sets + [(2,) + s for s in sets]
+
+    claims = {
+        630: (residue_sets(630, 9), ["2x(1,2),(2,5),(3,7),(4,9)"]),
+        546: (residue_sets(546, 13), ["(1,2),(1,3),(3,7),(6,13)"]),
+        462: (residue_sets(462, 11), ["2x(1,2),(1,3),(3,7),(5,11)"]),
+        840: (INDEX_840_SETS, []),
+        660: (admissible_index_sets_with_lcm(660, 11, must_contain=(2,)), []),
+    }
+    for index, (sets, expected) in claims.items():
+        enumerated = [wb.basket.text() for wb in survivors if wb.gorenstein_index() == index]
+        residues = [wb.basket.text() for wb in _unique_zero_p1_basket(sets)]
+        assert enumerated == residues == expected, index

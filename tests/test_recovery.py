@@ -138,26 +138,18 @@ def test_budgeted_tails_match_fraction_brute_force():
         for budget in budgets:
             scaled = budget * COST_UNIT
             assert scaled.denominator == 1
-            for strict in (False, True):
-                expected = [
-                    c
-                    for c, total in zip(combos, costs)
-                    if (total < budget if strict else total <= budget)
-                ]
-                got = list(budgeted_tails(k, int(scaled), strict))
-                assert got == expected, (k, budget, strict)
+            expected = [c for c, total in zip(combos, costs) if total <= budget]
+            assert list(budgeted_tails(k, int(scaled))) == expected, (k, budget)
 
 
 def test_budgeted_tails_boundary_and_cap():
-    # 5 x (1,5) costs exactly 24: kept under gamma >= 0, dropped under gamma > 0
+    # 5 x (1,5) costs exactly 24: a tail that uses the whole budget is kept
     assert 5 * cost(5) == BUDGET
     assert list(budgeted_tails(5, BUDGET)) == [(5, 5, 5, 5, 5)]
-    assert list(budgeted_tails(5, BUDGET, strict=True)) == []
     assert list(budgeted_tails(6, BUDGET)) == []
-    assert list(budgeted_tails(4, BUDGET, strict=True))[0] == (5, 5, 5, 5)
     # r > 24 alone exceeds the budget
     assert list(budgeted_tails(1, BUDGET)) == [(r,) for r in range(5, 25)]
-    assert list(budgeted_tails(0, 0)) == [()] and list(budgeted_tails(0, 0, True)) == []
+    assert list(budgeted_tails(0, 0)) == [()]
 
 
 # a tail costing more than 24 on its own leaves gamma(B^(0)) < 0, so at

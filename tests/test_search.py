@@ -1,10 +1,16 @@
 """Geometric enumeration and the image-dimension replays."""
 
+from itertools import groupby
+
 import pytest
 
 from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.canonical import unpack
+from fanobasket.recovery import feasible_tails
 from fanobasket.search import (
     ConstraintSet,
+    _heads,
+    candidates,
     enumerate_geometric,
     enumerate_geometric_full,
     forced_ladder,
@@ -91,6 +97,46 @@ def test_enumerate_geometric_nine_basket_family():
         "5x(1,2),(1,5),(5,11)",
         "4x(1,2),(1,5),(6,13)",
     }
+
+
+# every superadditivity certificate of the weak P_-1 = 1 enumeration, in order;
+# the first failing pair (m, n), m <= n, tried in increasing m then n, is named
+SUPERADDITIVITY_CERTIFICATES = [
+    ("3x(1,2),(1,5),(1,6),(1,8)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("3x(1,2),(1,5),2x(1,7)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("3x(1,2),2x(1,6),(1,7)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("3x(1,2),(1,6),(2,13)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("3x(1,2),(1,8),(2,11)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("3x(1,2),(3,19)", "P_-3 = 0 < P_-1 + P_-2 - 1 = 1"),
+    ("2x(1,2),(1,3),(2,7),(1,11)", "P_-5 = 0 < P_-1 + P_-4 - 1 = 1"),
+    ("2x(1,2),(3,10),(1,11)", "P_-5 = 0 < P_-1 + P_-4 - 1 = 1"),
+]
+
+
+def test_superadditivity_certificates_are_pinned():
+    result = enumerate_geometric_full(ConstraintSet(p_exact={1: 1}, fano_strict=False))
+    got = [(wb.basket.text(), cert) for wb, cert in result.eliminated if " - 1 = " in cert]
+    assert got == SUPERADDITIVITY_CERTIFICATES
+    assert (len(result.survivors), len(result.eliminated)) == (5262, 292)
+
+
+def test_candidate_closures_are_disjoint():
+    # the enumerations keep no dedupe set: every candidate unpacks at level 0
+    # to its own seed, seeds come in feasible_tails order, nothing comes twice
+    for p1 in range(3):
+        weak = ConstraintSet(p_exact={1: p1}, fano_strict=False)
+        listed = []
+        for head in _heads(weak):
+            cands = list(candidates(head, weak.gamma_ok))
+            seeds = [d.basket0() for d in feasible_tails(head) if d.basket0().gamma() >= 0]
+            assert [seed for seed, _ in groupby(unpack(c, 0) for c in cands)] == seeds
+            listed += cands
+        strict = ConstraintSet(p_exact={1: p1})
+        strict_listed = [c for head in _heads(strict) for c in candidates(head, strict.gamma_ok)]
+        # gamma only drops along a packing, so the strict closures are the
+        # weak ones cut to gamma > 0
+        assert strict_listed == [c for c in listed if c.gamma() > 0]
+        assert len(set(listed)) == len(listed), p1
 
 
 def test_enumeration_needs_p1_and_honest_caps():
