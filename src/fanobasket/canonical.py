@@ -31,7 +31,8 @@ class FractionSet:
     """A finite truncation of S^(n), sorted in decreasing order.
 
     Adjacent members q_i/p_i > q_{i+1}/p_{i+1} always satisfy
-    q_i p_{i+1} - p_i q_{i+1} = 1; construction asserts it.
+    q_i p_{i+1} - p_i q_{i+1} = 1; construction asserts it.  The tests'
+    reference S^(n): `unpack` finds neighbours from integers alone.
     """
 
     level: int
@@ -44,9 +45,6 @@ class FractionSet:
                 raise AssertionError(
                     f"neighbour determinant {det} != 1 between {hi} and {lo}"
                 )
-
-    def __contains__(self, frac: Fraction) -> bool:
-        return frac in set(self.fractions)
 
     def neighbours(self, frac: Fraction) -> tuple[Fraction, Fraction]:
         """(upper, lower) adjacent members around a non-member fraction."""
@@ -71,7 +69,7 @@ def s_set(n: int, cap: int) -> FractionSet:
     S^(0) holds 1/k for k >= 2; for n >= 5 every reduced b/m with
     0 < b < m/2 and m <= n joins.  The truncation suffices to unpack any
     basket whose local indices are <= cap, since neighbours of b/r always
-    have denominator < r.
+    have denominator < r.  Kept as the tests' reference; `unpack` never builds it.
     """
     _valid_level(n)
     if cap < 2:
@@ -84,22 +82,40 @@ def s_set(n: int, cap: int) -> FractionSet:
     return FractionSet(n, tuple(sorted(members, reverse=True)))
 
 
+def _neighbours(b: int, r: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """The S^(n)-neighbours ((q_hi, p_hi), (q_lo, p_lo)) of a canonical b/r,
+    or None for a member.  Below 1/2, S^(n) is the 1/k and the Farey fractions
+    of order n: descend the Stern-Brocot tree from 0/1, 1/2 until denominators
+    pass n; a lower end still at 0/1 leaves only the 1/k around b/r."""
+    if b == 1 or (n >= 5 and r <= n):
+        return None
+    lq, lp, hq, hp = 0, 1, 1, 2
+    while lp + hp <= n:
+        mq, mp = lq + hq, lp + hp
+        if mq * r < b * mp:
+            lq, lp = mq, mp
+        else:
+            hq, hp = mq, mp
+    if lq == 0:
+        k = r // b
+        lq, lp, hq, hp = 1, k + 1, 1, k
+    if hq * lp - hp * lq != 1:
+        raise AssertionError(f"neighbour determinant != 1: {hq}/{hp}, {lq}/{lp}")
+    return (hq, hp), (lq, lp)
+
+
 def unpack(basket: Basket, n: int) -> Basket:
     """The stage-n basket B^(n): split every point against S^(n)."""
     _valid_level(n)
     if len(basket) == 0:
         return basket
-    sset = s_set(n, basket.r_max())
-    table = set(sset.fractions)
     runs = []
     for (b, r), count in basket.counts():
-        frac = Fraction(b, r)
-        if frac in table:
+        near = _neighbours(b, r, n)
+        if near is None:
             runs.append(((b, r), count))
             continue
-        (qh, ph), (ql, pl) = (
-            (f.numerator, f.denominator) for f in sset.neighbours(frac)
-        )
+        (qh, ph), (ql, pl) = near
         count_low = r * qh - b * ph
         count_high = -r * ql + b * pl
         assert count_low > 0 and count_high > 0
@@ -138,9 +154,11 @@ class CanonicalChain:
 def canonical_chain(basket: Basket) -> CanonicalChain:
     """Stages n = 0, 5, 6, ..., r_max with their prime-packing counts."""
     stages = [ChainStage(0, unpack(basket, 0), 0)]
-    if basket.r_max() >= 5:
-        for n in range(5, basket.r_max() + 1):
-            stages.append(ChainStage(n, unpack(basket, n), epsilon_n(basket, n)))
+    for n in range(5, basket.r_max() + 1):
+        # eps_n = Delta^n(B^(n-1)) - Delta^n(B), read off the stage just built
+        eps = stages[-1].basket.delta(n) - basket.delta(n)
+        assert eps >= 0
+        stages.append(ChainStage(n, unpack(basket, n), eps))
     assert stages[-1].basket == basket
     return CanonicalChain(basket, tuple(stages))
 

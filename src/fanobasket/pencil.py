@@ -34,19 +34,19 @@ def g_min(b: int, r: int, m: int) -> Fraction:
 
     G is periodic piecewise quadratic with negative leading coefficients,
     so the minimum sits on the end-point set {nr - jb}; it suffices to
-    scan x = -jb for j = 0..(m mod r).
+    scan x = -jb for j = 0..(m mod r).  Scaled by 2r, G(-jb) slides a window
+    of w_i = u(r - u), u = ib mod r, from i = 0..l to -j..l-j; w_{-i} = w_i.
     """
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
     l = m % r
-    base = sum(f_periodic(j * b, r) for j in range(l + 1))
-    best = F(0)
+    w = [u * (r - u) for u in (i * b % r for i in range(l + 1))]
+    best = val = 0
     for j in range(1, l + 1):
-        x = -j * b
-        val = sum(f_periodic(x + k * b, r) for k in range(l + 1)) - base
+        val += w[j] - w[l + 1 - j]
         if val < best:
             best = val
-    return best
+    return F(best, 2 * r)
 
 
 def g_min_bruteforce(b: int, r: int, m: int) -> Fraction:

@@ -9,6 +9,7 @@ import pytest
 
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.canonical import (
+    _neighbours,
     canonical_chain,
     dominated_baskets,
     epsilon_n,
@@ -36,6 +37,26 @@ def test_s_set_neighbour_determinants_large():
     # Claim-A adjacency holds for every truncation we ever build
     for n in (0, 5, 9, 17, 24):
         s_set(n, 24)
+
+
+def test_neighbours_match_s_set_exhaustive():
+    # the integer Farey step against the reference S^(n), r <= 60
+    checked = 0
+    for r in range(2, 61):
+        numerators = [b for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+        for n in [0, *range(5, 61)]:
+            sset = s_set(n, r)
+            members = set(sset.fractions)
+            for b in numerators:
+                frac = F(b, r)
+                got = _neighbours(b, r, n)
+                if frac in members:
+                    assert got is None, (b, r, n)
+                else:
+                    want = tuple((f.numerator, f.denominator) for f in sset.neighbours(frac))
+                    assert got == want, (b, r, n)
+                checked += 1
+    assert checked == 31407
 
 
 def test_unpack_examples():
@@ -81,6 +102,32 @@ def test_canonical_chain_examples():
     fixed = canonical_chain(B("5x(1,2),(1,3),(1,5)"))
     assert fixed.stages[0].basket == B("5x(1,2),(1,3),(1,5)")
     assert all(s.epsilon == 0 for s in fixed.stages)
+
+
+def wide_baskets(seed, count):
+    """1-8 distinct canonical points with r <= 24, each repeated 1-12 times."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        points = set()
+        size = rng.randint(1, 8)
+        while len(points) < size:
+            r = rng.randint(2, 24)
+            b = rng.randint(1, r // 2)
+            if gcd(b, r) == 1:
+                points.add((b, r))
+        yield Basket.from_counts((pt, rng.randint(1, 12)) for pt in sorted(points))
+
+
+def test_chain_matches_unpack_and_epsilon_on_wide_baskets():
+    # epsilon_n stays the chain's oracle: it unpacks level n-1 on its own
+    for basket in wide_baskets(41, 60):
+        chain = canonical_chain(basket)
+        assert [s.level for s in chain.stages] == [0, *range(5, basket.r_max() + 1)]
+        for stage in chain.stages:
+            assert stage.basket == unpack(basket, stage.level)
+            if stage.level:
+                assert stage.epsilon == epsilon_n(basket, stage.level)
+        assert chain.stages[-1].basket == basket
 
 
 def _brute_packings(basket, legal):

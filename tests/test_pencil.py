@@ -1,5 +1,6 @@
 """Local pencil criteria, doubling thresholds, and growth bounds."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -49,6 +50,15 @@ def test_g_min_equals_bruteforce():
     for b, r in canonical_pairs(24):
         for m in range(1, 2 * r + 1):
             assert g_min(b, r, m) == g_min_bruteforce(b, r, m), (b, r, m)
+
+
+def test_g_min_equals_bruteforce_large_r():
+    rng = random.Random(7)
+    large = [(b, r) for b, r in canonical_pairs(60) if r >= 25]
+    for _ in range(400):
+        b, r = rng.choice(large)
+        m = rng.randint(1, 3 * r)
+        assert g_min(b, r, m) == g_min_bruteforce(b, r, m), (b, r, m)
 
 
 def test_k1_condition_examples():
