@@ -29,6 +29,7 @@ from .canonical import (
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import g_min, k1_condition, k2_thresholds, non_pencil_threshold
 from .recovery import RecoveryInput, feasible_tails, recover
+from .reports import ReplayContradiction
 from .search import (
     ConstraintSet,
     SearchBudgetExceeded,
@@ -52,6 +53,7 @@ __all__ = [
     "IntegralityFault",
     "PlurigenusSequence",
     "RecoveryInput",
+    "ReplayContradiction",
     "SearchBudgetExceeded",
     "WeightedBasket",
     "WeightedCI",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import floor, gcd
 from typing import Iterator, Optional
@@ -30,8 +31,8 @@ from .indexbound import (
     attainable_indices,
     max_index_given_rmax,
 )
-from .pencil import non_pencil_threshold, thm1_threshold_from_bounds, thm2_check_840
-from .reports import EliminatedRow, ReplayReport, SurvivorRow
+from .pencil import L840_HORIZON, non_pencil_threshold, thm1_threshold_from_bounds, thm2_check_840
+from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .search import ConstraintSet, enumerate_geometric_full, is_geometric_candidate, replay_delta1
 from .tables import P1_P2_ZERO_TABLE
 
@@ -126,7 +127,11 @@ def _leaf(
     variant: str,
     checks: list[str],
     axioms: list[str],
-) -> int:
+) -> None:
+    """Record one leaf of a case tree; its threshold must not pass the target.
+
+    Each replay binds `report` and `target` once, with `partial`.
+    """
     threshold = thm_main_threshold(inp, variant)
     leaf = {
         "name": name,
@@ -142,9 +147,15 @@ def _leaf(
     }
     report.leaves.append(leaf)
     report.axioms.extend(axioms)
-    if threshold > target:
-        raise AssertionError(f"leaf {name} exceeds target: {threshold} > {target}")
-    return threshold
+    require(threshold <= target, f"{report.case} leaf {name}: threshold {threshold} > {target}")
+
+
+def _conclude(report: ReplayReport, target: int) -> ReplayReport:
+    """The closing step of a case tree: its worst leaf is exactly the target."""
+    worst = max(leaf["threshold"] for leaf in report.leaves)
+    report.conclusion = f"birational for all m >= {target} (worst leaf {worst})"
+    require(worst == target, f"{report.case}: worst leaf {worst} != target {target}")
+    return report
 
 
 def _rows_by_no() -> dict[int, WeightedBasket]:
@@ -190,14 +201,14 @@ def _replay_qfano_39() -> ReplayReport:
         constraints="Picard-rank-one Fano; split on P_-1",
         axioms=[AX_DELTA1],
     )
+    leaf = partial(_leaf, report, target)
 
     # case 1: P_-1 >= 2; degrees from the ladder replays
     d2 = replay_delta1("P1_eq_2")
     d3 = replay_delta1("P1_ge_3")
-    assert d2.conclusion == "delta_1 <= 6" and d3.conclusion == "delta_1 <= 1"
-    _leaf(
-        report,
-        target,
+    require(d2.conclusion == "delta_1 <= 6" and d3.conclusion == "delta_1 <= 1",
+            "QFano39 P1>=2: the ladder replays give delta_1 <= 6 and <= 1")
+    leaf(
         "P1>=2",
         BirationalityInputs(1, 6, F(1)),
         "i",
@@ -207,19 +218,15 @@ def _replay_qfano_39() -> ReplayReport:
 
     # case 2: P_-1 = 1, by the doubling degree n0 (n0 <= 8)
     d1 = replay_delta1("P1_eq_1")
-    assert d1.conclusion == "delta_1 <= 9"
-    _leaf(
-        report,
-        target,
+    require(d1.conclusion == "delta_1 <= 9", "QFano39 P1=1: the ladder replay gives delta_1 <= 9")
+    leaf(
         "P1=1, n0<=5",
         BirationalityInputs(5, 7, F(5)),
         "i",
         ["n0 = 2, 3, 4 branches contradict past degree 6; n0 = 5 past 7"],
         [AX_CC_P8],
     )
-    _leaf(
-        report,
-        target,
+    leaf(
         "P1=1, n0=6, escape at 7",
         BirationalityInputs(6, 7, F(6)),
         "i",
@@ -230,19 +237,17 @@ def _replay_qfano_39() -> ReplayReport:
     cs6 = ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2})
     res6 = enumerate_geometric_full(cs6)
     fam6 = {wb.basket.text() for wb in res6.survivors}
-    assert fam6 == {
+    require(fam6 == {
         "2x(1,2),2x(1,3),(1,5),(1,8)",
         "2x(1,2),2x(1,3),(1,5),(1,9)",
         "2x(1,2),2x(1,3),(1,5),(1,10)",
-    }, sorted(fam6)
+    }, f"QFano39 P1=1, n0=6: survivor family {sorted(fam6)}")
     rmax6 = max(wb.basket.r_max() for wb in res6.survivors)
     report.survivors.extend(
-        SurvivorRow(wb, 12, {"leaf": "P1=1, n0=6, escape at 8"})
+        SurvivorRow(wb, {"leaf": "P1=1, n0=6, escape at 8"})
         for wb in res6.survivors
     )
-    _leaf(
-        report,
-        target,
+    leaf(
         "P1=1, n0=6, escape at 8",
         BirationalityInputs(6, 8, F(6), rmax=rmax6),
         "ii",
@@ -257,20 +262,19 @@ def _replay_qfano_39() -> ReplayReport:
     )
     res78 = enumerate_geometric_full(cs78)
     fam78 = {wb.basket.text() for wb in res78.survivors}
-    assert fam78 == {
+    require(fam78 == {
         "(1,2),(1,3),(1,4),(2,5),(1,9)",
         "(1,2),(1,3),(1,4),(2,5),(1,10)",
         "(1,2),(1,3),(1,4),(2,5),(1,11)",
-    }, sorted(fam78)
-    for wb in res78.survivors:
-        assert wb.plurigenera(9)[9] == 3  # escape degree 9 is arithmetic
+    }, f"QFano39 P1=1, n0>=7: survivor family {sorted(fam78)}")
+    # escape degree 9 is arithmetic
+    require(all(wb.plurigenera(9)[9] == 3 for wb in res78.survivors),
+            "QFano39 P1=1, n0>=7: P_-9 = 3 on every survivor")
     rmax78 = max(wb.basket.r_max() for wb in res78.survivors)
     report.survivors.extend(
-        SurvivorRow(wb, 12, {"leaf": "P1=1, n0>=7"}) for wb in res78.survivors
+        SurvivorRow(wb, {"leaf": "P1=1, n0>=7"}) for wb in res78.survivors
     )
-    _leaf(
-        report,
-        target,
+    leaf(
         "P1=1, n0>=7",
         BirationalityInputs(8, 9, F(8), rmax=rmax78),
         "ii",
@@ -284,12 +288,10 @@ def _replay_qfano_39() -> ReplayReport:
         wb = rows[row.no]
         seq = wb.plurigenera(12)
         if row.no in (1, 2, 4):
-            assert seq[8] >= 2
+            require(seq[8] >= 2, f"QFano39 No.{row.no}: P_-8 >= 2")
             checks = [f"No.{row.no}: P_-8 = {seq[8]}"]
             axioms = [] if row.m1 <= 10 else [AX_DELTA1]
-            _leaf(
-                report,
-                target,
+            leaf(
                 f"P1=P2=0 No.{row.no}",
                 BirationalityInputs(8, 10, F(8), rmax=wb.basket.r_max()),
                 "ii",
@@ -297,10 +299,8 @@ def _replay_qfano_39() -> ReplayReport:
                 axioms,
             )
         elif row.no == 3:
-            assert seq[8] == 2 and seq[9] == 2
-            _leaf(
-                report,
-                target,
+            require(seq[8] == 2 and seq[9] == 2, "QFano39 No.3: P_-8 = P_-9 = 2")
+            leaf(
                 "P1=P2=0 No.3",
                 BirationalityInputs(8, 9, F(8), rmax=wb.basket.r_max()),
                 "ii",
@@ -308,10 +308,8 @@ def _replay_qfano_39() -> ReplayReport:
                 [AX_PENCIL_DIFF],
             )
         elif row.no in (5, 6):
-            assert seq[7] >= 2 and row.m1 == 8
-            _leaf(
-                report,
-                target,
+            require(seq[7] >= 2 and row.m1 == 8, f"QFano39 No.{row.no}: P_-7 >= 2 and m1 = 8")
+            leaf(
                 f"P1=P2=0 No.{row.no}",
                 BirationalityInputs(7, 8, F(7), rmax=wb.basket.r_max()),
                 "ii",
@@ -319,10 +317,8 @@ def _replay_qfano_39() -> ReplayReport:
                 [],
             )
         else:
-            assert seq[6] >= 3 and row.m1 == 6
-            _leaf(
-                report,
-                target,
+            require(seq[6] >= 3 and row.m1 == 6, f"QFano39 No.{row.no}: P_-6 >= 3 and m1 = 6")
+            leaf(
                 f"P1=P2=0 No.{row.no}",
                 BirationalityInputs(6, 6, F(6), rmax=wb.basket.r_max()),
                 "i",
@@ -333,37 +329,34 @@ def _replay_qfano_39() -> ReplayReport:
     # case 4: P_-1 = 0 < P_-2, from the replayed survivor list
     d0 = replay_delta1("P1_eq_0")
     case2 = [s for s in d0.survivors if s.notes["branch"] == "P2>0"]
-    assert case2, "the P_-2 > 0 family cannot be empty"
+    require(bool(case2), "QFano39 P1=0<P2: the P_-2 > 0 family cannot be empty")
     buckets = {"<=6": 0, "7-8": 0}
     special = None
     rmax_78 = 0
     for s in case2:
         eff_m1 = s.notes.get("delta1", s.notes["m1"])
-        seq = s.wb.plurigenera(6)
-        assert seq[6] >= 2  # the m0 = 6 axiom is consistent on every survivor
-        if s.wb.basket.text() == "4x(1,2),(1,5),(6,13)":
+        text = s.wb.basket.text()
+        # the m0 = 6 axiom is consistent on every survivor
+        require(s.wb.plurigenera(6)[6] >= 2, f"QFano39 P1=0<P2: P_-6 >= 2 on {text}")
+        if text == "4x(1,2),(1,5),(6,13)":
             special = s.wb
             continue
+        require(eff_m1 <= 8, f"QFano39 P1=0<P2: unassigned survivor {text}")
         if eff_m1 <= 6:
             buckets["<=6"] += 1
-        elif eff_m1 <= 8:
+        else:
             buckets["7-8"] += 1
             rmax_78 = max(rmax_78, s.wb.basket.r_max())
-        else:
-            raise AssertionError(f"unassigned survivor {s.wb.basket.text()}")
-    assert special is not None and rmax_78 <= 11
-    _leaf(
-        report,
-        target,
+    require(special is not None and rmax_78 <= 11,
+            "QFano39 P1=0<P2: No.D survives and rmax <= 11 where m1 is 7 or 8")
+    leaf(
         "P1=0<P2, m1<=6",
         BirationalityInputs(6, 6, F(6)),
         "i",
         [f"{buckets['<=6']} survivors"],
         [AX_CC_P6, AX_DELTA1],
     )
-    _leaf(
-        report,
-        target,
+    leaf(
         "P1=0<P2, m1 in {7,8}",
         BirationalityInputs(6, 8, F(6), rmax=rmax_78),
         "ii",
@@ -371,10 +364,8 @@ def _replay_qfano_39() -> ReplayReport:
         [AX_CC_P6, AX_DELTA1],
     )
     seq_d = special.plurigenera(7)
-    assert tuple(seq_d.values) == (0, 1, 0, 1, 1, 2, 2)
-    _leaf(
-        report,
-        target,
+    require(tuple(seq_d.values) == (0, 1, 0, 1, 1, 2, 2), "QFano39 No.D: P_-1..P_-7 as tabulated")
+    leaf(
         "P1=0<P2, No.D",
         BirationalityInputs(6, 7, F(6)),
         "i",
@@ -388,10 +379,7 @@ def _replay_qfano_39() -> ReplayReport:
         "P_-1 = 0 splits on P_-2 = 0 (the 23 enumerated rows, each assigned"
         " a leaf) vs P_-2 > 0 (every replay survivor assigned a leaf)",
     ]
-    worst = max(leaf["threshold"] for leaf in report.leaves)
-    report.conclusion = f"birational for all m >= {target} (worst leaf {worst})"
-    assert worst == target  # attained at No.3 and at n0 >= 7
-    return report
+    return _conclude(report, target)  # worst leaf attained at No.3 and at n0 >= 7
 
 
 def _no_two_forces_nonpositive_volume() -> bool:
@@ -418,20 +406,20 @@ def _replay_weak_97() -> ReplayReport:
         constraints="arbitrary weak Fano; split on P_-2, rmax, P_-1, P_-4",
         axioms=[],
     )
-    assert _no_two_forces_nonpositive_volume()
+    leaf = partial(_leaf, report, target)
+    require(_no_two_forces_nonpositive_volume(),
+            "Weak97: without an index-2 point, P_-1 = 0 forces -K^3 <= 0")
 
     # case I: P_-2 = 0 -> the 23 rows pin everything
     rows = list(_rows_by_no().values())
     r_x = max(wb.gorenstein_index() for wb in rows)
     vol_min = min(wb.volume() for wb in rows)
     rmax = max(wb.basket.r_max() for wb in rows)
-    assert (r_x, vol_min, rmax) == (210, F(1, 84), 14)
-    assert all(wb.plurigenera(8)[8] >= 2 for wb in rows)
+    require((r_x, vol_min, rmax) == (210, F(1, 84), 14), "Weak97 I: rX 210, -K^3 1/84, rmax 14")
+    require(all(wb.plurigenera(8)[8] >= 2 for wb in rows), "Weak97 I: P_-8 >= 2 on every row")
     m1 = thm1_threshold_from_bounds(r_x, vol_min, rmax, F(8))
-    assert m1 == 38
-    _leaf(
-        report,
-        target,
+    require(m1 == 38, f"Weak97 I: growth threshold {m1} != 38")
+    leaf(
         "I: P2=0",
         BirationalityInputs(8, m1, F(8), rmax=rmax),
         "ii",
@@ -441,12 +429,10 @@ def _replay_weak_97() -> ReplayReport:
 
     # case II: rmax >= 14
     cap_14_22 = max(max_index_given_rmax(r) for r in range(14, 23))
-    assert cap_14_22 == 240
+    require(cap_14_22 == 240, f"Weak97 II: rX <= {cap_14_22}, not 240, for 14 <= rmax <= 22")
     m1 = thm1_threshold_from_bounds(240, F(1, 240), 22, F(6))
-    assert m1 == 44
-    _leaf(
-        report,
-        target,
+    require(m1 == 44, f"Weak97 II: growth threshold {m1} != 44")
+    leaf(
         "II: 14<=rmax<=22",
         BirationalityInputs(8, m1, F(8), rmax=22),
         "ii",
@@ -454,12 +440,10 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_P8, AX_RX_VOL_INT],
     )
     cap_23_24 = max(max_index_given_rmax(23), max_index_given_rmax(24))
-    assert cap_23_24 == 24
+    require(cap_23_24 == 24, f"Weak97 II: rX <= {cap_23_24}, not 24, for rmax 23 or 24")
     m1 = thm1_threshold_from_bounds(24, F(1, 24), 24, F(2))
-    assert m1 == 37
-    _leaf(
-        report,
-        target,
+    require(m1 == 37, f"Weak97 II: growth threshold {m1} != 37")
+    leaf(
         "II: rmax in {23,24}",
         BirationalityInputs(8, m1, F(8), rmax=24),
         "ii",
@@ -469,10 +453,8 @@ def _replay_weak_97() -> ReplayReport:
 
     # case III: rmax < 14 and P_-1 > 0 (nu0 = 1)
     m1 = thm1_threshold_from_bounds(660, F(1, 330), 12, F(15))
-    assert m1 == 65
-    _leaf(
-        report,
-        target,
+    require(m1 == 65, f"Weak97 III: growth threshold {m1} != 65")
+    leaf(
         "III: rmax<=12, rX<=660",
         BirationalityInputs(8, m1, F(8), rmax=12, nu0=1),
         "iii",
@@ -480,12 +462,10 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_P8, AX_CC_VOL],
     )
     cap13 = max_index_given_rmax(13)
-    assert cap13 == 546
+    require(cap13 == 546, f"Weak97 III: rX <= {cap13}, not 546, for rmax 13")
     m1 = thm1_threshold_from_bounds(546, F(1, 330), 13, F(10))
-    assert m1 == 61
-    _leaf(
-        report,
-        target,
+    require(m1 == 61, f"Weak97 III: growth threshold {m1} != 61")
+    leaf(
         "III: rmax=13",
         BirationalityInputs(8, m1, F(8), rmax=13, nu0=1),
         "iii",
@@ -494,14 +474,12 @@ def _replay_weak_97() -> ReplayReport:
     )
     # rX = 840 forces rmax = 8 and the sharp growth regime applies from 71
     sweep = _index_840_sweep()
-    assert sweep, "the 840 sweep must be non-empty"
-    _leaf(
-        report,
-        target,
+    require(sweep > 0, "Weak97 III: the 840 sweep must be non-empty")
+    leaf(
         "III: rX=840",
         BirationalityInputs(8, 71, F(8), rmax=8, nu0=1),
         "iii",
-        [f"growth regime verified on {sweep} volume-positive baskets, m in 71..150"],
+        [f"growth regime verified on {sweep} volume-positive baskets, m in 71..{L840_HORIZON}"],
         [AX_CC_P8, AX_CC_VOL],
     )
 
@@ -509,16 +487,14 @@ def _replay_weak_97() -> ReplayReport:
     nine = enumerate_geometric_full(
         ConstraintSet(p_exact={1: 0, 3: 0, 4: 1}, p_min={2: 1}, fano_strict=False)
     ).survivors
-    assert len(nine) == 9
+    require(len(nine) == 9, f"Weak97 IV: {len(nine)} baskets with P_-4 = 1, not nine")
     nine_rx = max(wb.gorenstein_index() for wb in nine)
     nine_rmax = max(wb.basket.r_max() for wb in nine)
-    assert nine_rx == 130 and nine_rmax == 13
-    assert all(wb.plurigenera(6)[6] >= 2 for wb in nine)
+    require(nine_rx == 130 and nine_rmax == 13, "Weak97 IV: the nine have rX <= 130, rmax 13")
+    require(all(wb.plurigenera(6)[6] >= 2 for wb in nine), "Weak97 IV: P_-6 >= 2 on the nine")
     m1 = thm1_threshold_from_bounds(130, F(1, 130), 13, F(7))
-    assert m1 == 37
-    _leaf(
-        report,
-        target,
+    require(m1 == 37, f"Weak97 IV: growth threshold {m1} != 37")
+    leaf(
         "IV: P4=1",
         BirationalityInputs(6, m1, F(6), rmax=nine_rmax, nu0=2),
         "iii",
@@ -529,11 +505,11 @@ def _replay_weak_97() -> ReplayReport:
     # from here on P_-4 >= 2, so m0 = 4 is pure arithmetic
     # rmax <= 8: rX | 840; the 840 option has no volume-positive basket
     for r in range(2, 9):
-        for value in attainable_indices(r, must_contain=(2,) if r != 2 else ()):
-            assert 840 % value == 0
-            assert value <= 420 or value == 840
-    dead840 = _unique_zero_p1_basket(INDEX_840_SETS)
-    assert dead840 == []
+        values = attainable_indices(r, must_contain=(2,) if r != 2 else ())
+        require(all(840 % v == 0 and (v <= 420 or v == 840) for v in values),
+                f"Weak97 IV: with rmax = {r}, rX divides 840 and is 840 or <= 420")
+    require(_unique_zero_p1_basket(INDEX_840_SETS) == [],
+            "Weak97 IV: no index-840 basket with P_-1 = 0 has -K^3 > 0")
     report.eliminated.append(
         EliminatedRow(
             WeightedBasket(Basket.parse("(1,3),(2,5),(3,7),(3,8)"), 0),
@@ -542,10 +518,8 @@ def _replay_weak_97() -> ReplayReport:
         )
     )
     m1 = thm1_threshold_from_bounds(420, F(1, 330), 8, F(20))
-    assert m1 == 54
-    _leaf(
-        report,
-        target,
+    require(m1 == 54, f"Weak97 IV: growth threshold {m1} != 54")
+    leaf(
         "IV: rmax<=8, rX<=420",
         BirationalityInputs(4, m1, F(4), rmax=8, nu0=2),
         "iii",
@@ -555,12 +529,11 @@ def _replay_weak_97() -> ReplayReport:
 
     # rmax = 9: either rX <= 360 or exactly 630
     att9 = attainable_indices(9, must_contain=(2,))
-    assert max(att9) == 630 and all(v <= 360 or v == 630 for v in att9)
+    require(max(att9) == 630 and all(v <= 360 or v == 630 for v in att9),
+            "Weak97 IV: with rmax = 9, rX is 630 or <= 360")
     m1 = thm1_threshold_from_bounds(360, F(1, 330), 9, F(12))
-    assert m1 == 50
-    _leaf(
-        report,
-        target,
+    require(m1 == 50, f"Weak97 IV: growth threshold {m1} != 50")
+    leaf(
         "IV: rmax=9, rX<=360",
         BirationalityInputs(4, m1, F(4), rmax=9, nu0=2),
         "iii",
@@ -569,14 +542,13 @@ def _replay_weak_97() -> ReplayReport:
     )
     sets630 = admissible_index_sets_with_lcm(630, 9, must_contain=(2,))
     only630 = _unique_zero_p1_basket(sets630 + [(2,) + s for s in sets630])
-    assert [wb.basket.text() for wb in only630] == ["2x(1,2),(2,5),(3,7),(4,9)"]
+    require([wb.basket.text() for wb in only630] == ["2x(1,2),(2,5),(3,7),(4,9)"],
+            "Weak97 IV: 2x(1,2),(2,5),(3,7),(4,9) is the only index-630 basket")
     wb630 = only630[0]
     seq = wb630.plurigenera(61)
-    assert (seq[3], seq[4], seq[7]) == (1, 2, 10)
-    report.survivors.append(SurvivorRow(wb630, 12, {"leaf": "IV: rX=630"}))
-    _leaf(
-        report,
-        target,
+    require((seq[3], seq[4], seq[7]) == (1, 2, 10), "Weak97 IV rX=630: P_-3, -4, -7 = 1, 2, 10")
+    report.survivors.append(SurvivorRow(wb630, {"leaf": "IV: rX=630"}))
+    leaf(
         "IV: rX=630, degree-7 escape",
         BirationalityInputs(4, 7, F(4), rmax=9, nu0=2),
         "ii",
@@ -584,10 +556,9 @@ def _replay_weak_97() -> ReplayReport:
         [],
     )
     scan = non_pencil_threshold(wb630, 61)
-    assert seq[61] == 5294 and scan.verdicts[60].verdict == "NotPencil"
-    _leaf(
-        report,
-        target,
+    require(seq[61] == 5294 and scan.verdicts[60].verdict == "NotPencil",
+            "Weak97 IV rX=630: P_-61 = 5294 and degree 61 is not a pencil")
+    leaf(
         "IV: rX=630, pencil persists",
         BirationalityInputs(
             4, 61, F(7, 9), rmax=9, nu0=2,
@@ -600,12 +571,10 @@ def _replay_weak_97() -> ReplayReport:
 
     # rmax = 10: rX <= 210
     att10 = attainable_indices(10, must_contain=(2,))
-    assert max(att10) == 210
+    require(max(att10) == 210, f"Weak97 IV: with rmax = 10, rX <= {max(att10)}, not 210")
     m1 = thm1_threshold_from_bounds(210, F(1, 210), 10, F(10))
-    assert m1 == 39
-    _leaf(
-        report,
-        target,
+    require(m1 == 39, f"Weak97 IV: growth threshold {m1} != 39")
+    leaf(
         "IV: rmax=10",
         BirationalityInputs(4, m1, F(4), rmax=10, nu0=2),
         "ii",
@@ -615,13 +584,11 @@ def _replay_weak_97() -> ReplayReport:
 
     # rmax = 11: rX <= 330, or 462, or 660 (660 dies)
     att11 = attainable_indices(11, must_contain=(2,))
-    assert max(att11) == 660
-    assert all(v <= 330 or v in (462, 660) for v in att11)
+    require(max(att11) == 660 and all(v <= 330 or v in (462, 660) for v in att11),
+            "Weak97 IV: with rmax = 11, rX is 660, 462 or <= 330")
     m1 = thm1_threshold_from_bounds(330, F(1, 330), 11, F(13))
-    assert m1 == 48
-    _leaf(
-        report,
-        target,
+    require(m1 == 48, f"Weak97 IV: growth threshold {m1} != 48")
+    leaf(
         "IV: rmax=11, rX<=330",
         BirationalityInputs(4, m1, F(4), rmax=11, nu0=2),
         "ii",
@@ -629,8 +596,8 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_VOL],
     )
     sets660 = admissible_index_sets_with_lcm(660, 11, must_contain=(2,))
-    dead660 = _unique_zero_p1_basket(sets660)
-    assert dead660 == []
+    require(_unique_zero_p1_basket(sets660) == [],
+            "Weak97 IV: no index-660 basket with P_-1 = 0 has -K^3 > 0")
     report.eliminated.append(
         EliminatedRow(
             WeightedBasket(Basket.parse("(1,2),(1,3),(1,4),(2,5),(5,11)"), 0),
@@ -640,15 +607,15 @@ def _replay_weak_97() -> ReplayReport:
     )
     sets462 = admissible_index_sets_with_lcm(462, 11, must_contain=(2,))
     only462 = _unique_zero_p1_basket(sets462 + [(2,) + s for s in sets462])
-    assert [wb.basket.text() for wb in only462] == ["2x(1,2),(1,3),(3,7),(5,11)"]
+    require([wb.basket.text() for wb in only462] == ["2x(1,2),(1,3),(3,7),(5,11)"],
+            "Weak97 IV: 2x(1,2),(1,3),(3,7),(5,11) is the only index-462 basket")
     wb462 = only462[0]
     seq462 = wb462.plurigenera(52)
-    assert seq462[52] == 2612 and wb462.volume() == F(50, 462)
-    assert seq462[52] > 462 * F(50, 462) * 52 + 1 == 2601
-    report.survivors.append(SurvivorRow(wb462, 12, {"leaf": "IV: rX=462"}))
-    _leaf(
-        report,
-        target,
+    require(seq462[52] == 2612 and wb462.volume() == F(50, 462)
+            and seq462[52] > 462 * F(50, 462) * 52 + 1 == 2601,
+            "Weak97 IV rX=462: P_-52 = 2612 > 2601")
+    report.survivors.append(SurvivorRow(wb462, {"leaf": "IV: rX=462"}))
+    leaf(
         "IV: rX=462",
         BirationalityInputs(4, 52, F(4), rmax=11, nu0=2),
         "ii",
@@ -658,12 +625,10 @@ def _replay_weak_97() -> ReplayReport:
 
     # rmax = 12: rX <= 84
     att12 = attainable_indices(12, must_contain=(2,))
-    assert max(att12) == 84
+    require(max(att12) == 84, f"Weak97 IV: with rmax = 12, rX <= {max(att12)}, not 84")
     m1 = thm1_threshold_from_bounds(84, F(1, 84), 12, F(5))
-    assert m1 == 37
-    _leaf(
-        report,
-        target,
+    require(m1 == 37, f"Weak97 IV: growth threshold {m1} != 37")
+    leaf(
         "IV: rmax=12",
         BirationalityInputs(4, m1, F(4), rmax=12, nu0=2),
         "ii",
@@ -673,12 +638,11 @@ def _replay_weak_97() -> ReplayReport:
 
     # rmax = 13: rX <= 390 or exactly 546
     att13 = attainable_indices(13, must_contain=(2,))
-    assert max(att13) == 546 and all(v <= 390 or v == 546 for v in att13)
+    require(max(att13) == 546 and all(v <= 390 or v == 546 for v in att13),
+            "Weak97 IV: with rmax = 13, rX is 546 or <= 390")
     m1 = thm1_threshold_from_bounds(390, F(1, 330), 13, F(12))
-    assert m1 == 52
-    _leaf(
-        report,
-        target,
+    require(m1 == 52, f"Weak97 IV: growth threshold {m1} != 52")
+    leaf(
         "IV: rmax=13, rX<=390",
         BirationalityInputs(4, m1, F(4), rmax=13, nu0=2),
         "ii",
@@ -686,27 +650,26 @@ def _replay_weak_97() -> ReplayReport:
         [AX_CC_VOL],
     )
     sets546 = admissible_index_sets_with_lcm(546, 13, must_contain=(2,))
-    assert sets546 == [(2, 3, 7, 13)]
+    require(sets546 == [(2, 3, 7, 13)], f"Weak97 IV: index-546 sets {sets546}, not {{2,3,7,13}}")
     only546 = _unique_zero_p1_basket(sets546 + [(2,) + s for s in sets546])
-    assert [wb.basket.text() for wb in only546] == ["(1,2),(1,3),(3,7),(6,13)"]
+    require([wb.basket.text() for wb in only546] == ["(1,2),(1,3),(3,7),(6,13)"],
+            "Weak97 IV: (1,2),(1,3),(3,7),(6,13) is the only index-546 basket")
     wb546 = only546[0]
     seq546 = wb546.plurigenera(57)
-    assert (seq546[4], seq546[6], seq546[10]) == (2, 5, 21)
-    report.survivors.append(SurvivorRow(wb546, 12, {"leaf": "IV: rX=546"}))
-    _leaf(
-        report,
-        target,
+    require((seq546[4], seq546[6], seq546[10]) == (2, 5, 21),
+            "Weak97 IV rX=546: P_-4, P_-6, P_-10 = 2, 5, 21")
+    report.survivors.append(SurvivorRow(wb546, {"leaf": "IV: rX=546"}))
+    leaf(
         "IV: rX=546, degree-10 escape",
         BirationalityInputs(4, 10, F(4), rmax=13, nu0=2),
         "ii",
         ["P_-10 = 21"],
         [],
     )
-    assert seq546[57] == 3540 and wb546.volume() == F(61, 546)
-    assert seq546[57] > 546 * F(61, 546) * 57 + 1 == 3478
-    _leaf(
-        report,
-        target,
+    require(seq546[57] == 3540 and wb546.volume() == F(61, 546)
+            and seq546[57] > 546 * F(61, 546) * 57 + 1 == 3478,
+            "Weak97 IV rX=546: P_-57 = 3540 > 3478")
+    leaf(
         "IV: rX=546, pencil persists",
         BirationalityInputs(
             4, 57, F(1, 2), rmax=13, nu0=2,
@@ -727,10 +690,7 @@ def _replay_weak_97() -> ReplayReport:
         " over rmax = 2..13, with the isolated indices 630, 462, 546 and the"
         " dead 840/660 options handled by explicit residue enumeration",
     ]
-    worst = max(leaf["threshold"] for leaf in report.leaves)
-    report.conclusion = f"birational for all m >= {target} (worst leaf {worst})"
-    assert worst == target
-    return report
+    return _conclude(report, target)
 
 
 def _index_840_sweep() -> int:
@@ -738,15 +698,17 @@ def _index_840_sweep() -> int:
 
     Sweeps both admissible index sets, all residue choices, and weights
     p1 = 0..10; counts the volume-positive cases, each checked on degrees
-    71..150 together with the linear envelope for l(-n).
+    71..L840_HORIZON together with the linear envelope for l(-n).
     """
     count = 0
     for basket in _residue_baskets(INDEX_840_SETS):
         for p1 in range(0, 11):
             wb = WeightedBasket(basket, p1)
-            if wb.volume() <= 0:
+            vol = wb.volume()
+            if vol <= 0:
                 continue
-            assert wb.volume() >= F(1, 330)
-            assert thm2_check_840(wb, horizon=150)
+            where = f"Weak97 840 sweep, {basket.text()} with p1 = {p1}"
+            require(vol >= F(1, 330), f"{where}: -K^3 = {vol} < 1/330")
+            require(thm2_check_840(wb), f"{where}: growth regime fails on 71..{L840_HORIZON}")
             count += 1
     return count

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: rr, enumerate, replay, index-bound, pencil, thresholds, wci.
-Exit codes: 0 success, 1 a computation contradicted an expected conclusion,
-2 usage error, malformed or out-of-bounds input (degrees and horizons lie in
-1..MAX_DEGREE, a Hilbert series has at most MAX_SERIES terms), or a search cap
-that would truncate silently.  All tables print exact fractions, never
-decimals.
+Exit codes: 0 success, 1 a proof step failed (a replay names the step on
+stderr; index-bound finds a maximum other than 840), 2 usage error, malformed
+or out-of-bounds input (degrees and horizons lie in 1..MAX_DEGREE, a Hilbert
+series has at most MAX_SERIES terms), or a search cap that would truncate
+silently.  All tables print exact fractions, never decimals.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import non_pencil_threshold, thm1_threshold
+from .reports import ReplayContradiction
 from .search import (
     ConstraintSet,
     SearchBudgetExceeded,
@@ -148,7 +149,7 @@ def cmd_replay(args) -> int:
         else:
             target = {"birat1": "QFano39", "birat2": "Weak97"}[args.case]
             rep = replay_birationality(target)
-    except AssertionError as exc:
+    except ReplayContradiction as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         return 1
     _emit(args, rep.json_text() if args.json else rep.render())

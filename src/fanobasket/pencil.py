@@ -199,20 +199,21 @@ def thm1_threshold_from_bounds(
 
 L840_SLOPE = F(19907, 10080)
 L840_OFFSET = F(295, 72)
+L840_HORIZON = 150  # the last degree of the index-840 check
 
 
-def thm2_check_840(wb: WeightedBasket, horizon: int = 150) -> bool:
+def thm2_check_840(wb: WeightedBasket) -> bool:
     """Check the index-840 growth regime on an explicit weighted basket.
 
-    Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= horizon,
+    Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= L840_HORIZON,
     both P_{-m} >= 840 (-K^3) m + 2 and the linear envelope
     l(-m) <= 19907 m / 10080 + 295/72, all exactly.
     """
     if wb.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
     vol = wb.volume()
-    seq = wb.plurigenera(horizon)
-    for m in range(71, horizon + 1):
+    seq = wb.plurigenera(L840_HORIZON)
+    for m in range(71, L840_HORIZON + 1):
         if seq[m] < 840 * vol * m + 2:
             return False
         if wb.basket.l_neg(m) > L840_SLOPE * m + L840_OFFSET:

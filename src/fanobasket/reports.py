@@ -7,15 +7,29 @@ from dataclasses import dataclass, field
 
 from .basket import WeightedBasket
 
+SURVIVOR_HORIZON = 12  # degrees of the P vector a survivor row reports
+
+
+class ReplayContradiction(Exception):
+    """A named proof step of a replay failed."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Check one proof step of a replay; `msg` names the step.
+
+    Unlike `assert`, the check runs under `python -O` as well.
+    """
+    if not cond:
+        raise ReplayContradiction(msg)
+
 
 @dataclass(frozen=True)
 class SurvivorRow:
     wb: WeightedBasket
-    horizon: int
     notes: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        seq = self.wb.plurigenera(self.horizon)
+        seq = self.wb.plurigenera(SURVIVOR_HORIZON)
         return {
             "basket": self.wb.basket.text(),
             "p1": self.wb.p1,

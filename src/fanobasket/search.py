@@ -18,7 +18,7 @@ from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
 from .recovery import BUDGET, cost, feasible_tails, structural_tail
-from .reports import EliminatedRow, ReplayReport, SurvivorRow
+from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
 
@@ -163,11 +163,11 @@ def enumerate_geometric(cs: ConstraintSet) -> list[WeightedBasket]:
 def forced_ladder(p1: int, n0: int, l: int) -> dict[int, int]:
     """The anti-plurigenera forced by n0 and the failure horizon l.
 
-    Below n0 the values sit at min(p1, 1)... specifically this helper serves
-    the two families with p1 in {1, 2}: values below n0 equal 1 (n0 > 1 only
-    happens for p1 = 1), P_{-n0} = 2, and for n0 <= k <= l the doubling upper
-    bound k//n0 + 1 meets the superadditive lower bound.  Degrees where the
-    two bounds disagree are omitted (left free).
+    Serves the two families p1 in {1, 2} (n0 > 1 only for p1 = 1): the
+    values below n0 equal 1, P_{-n0} = 2, and for n0 <= k <= l the doubling
+    upper bound k//n0 + 1 meets the superadditive lower bound.  Degrees where
+    the two bounds disagree are omitted (left free); a lower bound above the
+    upper one is a contradiction.
     """
     if p1 not in (1, 2):
         raise ValueError("the ladder derivation covers p1 in {1, 2}")
@@ -188,32 +188,31 @@ def forced_ladder(p1: int, n0: int, l: int) -> dict[int, int]:
     forced = {}
     for k in range(1, l + 1):
         upper = 1 if k < n0 else k // n0 + 1
-        assert low[k] <= upper, f"inconsistent ladder at {k}"
+        require(low[k] <= upper, f"ladder p1={p1}, n0={n0}: P_-{k} >= {low[k]} > {upper}")
         if low[k] == upper:
             forced[k] = upper
     return forced
 
 
-def _m1_from_choice(wb: WeightedBasket, m: int, horizon: int = 40) -> tuple[int, str]:
+M1_HORIZON = 40  # the degrees whose multiples feed the doubling thresholds
+
+
+def _m1_from_choice(wb: WeightedBasket, m: int) -> tuple[int, str]:
     """The degree with image dimension > 1, from base degree m.
 
     Checks the local criterion at m on every point, then either P_{-m} >= 3
     settles it at m directly, or the doubling thresholds along multiples of
     m produce l0 with m1 = l0 m.
     """
-    if not k1_all_points(wb.basket, m):
-        raise AssertionError(
-            f"local criterion fails at m={m} for {wb.basket.text()}"
-        )
-    seq = wb.plurigenera(horizon)
+    text = wb.basket.text()
+    require(k1_all_points(wb.basket, m), f"{text}: local criterion fails at m={m}")
+    seq = wb.plurigenera(M1_HORIZON)
     pm = seq[m]
     if pm >= 3:
         return m, f"P_-{m} = {pm} >= 3"
-    if pm < 1:
-        raise AssertionError(f"P_-{m} = {pm} < 1 cannot drive the criterion")
+    require(pm >= 1, f"{text}: P_-{m} = {pm} < 1 cannot drive the criterion")
     thresholds = k2_thresholds(seq.multiples_of(m))
-    if thresholds is None:
-        raise AssertionError(f"doubling horizon too short for {wb.basket.text()}")
+    require(thresholds is not None, f"{text}: doubling horizon {M1_HORIZON} too short at m={m}")
     m1 = thresholds.l0 * m
     return m1, f"n0={thresholds.n0}, l0={thresholds.l0} along multiples of {m}"
 
@@ -273,8 +272,7 @@ def _replay_ladders(
     )
     for label, _, cs in branches:
         result = enumerate_geometric_full(cs)
-        if result.survivors:
-            raise AssertionError(f"branch {label} must contradict")
+        require(not result.survivors, f"{family} {label}: {len(result.survivors)} survivors")
         report.eliminated.extend(
             EliminatedRow(wb, cert, branch=label) for wb, cert in result.eliminated
         )
@@ -297,15 +295,14 @@ def _replay_p1_zero() -> ReplayReport:
         EliminatedRow(wb, cert, branch="P2=0") for wb, cert in res0.eliminated
     )
     table = {row.basket: row for row in P1_P2_ZERO_TABLE}
-    assert len(res0.survivors) == len(table), (
-        f"expected {len(table)} baskets, found {len(res0.survivors)}"
-    )
+    found = {wb.basket.text() for wb in res0.survivors}
+    require(found == set(table), f"P1_eq_0, P2=0: {len(found)} survivors, not the 23 rows")
     for wb in res0.survivors:
         row = table[wb.basket.text()]
         m1, why = _m1_from_choice(wb, row.m_choice)
-        assert m1 == row.m1, (row.no, m1)
+        require(m1 == row.m1, f"P1_eq_0 No.{row.no}: m1 = {m1}, the table says {row.m1}")
         notes = {"branch": "P2=0", "no": row.no, "m": row.m_choice, "m1": m1, "why": why}
-        report.survivors.append(SurvivorRow(wb, cs0.horizon, notes))
+        report.survivors.append(SurvivorRow(wb, notes))
         if m1 > 8:
             exceptional[wb.basket.text()] = notes
 
@@ -321,40 +318,44 @@ def _replay_p1_zero() -> ReplayReport:
         if sigma5 == 0:
             m = 3
         else:
-            assert text in P1_ZERO_CASE2_M, f"unexpected survivor {text}"
+            require(text in P1_ZERO_CASE2_M, f"P1_eq_0, P2>0: unexpected survivor {text}")
             m = P1_ZERO_CASE2_M[text]
         m1, why = _m1_from_choice(wb, m)
         notes = {"branch": "P2>0", "m": m, "m1": m1, "why": why}
-        report.survivors.append(SurvivorRow(wb, cs2.horizon, notes))
+        report.survivors.append(SurvivorRow(wb, notes))
         if m1 > 8:
             exceptional[text] = notes
 
     # the exceptional list must be the ten tabulated types, with the
     # divisor-class upgrades consumed as named axioms
-    assert set(exceptional) == set(EXCEPTIONAL_TYPES), sorted(exceptional)
+    require(set(exceptional) == set(EXCEPTIONAL_TYPES),
+            f"P1_eq_0: m1 > 8 on {sorted(exceptional)}, not the exceptional types")
     for text, notes in sorted(exceptional.items(), key=lambda kv: EXCEPTIONAL_TYPES[kv[0]]):
         tag = EXCEPTIONAL_TYPES[text]
         wb = WeightedBasket(Basket.parse(text), 0)
         seq = wb.plurigenera(12)
         if tag in ("No.1", "No.2", "No.3", "No.4"):
             # dimension <= P - 1 <= 1 up to degree 9, so delta_1 >= 10
-            assert all(seq[m] <= 2 for m in range(1, 10))
+            require(all(seq[m] <= 2 for m in range(1, 10)), f"P1_eq_0 {tag}: P_-m <= 2, m <= 9")
             notes["delta1"] = 10
             if notes["m1"] > 10:
                 # the divisor-class upgrade (No.2, No.4); its inputs recomputed
-                assert seq[4] == 1 and seq[6] == 1 and seq[8] == 2 and seq[9] == 2
+                require(seq[4] == 1 and seq[6] == 1 and seq[8] == 2 and seq[9] == 2,
+                        f"P1_eq_0 {tag}: upgrade needs P_-4 = P_-6 = 1, P_-8 = P_-9 = 2")
                 notes["axiom"] = AXIOM_DELTA1_UPGRADE_10
                 report.axioms.append(AXIOM_DELTA1_UPGRADE_10)
             else:
-                assert seq[10] >= 3  # delta_1 = 10 is pure arithmetic here
+                require(seq[10] >= 3, f"P1_eq_0 {tag}: P_-10 >= 3")  # delta_1 = 10 by arithmetic
         elif tag in ("No.A", "No.B", "No.C", "No.D"):
-            assert seq[2] == 1 and seq[4] == 1 and seq[6] == 2 and seq[8] == 3
-            assert all(seq[m] <= 2 for m in range(1, 8))
+            require(seq[2] == 1 and seq[4] == 1 and seq[6] == 2 and seq[8] == 3,
+                    f"P1_eq_0 {tag}: upgrade needs P_-2 = P_-4 = 1, P_-6 = 2, P_-8 = 3")
+            require(all(seq[m] <= 2 for m in range(1, 8)), f"P1_eq_0 {tag}: P_-m <= 2, m <= 7")
             notes["delta1"] = 8
             notes["axiom"] = AXIOM_DELTA1_UPGRADE_8
             report.axioms.append(AXIOM_DELTA1_UPGRADE_8)
         else:  # No.E, No.F
-            assert seq[2] == 1 and seq[4] == 3 and seq[6] == 9
+            require(seq[2] == 1 and seq[4] == 3 and seq[6] == 9,
+                    f"P1_eq_0 {tag}: upgrade needs P_-2 = 1, P_-4 = 3, P_-6 = 9")
             notes["delta1"] = 6
             notes["axiom"] = AXIOM_DELTA1_UPGRADE_6
             report.axioms.append(AXIOM_DELTA1_UPGRADE_6)

@@ -1,0 +1,109 @@
+"""Replay proof steps are checked by `reports.require`, so a replay does the
+same work, prints the same bytes and returns the same exit code with and
+without `python -O`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fanobasket"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+INTERPRETERS = {"plain": [], "optimized": ["-O"]}
+
+# name -> (patch run before the CLI, replay case, stderr prefix, stderr suffix)
+FAULTS = {
+    "840 growth check": (
+        "import fanobasket.birational as birational\n"
+        "birational.thm2_check_840 = lambda wb: False\n",
+        "birat2",
+        "contradiction: Weak97 840 sweep, ",
+        ": growth regime fails on 71..150\n",
+    ),
+    "row No.7 m1": (
+        "import dataclasses\n"
+        "import fanobasket.search as search\n"
+        "search.P1_P2_ZERO_TABLE = tuple(\n"
+        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    for row in search.P1_P2_ZERO_TABLE\n"
+        ")\n",
+        "p0",
+        "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
+        "\n",
+    ),
+}
+
+
+def _python(flags: list[str], script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.mark.parametrize("flags", INTERPRETERS.values(), ids=INTERPRETERS.keys())
+@pytest.mark.parametrize("fault", FAULTS)
+def test_injected_fault_exits_1_with_the_step_named(fault, flags):
+    patch, case, prefix, suffix = FAULTS[fault]
+    script = patch + (
+        "import sys\n"
+        "from fanobasket.cli import main\n"
+        f"sys.exit(main(['replay', {case!r}]))\n"
+    )
+    done = _python(flags, script)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(prefix) and done.stderr.endswith(suffix), done.stderr
+
+
+def test_optimized_replays_match_golden_bytes(tmp_path):
+    script = (
+        "import sys\n"
+        "from fanobasket.cli import main\n"
+        "out = sys.argv[1]\n"
+        "codes = [main(['replay', 'list', '--out', out + '/p1_p2_zero_table.txt'])]\n"
+        "for case in ('p2', 'p1', 'p0', 'birat1', 'birat2'):\n"
+        "    codes.append(main(['replay', case, '--json', '--out', f'{out}/replay_{case}.json']))\n"
+        "print(sys.flags.optimize, *codes)\n"
+    )
+    done = _python(["-O"], script, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 0 0 0 0 0 0\n"
+    names = ["p1_p2_zero_table.txt"] + [
+        f"replay_{case}.json" for case in ("p2", "p1", "p0", "birat1", "birat2")
+    ]
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+
+def _names(node) -> set[str]:
+    """The exception names an `except` clause or `raise` statement mentions."""
+    if node is None:
+        return set()
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_names(elt) for elt in node.elts))
+    if isinstance(node, ast.Call):
+        return _names(node.func)
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def _tree(module: str) -> ast.AST:
+    return ast.parse((PACKAGE / module).read_text(), filename=module)
+
+
+def test_replay_modules_state_proof_steps_only_through_require():
+    for module in ("search.py", "birational.py"):
+        for node in ast.walk(_tree(module)):
+            assert not isinstance(node, ast.Assert), f"{module}:{node.lineno} assert"
+            if isinstance(node, ast.Raise):
+                assert "AssertionError" not in _names(node.exc), f"{module}:{node.lineno}"
+    for node in ast.walk(_tree("cli.py")):
+        if isinstance(node, ast.ExceptHandler):
+            assert "AssertionError" not in _names(node.type), f"cli.py:{node.lineno}"
