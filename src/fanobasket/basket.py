@@ -9,9 +9,11 @@ Riemann-Roch formula
     P_{-m} = (1/12) m (m+1) (2m+1) (-K^3) + (2m+1) - l(-m),
 
 where l(-m) sums the periodic local corrections of the orbifold points.
-Everything here is exact: all rational quantities are `fractions.Fraction`,
-all outputs of the plurigenus maps are integers, and no floating point is
-used anywhere.
+Everything here is exact and free of floating point.  The kernels run in
+integers: each point (b, r) has one residue table w_j = u (r - u) with
+u = jb mod r, and the sums over a basket are scaled by L = lcm(r_i), so that
+L (-K^3), 12 L l(-m) and 2 L (P_{-m} - P_{-(m-1)}) are integers.  A
+`fractions.Fraction` is built only where a rational value leaves the API.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator
 
 
@@ -189,7 +192,14 @@ class Basket:
         """
         if m < 2:
             raise ValueError(f"delta requires m >= 2, got {m}")
-        return sum(n * _delta_point(b, r, m) for (b, r), n in self._runs)
+        total = 0
+        for (b, r), n in self._runs:
+            bm = b * m
+            q, rem = divmod(_residues(b, r)[m % r] - bm * (r - bm), 2 * r)
+            if rem:  # u == bm (mod r) forces divisibility by 2r
+                raise IntegralityFault(f"Delta^{m} of ({b}, {r}) is not an integer")
+            total += n * q
+        return total
 
     def gamma(self) -> Fraction:
         """gamma(B) = sum 1/r_i - sum r_i + 24; positive on Q-Fano baskets."""
@@ -200,15 +210,34 @@ class Basket:
 
     def l_neg(self, n: int) -> Fraction:
         """l(-n): the periodic orbifold correction entering Riemann-Roch."""
+        return Fraction(self.l_neg_scaled(n), 12 * self.gorenstein_index())
+
+    def l_neg_scaled(self, n: int) -> int:
+        """12 L l(-n) as an integer, with L = `gorenstein_index()`."""
         if n < 0:
             raise ValueError(f"l_neg requires n >= 0, got {n}")
-        # one full period of jb(r - jb) over a residue system sums to r(r^2-1)/6,
-        # so each period contributes (r^2 - 1)/12 after dividing by 2r
-        periods = Fraction(sum(k * (n // r) * (r * r - 1) for (_, r), k in self._runs), 12)
+        big_l = self.gorenstein_index()
+        # one full period of w_j sums to r(r^2-1)/6, so each period
+        # contributes (r^2 - 1)/12 after dividing by 2r
         return sum(
-            (Fraction(k * _l_point_table(b, r)[n % r], 2 * r) for (b, r), k in self._runs),
-            periods,
+            k * (n // r) * (r * r - 1) * big_l
+            + 6 * k * (big_l // r) * _l_point_table(b, r)[n % r]
+            for (b, r), k in self._runs
         )
+
+    def _residue_sums(self, big_l: int, upto: int) -> list[int]:
+        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
+        L = big_l a multiple of every r_i."""
+        by_r: dict[int, list[int]] = {}
+        for (b, r), n in self._runs:
+            scale = n * (big_l // r)
+            acc = by_r.setdefault(r, [0] * r)
+            for j, w in enumerate(_residues(b, r)):
+                acc[j] += scale * w
+        sums = [0] * (upto + 1)
+        for r, acc in by_r.items():  # tile each period-r table over 0..upto
+            sums = list(map(add, sums, acc * (upto // r + 1)))
+        return sums
 
     def gorenstein_index(self) -> int:
         """lcm of the local indices r_i (1 for the empty basket)."""
@@ -246,24 +275,16 @@ def _parse_terms(compact: str) -> list[Run]:
 # --- per-point kernels ------------------------------------------------------
 
 
-def _delta_point(b: int, r: int, m: int) -> int:
-    u = (b * m) % r
-    num = u * (r - u) - b * m * (r - b * m)
-    q, rem = divmod(num, 2 * r)
-    assert rem == 0  # u == bm (mod r) forces divisibility by 2r
-    return q
+@lru_cache(maxsize=None)
+def _residues(b: int, r: int) -> tuple[int, ...]:
+    # the residue table w_j = u (r - u) = 2r F(jb), u = jb mod r, j = 0..r-1
+    return tuple(u * (r - u) for u in (j * b % r for j in range(r)))
 
 
 @lru_cache(maxsize=None)
 def _l_point_table(b: int, r: int) -> tuple[int, ...]:
-    # prefix[k] = 2r * sum_{j=1..k} F(jb), exact integers
-    prefix = [0] * r
-    acc = 0
-    for j in range(1, r):
-        u = (j * b) % r
-        acc += u * (r - u)
-        prefix[j] = acc
-    return tuple(prefix)
+    # prefix[k] = w_0 + ... + w_k = 2r * sum_{j=1..k} F(jb), exact integers
+    return tuple(accumulate(_residues(b, r)))
 
 
 def f_periodic(x: int, r: int) -> Fraction:
@@ -346,39 +367,52 @@ class WeightedBasket:
 
     def volume(self) -> Fraction:
         """-K^3 = 2 P̃_{-1} + sigma - sigma' - 6, exact."""
-        return 2 * self.p1 + self.basket.sigma() - self.basket.sigma_prime() - 6
+        big_l = self.basket.gorenstein_index()
+        return Fraction(self._scaled_volume(big_l), big_l)
+
+    def _scaled_volume(self, big_l: int) -> int:
+        """L (-K^3) = L (2 p1 + sigma - 6) - sum n b^2 L/r, for L a multiple
+        of every r_i."""
+        return big_l * (2 * self.p1 + self.basket.sigma() - 6) - sum(
+            n * b * b * (big_l // r) for (b, r), n in self.basket.counts()
+        )
 
     def anti_plurigenus(self, m: int) -> int:
         """P_{-m} by the closed Riemann-Roch form; exact, integer-checked."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        value = (
-            Fraction(m * (m + 1) * (2 * m + 1), 12) * self.volume()
-            + (2 * m + 1)
-            - self.basket.l_neg(m)
+        big_l = self.basket.gorenstein_index()
+        # 12 L P_{-m} = m(m+1)(2m+1) L(-K^3) + 12 L (2m+1) - 12 L l(-m)
+        num = (
+            m * (m + 1) * (2 * m + 1) * self._scaled_volume(big_l)
+            + 12 * big_l * (2 * m + 1)
+            - self.basket.l_neg_scaled(m)
         )
-        if value.denominator != 1:
+        value, rem = divmod(num, 12 * big_l)
+        if rem:
             raise IntegralityFault(
-                f"P_{{-{m}}}({self}) = {value} is not an integer"
+                f"P_{{-{m}}}({self}) = {Fraction(num, 12 * big_l)} is not an integer"
             )
-        return int(value)
+        return value
 
     def plurigenera(self, upto: int) -> PlurigenusSequence:
         """P_{-1} .. P_{-upto} via the integer increment recursion.
 
-        The increment from m to m+1 is
-        (m+1)^2 (-K^3 + sigma')/2 + 2 - (m+1) sigma / 2 - Delta^{m+1},
-        and -K^3 + sigma' = 2 p1 + sigma - 6 is an integer, so the whole
-        run stays in integer arithmetic.
+        The increment from k-1 to k satisfies
+        2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
+        w the residue table of each point; scaled by L = lcm(r_i) every term
+        is an integer, so each degree costs one lookup in the summed tables
+        and one division by 2L.
         """
-        sig = self.basket.sigma()
-        a = 2 * self.p1 + sig - 6
+        big_l = self.basket.gorenstein_index()
+        vol = self._scaled_volume(big_l)
+        corr = self.basket._residue_sums(big_l, upto)
+        two_l, four_l = 2 * big_l, 4 * big_l
         values = [self.p1]
         current = self.p1
-        for m in range(1, upto):
-            k = m + 1
-            num = k * k * a - k * sig + 4 - 2 * self.basket.delta(k)
-            q, rem = divmod(num, 2)
+        for k in range(2, upto + 1):
+            num = k * k * vol + four_l - corr[k]
+            q, rem = divmod(num, two_l)
             if rem:
                 raise IntegralityFault(f"non-integral increment at m={k} for {self}")
             current += q

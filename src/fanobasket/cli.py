@@ -20,7 +20,7 @@ from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import non_pencil_threshold, thm1_threshold
-from .reports import ReplayContradiction
+from .reports import ReplayContradiction, require
 from .search import (
     ConstraintSet,
     SearchBudgetExceeded,
@@ -150,10 +150,14 @@ def cmd_replay(args) -> int:
             target = {"birat1": "QFano39", "birat2": "Weak97"}[args.case]
             rep = replay_birationality(target)
     except ReplayContradiction as exc:
-        print(f"contradiction: {exc}", file=sys.stderr)
-        return 1
+        return _contradiction(exc)
     _emit(args, rep.json_text() if args.json else rep.render())
     return 0
+
+
+def _contradiction(exc: ReplayContradiction) -> int:
+    print(f"contradiction: {exc}", file=sys.stderr)
+    return 1
 
 
 def cmd_index_bound(args) -> int:
@@ -174,7 +178,11 @@ def cmd_index_bound(args) -> int:
             f"max r_X = {report.max_lcm}; witnesses {wit};"
             f" second max = {report.second_max}",
         )
-    return int(report.max_lcm != 840)
+    try:
+        require(report.max_lcm == 840, f"index bound: max r_X = {report.max_lcm}, not 840")
+    except ReplayContradiction as exc:
+        return _contradiction(exc)
+    return 0
 
 
 def cmd_pencil(args) -> int:

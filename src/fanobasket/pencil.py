@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .basket import Basket, WeightedBasket, f_periodic
@@ -207,16 +207,24 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
 
     Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= L840_HORIZON,
     both P_{-m} >= 840 (-K^3) m + 2 and the linear envelope
-    l(-m) <= 19907 m / 10080 + 295/72, all exactly.
+    l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: with
+    -K^3 = num/den the first reads (P_{-m} - 2) den >= 840 num m, and the
+    envelope is compared on 12 * 840 l(-m), lifted to the common denominator
+    of L840_SLOPE and L840_OFFSET.
     """
     if wb.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
     vol = wb.volume()
+    num, den = vol.numerator, vol.denominator
+    scale = lcm(12 * 840, L840_SLOPE.denominator, L840_OFFSET.denominator)
+    lift = scale // (12 * 840)
+    slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
+    offset = L840_OFFSET.numerator * (scale // L840_OFFSET.denominator)
     seq = wb.plurigenera(L840_HORIZON)
     for m in range(71, L840_HORIZON + 1):
-        if seq[m] < 840 * vol * m + 2:
+        if (seq[m] - 2) * den < 840 * num * m:
             return False
-        if wb.basket.l_neg(m) > L840_SLOPE * m + L840_OFFSET:
+        if wb.basket.l_neg_scaled(m) * lift > slope * m + offset:
             return False
     return True
 

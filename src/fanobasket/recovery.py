@@ -41,6 +41,18 @@ def cost(r: int) -> int:
     return (r * r - 1) * (COST_UNIT // r)
 
 
+def within_budget(basket: Basket, strict: bool) -> bool:
+    """gamma(B) > 0 (strict) or gamma(B) >= 0, decided in budget units.
+
+    COST_UNIT gamma = BUDGET - sum n cost(r) once every r <= TAIL_R_CAP, and a
+    point with r > TAIL_R_CAP alone makes gamma negative.
+    """
+    if basket.r_max() > TAIL_R_CAP:
+        return False
+    spent = sum(n * cost(r) for (_, r), n in basket.counts())
+    return spent < BUDGET if strict else spent <= BUDGET
+
+
 def tail_budget(n12: int, n13: int, n14: int) -> int:
     """What the 24-budget leaves for the tail beside n_{1,2}, n_{1,3}, n_{1,4}."""
     return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional
 from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import BUDGET, cost, feasible_tails, structural_tail
+from .recovery import BUDGET, cost, feasible_tails, structural_tail, within_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -50,8 +50,7 @@ class ConstraintSet:
         return ", ".join(bits)
 
     def gamma_ok(self, basket: Basket) -> bool:
-        g = basket.gamma()
-        return g > 0 if self.fano_strict else g >= 0
+        return within_budget(basket, self.fano_strict)
 
 
 def is_geometric_candidate(

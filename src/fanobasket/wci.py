@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from .basket import PlurigenusSequence, WeightedBasket
+from .recovery import within_budget
 from .search import SearchBudgetExceeded, candidates
 
 F = Fraction
@@ -109,7 +110,8 @@ def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
     fits = []
-    for seen, cand in enumerate(candidates(p, lambda b: b.gamma() >= 0), start=1):
+    weak_gamma = partial(within_budget, strict=False)  # gamma >= 0
+    for seen, cand in enumerate(candidates(p, weak_gamma), start=1):
         if seen > MAX_FIT_CANDIDATES:
             raise SearchBudgetExceeded(f"fit exceeded {MAX_FIT_CANDIDATES} candidates")
         wb = WeightedBasket(cand, p[1])

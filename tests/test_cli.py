@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, golden table."""
 
+import dataclasses
 import json
 import os
 import resource
@@ -57,6 +58,20 @@ def test_index_bound_text_and_json(capsys):
     assert data["max"] == 840 and data["second_max"] == 660
     code, out = run(capsys, "index-bound", "--rmax", "18")
     assert code == 0 and out.strip().endswith("90")
+
+
+def test_index_bound_off_840_names_the_failed_step(capsys, monkeypatch):
+    report = cli.max_index_report()
+    wrong = dataclasses.replace(report, max_lcm=660, witnesses=((4, 5, 11, 3),))
+    monkeypatch.setattr(cli, "max_index_report", lambda: wrong)
+    assert main(["index-bound"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "max r_X = 660; witnesses {4,5,11,3}; second max = 660\n"
+    assert captured.err == "contradiction: index bound: max r_X = 660, not 840\n"
+    assert main(["index-bound", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max"] == 660
+    assert captured.err == "contradiction: index bound: max r_X = 660, not 840\n"
 
 
 def test_thresholds_x6d_example(capsys):

@@ -1,0 +1,219 @@
+"""The integer residue-table kernels against independent references.
+
+The references are the forms the kernels replaced: the Delta-based increment
+recursion for the plurigenera, sums of `local_correction_unreduced` for
+l(-n), gamma as a `Fraction`, and the index-840 growth check compared in
+`Fraction`s.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+import fanobasket.pencil as pencil
+from fanobasket.basket import Basket, WeightedBasket, local_correction_unreduced
+from fanobasket.birational import INDEX_840_SETS, _residue_baskets
+from fanobasket.recovery import COST_UNIT, within_budget
+from fanobasket.search import ConstraintSet
+
+F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# --- references ----------------------------------------------------------------
+
+
+def delta_reference(basket: Basket, m: int) -> int:
+    """Delta^m from its definition, point by point."""
+    total = 0
+    for (b, r), n in basket.counts():
+        u = (b * m) % r
+        q, rem = divmod(u * (r - u) - b * m * (r - b * m), 2 * r)
+        assert rem == 0
+        total += n * q
+    return total
+
+
+def plurigenera_reference(wb: WeightedBasket, upto: int) -> list[int]:
+    """P_-1 .. P_-upto by the increment k^2 a - k sigma + 4 - 2 Delta^k over 2,
+    with a = 2 p1 + sigma - 6."""
+    sig = wb.basket.sigma()
+    a = 2 * wb.p1 + sig - 6
+    values = [wb.p1]
+    for k in range(2, upto + 1):
+        q, rem = divmod(k * k * a - k * sig + 4 - 2 * delta_reference(wb.basket, k), 2)
+        assert rem == 0
+        values.append(values[-1] + q)
+    return values[:upto]
+
+
+def l_neg_reference(basket: Basket, n: int) -> Fraction:
+    """l(-n) from the unreduced local corrections: for one point,
+    sum_{j=0..n} F(jb) = c_unreduced(n + 1) + (n + 1)(r^2 - 1)/(12 r)."""
+    return sum(
+        (k * (local_correction_unreduced(b, r, n + 1) + F((n + 1) * (r * r - 1), 12 * r))
+         for (b, r), k in basket.counts()),
+        F(0),
+    )
+
+
+def thm2_check_840_fraction(wb: WeightedBasket) -> bool:
+    """The index-840 growth check compared in `Fraction`s."""
+    vol = wb.volume()
+    seq = wb.plurigenera(pencil.L840_HORIZON)
+    for m in range(71, pencil.L840_HORIZON + 1):
+        if seq[m] < 840 * vol * m + 2:
+            return False
+        if wb.basket.l_neg(m) > pencil.L840_SLOPE * m + pencil.L840_OFFSET:
+            return False
+    return True
+
+
+# --- inputs ----------------------------------------------------------------------
+
+
+def seeded_baskets(seed: int, count: int, r_cap: int = 24) -> list[WeightedBasket]:
+    """1-8 distinct canonical points with r <= r_cap, each 1-12 times, p1 0..10."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        points, size = set(), rng.randint(1, 8)
+        while len(points) < size:
+            r = rng.randint(2, r_cap)
+            b = rng.randint(1, r // 2)
+            if gcd(b, r) == 1:
+                points.add((b, r))
+        basket = Basket.from_counts((pt, rng.randint(1, 12)) for pt in sorted(points))
+        out.append(WeightedBasket(basket, rng.randint(0, 10)))
+    return out
+
+
+SWEEP_840 = [
+    wb
+    for wb in (WeightedBasket(b, p1) for b in _residue_baskets(INDEX_840_SETS) for p1 in range(11))
+    if wb.volume() > 0
+]
+
+
+def test_the_840_sweep_has_its_236_baskets():
+    assert len(SWEEP_840) == 236
+    assert {wb.gorenstein_index() for wb in SWEEP_840} == {840}
+
+
+# --- plurigenera, l(-n), Delta -------------------------------------------------
+
+
+def test_plurigenera_match_the_delta_recursion_to_degree_200():
+    for wb in seeded_baskets(20261018, 60):
+        assert list(wb.plurigenera(200).values) == plurigenera_reference(wb, 200), wb.text()
+
+
+def test_plurigenera_match_the_delta_recursion_on_the_840_sweep():
+    for wb in SWEEP_840:
+        assert list(wb.plurigenera(200).values) == plurigenera_reference(wb, 200), wb.text()
+
+
+def test_short_and_empty_sequences():
+    wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 3)
+    assert wb.plurigenera(0).values == ()
+    assert wb.plurigenera(1).values == (3,)
+    assert list(WeightedBasket(Basket(), 2).plurigenera(30).values) == plurigenera_reference(
+        WeightedBasket(Basket(), 2), 30
+    )
+
+
+def test_l_neg_and_delta_match_their_references():
+    for wb in seeded_baskets(7, 40) + SWEEP_840[::7]:
+        basket = wb.basket
+        for n in (0, 1, 2, 5, 13, 24, 71, 150, 200):
+            assert basket.l_neg(n) == l_neg_reference(basket, n), (basket.text(), n)
+        for m in (2, 3, 7, 24, 25, 199):
+            assert basket.delta(m) == delta_reference(basket, m), (basket.text(), m)
+
+
+def test_closed_form_matches_the_recursion():
+    for wb in seeded_baskets(11, 30):
+        seq = wb.plurigenera(120)
+        for m in (1, 2, 3, 8, 41, 120):
+            assert wb.anti_plurigenus(m) == seq[m]
+
+
+def test_a_corrupted_residue_table_faults_under_optimize():
+    # IntegralityFault and Delta's divisibility check are raises, not asserts
+    script = (
+        "import fanobasket.basket as basket\n"
+        "real = basket._residues\n"
+        "basket._residues = lambda b, r: tuple(w + 1 for w in real(b, r))\n"
+        "wb = basket.WeightedBasket(basket.Basket.parse('(1,2),(2,5)'), 1)\n"
+        "names = []\n"
+        "for call in (lambda: wb.basket.delta(3), lambda: wb.plurigenera(10)):\n"
+        "    try:\n"
+        "        call()\n"
+        "        names.append('none')\n"
+        "    except basket.IntegralityFault:\n"
+        "        names.append('IntegralityFault')\n"
+        "import sys\n"
+        "print(sys.flags.optimize, *names)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 IntegralityFault IntegralityFault\n"
+
+
+# --- the integer index-840 check -------------------------------------------------
+
+
+def test_integer_840_check_matches_the_fraction_check():
+    assert all(pencil.thm2_check_840(wb) for wb in SWEEP_840)
+    assert all(thm2_check_840_fraction(wb) for wb in SWEEP_840)
+
+
+@pytest.mark.parametrize("slope", [pencil.L840_SLOPE, F(1999, 1001)], ids=["slope", "slope_1001"])
+def test_tight_840_constants_fail_the_same_baskets(monkeypatch, slope):
+    # an offset at the median of max_m (l(-m) - slope m) fails about half
+    # the sweep; a basket at the median itself sits exactly on the envelope
+    worst = sorted(
+        max(wb.basket.l_neg(m) - slope * m for m in range(71, pencil.L840_HORIZON + 1))
+        for wb in SWEEP_840
+    )
+    monkeypatch.setattr(pencil, "L840_SLOPE", slope)
+    monkeypatch.setattr(pencil, "L840_OFFSET", worst[len(worst) // 2])
+    integer = [pencil.thm2_check_840(wb) for wb in SWEEP_840]
+    assert integer == [thm2_check_840_fraction(wb) for wb in SWEEP_840]
+    assert 0 < integer.count(False) < len(integer)
+
+
+# --- gamma in budget units --------------------------------------------------------
+
+
+def test_budget_units_decide_gamma_like_the_fraction():
+    rng = random.Random(40)
+    pool = [(b, r) for r in range(2, 41) for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+    small = [(b, r) for b, r in pool if r <= 8]
+    baskets = [Basket.parse(text) for text in ("5x(1,5)", "16x(1,2)", "9x(1,3)", "(1,25)", "")]
+    baskets.append(Basket([(1, COST_UNIT + 1)]))  # cost() would floor its share to 0
+    baskets += [Basket(rng.choices(pool, k=rng.randint(0, 4))) for _ in range(300)]
+    baskets += [Basket(rng.choices(small, k=rng.randint(1, 12))) for _ in range(300)]
+    strict, weak = ConstraintSet(p_exact={1: 0}), ConstraintSet(p_exact={1: 0}, fano_strict=False)
+    signs = set()
+    for basket in baskets:
+        g = basket.gamma()
+        signs.add((g > 0) - (g < 0))
+        assert within_budget(basket, strict=True) == strict.gamma_ok(basket) == (g > 0)
+        assert within_budget(basket, strict=False) == weak.gamma_ok(basket) == (g >= 0)
+    assert signs == {-1, 0, 1}
+
+
+def test_five_points_of_index_five_sit_on_the_budget():
+    basket = Basket.parse("5x(1,5)")
+    assert basket.gamma() == 0
+    assert within_budget(basket, strict=False)
+    assert not within_budget(basket, strict=True)
