@@ -2,7 +2,7 @@
 
 The budget sum (r - 1/r) <= 24 caps everything.  Splitting indices into
 maximal prime powers preserves lcm and never increases the budget, so the
-global maximum comes from a finite multiset search: 840, attained exactly by
+global maximum comes from a finite set search: 840, attained exactly by
 {3,5,7,8} and {2,3,5,7,8}, with nothing between 660 and 840.
 """
 

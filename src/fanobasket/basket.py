@@ -210,9 +210,9 @@ class Basket:
 
     def l_neg(self, n: int) -> Fraction:
         """l(-n): the periodic orbifold correction entering Riemann-Roch."""
-        return Fraction(self.l_neg_scaled(n), 12 * self.gorenstein_index())
+        return Fraction(self._l_neg_scaled(n), 12 * self.gorenstein_index())
 
-    def l_neg_scaled(self, n: int) -> int:
+    def _l_neg_scaled(self, n: int) -> int:
         """12 L l(-n) as an integer, with L = `gorenstein_index()`."""
         if n < 0:
             raise ValueError(f"l_neg requires n >= 0, got {n}")
@@ -386,7 +386,7 @@ class WeightedBasket:
         num = (
             m * (m + 1) * (2 * m + 1) * self._scaled_volume(big_l)
             + 12 * big_l * (2 * m + 1)
-            - self.basket.l_neg_scaled(m)
+            - self.basket._l_neg_scaled(m)
         )
         value, rem = divmod(num, 12 * big_l)
         if rem:

@@ -399,6 +399,54 @@ def _no_two_forces_nonpositive_volume() -> bool:
     return True
 
 
+def _growth_leaf(
+    leaf: partial, name: str, bounds: tuple[int, Fraction, int], t: int, expected_m1: int,
+    m0: int, variant: str, checks: list[str], axioms: list[str], nu0: Optional[int] = None,
+) -> None:
+    """One growth leaf of the Weak97 tree: on the case-wide bounds
+    (r_X, -K^3 floor, rmax) the growth threshold must be the paper's m1,
+    which the leaf escapes to from the pencil of degree m0 (mu0 = m0)."""
+    r_x, vol_floor, rmax = bounds
+    m1 = thm1_threshold_from_bounds(r_x, vol_floor, rmax, F(t))
+    require(m1 == expected_m1, f"Weak97 leaf {name}: growth threshold {m1} != {expected_m1}")
+    leaf(name, BirationalityInputs(m0, m1, F(m0), rmax=rmax, nu0=nu0), variant, checks, axioms)
+
+
+def _require_index_split(rmax: int, low: int, isolated: tuple[int, ...] = ()) -> None:
+    """With largest local index rmax beside a forced index 2, r_X is at most
+    `low` or one of the isolated values, and the largest of these is attained."""
+    values = attainable_indices(rmax, must_contain=(2,))
+    options = "".join(f"{v} or " for v in isolated)
+    require(max(values) == max(isolated, default=low)
+            and all(v <= low or v in isolated for v in values),
+            f"Weak97 IV: with rmax = {rmax}, rX is {options}<= {low} (max {max(values)})")
+
+
+def _only_basket(report: ReplayReport, index: int, rmax: int, text: str) -> WeightedBasket:
+    """The one p1 = 0 basket of Gorenstein index `index` (largest local index
+    rmax, index 2 once or twice) that passes the weak constraints; it is
+    recorded as the survivor of leaf "IV: rX=<index>"."""
+    sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
+    found = _unique_zero_p1_basket(sets + [(2,) + s for s in sets])
+    require([wb.basket.text() for wb in found] == [text],
+            f"Weak97 IV: {text} is the only index-{index} basket")
+    report.survivors.append(SurvivorRow(found[0], {"leaf": f"IV: rX={index}"}))
+    return found[0]
+
+
+def _dead_index(
+    report: ReplayReport, index: int, sets: list[tuple[int, ...]], example: str, branch: str
+) -> None:
+    """No p1 = 0 basket on these index sets of Gorenstein index `index` has
+    -K^3 > 0; `example` stands for them among the eliminated rows."""
+    require(_unique_zero_p1_basket(sets) == [],
+            f"Weak97 IV: no index-{index} basket with P_-1 = 0 has -K^3 > 0")
+    report.eliminated.append(EliminatedRow(
+        WeightedBasket(Basket.parse(example), 0),
+        f"every index-{index} candidate with P_-1 = 0 has -K^3 <= 0", branch=branch,
+    ))
+
+
 def _replay_weak_97() -> ReplayReport:
     target = 97
     report = ReplayReport(
@@ -417,62 +465,33 @@ def _replay_weak_97() -> ReplayReport:
     rmax = max(wb.basket.r_max() for wb in rows)
     require((r_x, vol_min, rmax) == (210, F(1, 84), 14), "Weak97 I: rX 210, -K^3 1/84, rmax 14")
     require(all(wb.plurigenera(8)[8] >= 2 for wb in rows), "Weak97 I: P_-8 >= 2 on every row")
-    m1 = thm1_threshold_from_bounds(r_x, vol_min, rmax, F(8))
-    require(m1 == 38, f"Weak97 I: growth threshold {m1} != 38")
-    leaf(
-        "I: P2=0",
-        BirationalityInputs(8, m1, F(8), rmax=rmax),
-        "ii",
-        [f"23 rows: rX <= {r_x}, -K^3 >= {vol_min}, rmax <= {rmax}, t = 8"],
-        [AX_CC_P8],
-    )
+    _growth_leaf(leaf, "I: P2=0", (r_x, vol_min, rmax), 8, 38, 8, "ii",
+                 [f"23 rows: rX <= {r_x}, -K^3 >= {vol_min}, rmax <= {rmax}, t = 8"],
+                 [AX_CC_P8])
 
     # case II: rmax >= 14
     cap_14_22 = max(max_index_given_rmax(r) for r in range(14, 23))
     require(cap_14_22 == 240, f"Weak97 II: rX <= {cap_14_22}, not 240, for 14 <= rmax <= 22")
-    m1 = thm1_threshold_from_bounds(240, F(1, 240), 22, F(6))
-    require(m1 == 44, f"Weak97 II: growth threshold {m1} != 44")
-    leaf(
-        "II: 14<=rmax<=22",
-        BirationalityInputs(8, m1, F(8), rmax=22),
-        "ii",
-        [f"brute-force rX <= {cap_14_22}; -K^3 >= 1/240; t = 6"],
-        [AX_CC_P8, AX_RX_VOL_INT],
-    )
+    _growth_leaf(leaf, "II: 14<=rmax<=22", (240, F(1, 240), 22), 6, 44, 8, "ii",
+                 [f"brute-force rX <= {cap_14_22}; -K^3 >= 1/240; t = 6"],
+                 [AX_CC_P8, AX_RX_VOL_INT])
     cap_23_24 = max(max_index_given_rmax(23), max_index_given_rmax(24))
     require(cap_23_24 == 24, f"Weak97 II: rX <= {cap_23_24}, not 24, for rmax 23 or 24")
-    m1 = thm1_threshold_from_bounds(24, F(1, 24), 24, F(2))
-    require(m1 == 37, f"Weak97 II: growth threshold {m1} != 37")
-    leaf(
-        "II: rmax in {23,24}",
-        BirationalityInputs(8, m1, F(8), rmax=24),
-        "ii",
-        [f"brute-force rX <= {cap_23_24}; -K^3 >= 1/24; t = 2"],
-        [AX_CC_P8, AX_RX_VOL_INT],
-    )
+    _growth_leaf(leaf, "II: rmax in {23,24}", (24, F(1, 24), 24), 2, 37, 8, "ii",
+                 [f"brute-force rX <= {cap_23_24}; -K^3 >= 1/24; t = 2"],
+                 [AX_CC_P8, AX_RX_VOL_INT])
 
     # case III: rmax < 14 and P_-1 > 0 (nu0 = 1)
-    m1 = thm1_threshold_from_bounds(660, F(1, 330), 12, F(15))
-    require(m1 == 65, f"Weak97 III: growth threshold {m1} != 65")
-    leaf(
-        "III: rmax<=12, rX<=660",
-        BirationalityInputs(8, m1, F(8), rmax=12, nu0=1),
-        "iii",
-        ["t = 15"],
-        [AX_CC_P8, AX_CC_VOL],
-    )
+    _growth_leaf(leaf, "III: rmax<=12, rX<=660", (660, F(1, 330), 12), 15, 65, 8, "iii",
+                 ["t = 15"], [AX_CC_P8, AX_CC_VOL], nu0=1)
     cap13 = max_index_given_rmax(13)
     require(cap13 == 546, f"Weak97 III: rX <= {cap13}, not 546, for rmax 13")
-    m1 = thm1_threshold_from_bounds(546, F(1, 330), 13, F(10))
-    require(m1 == 61, f"Weak97 III: growth threshold {m1} != 61")
-    leaf(
-        "III: rmax=13",
-        BirationalityInputs(8, m1, F(8), rmax=13, nu0=1),
-        "iii",
-        [f"brute-force rX <= {cap13}; t = 10"],
-        [AX_CC_P8, AX_CC_VOL],
-    )
+    _growth_leaf(leaf, "III: rmax=13", (546, F(1, 330), 13), 10, 61, 8, "iii",
+                 [f"brute-force rX <= {cap13}; t = 10"], [AX_CC_P8, AX_CC_VOL], nu0=1)
     # rX = 840 forces rmax = 8 and the sharp growth regime applies from 71
+    sets840 = [s for r in range(2, 25) for s in admissible_index_sets_with_lcm(840, r)]
+    require(sets840 == sorted(INDEX_840_SETS) and {s[-1] for s in sets840} == {8},
+            f"Weak97 III: index-840 sets {sets840}, not {sorted(INDEX_840_SETS)} with rmax 8")
     sweep = _index_840_sweep()
     require(sweep > 0, "Weak97 III: the 840 sweep must be non-empty")
     leaf(
@@ -492,15 +511,8 @@ def _replay_weak_97() -> ReplayReport:
     nine_rmax = max(wb.basket.r_max() for wb in nine)
     require(nine_rx == 130 and nine_rmax == 13, "Weak97 IV: the nine have rX <= 130, rmax 13")
     require(all(wb.plurigenera(6)[6] >= 2 for wb in nine), "Weak97 IV: P_-6 >= 2 on the nine")
-    m1 = thm1_threshold_from_bounds(130, F(1, 130), 13, F(7))
-    require(m1 == 37, f"Weak97 IV: growth threshold {m1} != 37")
-    leaf(
-        "IV: P4=1",
-        BirationalityInputs(6, m1, F(6), rmax=nine_rmax, nu0=2),
-        "iii",
-        [f"nine baskets; rX <= {nine_rx}; t = 7"],
-        [AX_CC_P6, AX_RX_VOL_INT],
-    )
+    _growth_leaf(leaf, "IV: P4=1", (nine_rx, F(1, nine_rx), nine_rmax), 7, 37, 6, "iii",
+                 [f"nine baskets; rX <= {nine_rx}; t = 7"], [AX_CC_P6, AX_RX_VOL_INT], nu0=2)
 
     # from here on P_-4 >= 2, so m0 = 4 is pure arithmetic
     # rmax <= 8: rX | 840; the 840 option has no volume-positive basket
@@ -508,46 +520,16 @@ def _replay_weak_97() -> ReplayReport:
         values = attainable_indices(r, must_contain=(2,) if r != 2 else ())
         require(all(840 % v == 0 and (v <= 420 or v == 840) for v in values),
                 f"Weak97 IV: with rmax = {r}, rX divides 840 and is 840 or <= 420")
-    require(_unique_zero_p1_basket(INDEX_840_SETS) == [],
-            "Weak97 IV: no index-840 basket with P_-1 = 0 has -K^3 > 0")
-    report.eliminated.append(
-        EliminatedRow(
-            WeightedBasket(Basket.parse("(1,3),(2,5),(3,7),(3,8)"), 0),
-            "every index-840 candidate with P_-1 = 0 has -K^3 <= 0",
-            branch="IV: rmax<=8",
-        )
-    )
-    m1 = thm1_threshold_from_bounds(420, F(1, 330), 8, F(20))
-    require(m1 == 54, f"Weak97 IV: growth threshold {m1} != 54")
-    leaf(
-        "IV: rmax<=8, rX<=420",
-        BirationalityInputs(4, m1, F(4), rmax=8, nu0=2),
-        "iii",
-        ["rX | 840 and rX < 840; t = 20"],
-        [AX_CC_VOL],
-    )
+    _dead_index(report, 840, INDEX_840_SETS, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
+    _growth_leaf(leaf, "IV: rmax<=8, rX<=420", (420, F(1, 330), 8), 20, 54, 4, "iii",
+                 ["rX | 840 and rX < 840; t = 20"], [AX_CC_VOL], nu0=2)
 
-    # rmax = 9: either rX <= 360 or exactly 630
-    att9 = attainable_indices(9, must_contain=(2,))
-    require(max(att9) == 630 and all(v <= 360 or v == 630 for v in att9),
-            "Weak97 IV: with rmax = 9, rX is 630 or <= 360")
-    m1 = thm1_threshold_from_bounds(360, F(1, 330), 9, F(12))
-    require(m1 == 50, f"Weak97 IV: growth threshold {m1} != 50")
-    leaf(
-        "IV: rmax=9, rX<=360",
-        BirationalityInputs(4, m1, F(4), rmax=9, nu0=2),
-        "iii",
-        ["t = 12"],
-        [AX_CC_VOL],
-    )
-    sets630 = admissible_index_sets_with_lcm(630, 9, must_contain=(2,))
-    only630 = _unique_zero_p1_basket(sets630 + [(2,) + s for s in sets630])
-    require([wb.basket.text() for wb in only630] == ["2x(1,2),(2,5),(3,7),(4,9)"],
-            "Weak97 IV: 2x(1,2),(2,5),(3,7),(4,9) is the only index-630 basket")
-    wb630 = only630[0]
+    _require_index_split(9, 360, (630,))
+    _growth_leaf(leaf, "IV: rmax=9, rX<=360", (360, F(1, 330), 9), 12, 50, 4, "iii",
+                 ["t = 12"], [AX_CC_VOL], nu0=2)
+    wb630 = _only_basket(report, 630, 9, "2x(1,2),(2,5),(3,7),(4,9)")
     seq = wb630.plurigenera(61)
     require((seq[3], seq[4], seq[7]) == (1, 2, 10), "Weak97 IV rX=630: P_-3, -4, -7 = 1, 2, 10")
-    report.survivors.append(SurvivorRow(wb630, {"leaf": "IV: rX=630"}))
     leaf(
         "IV: rX=630, degree-7 escape",
         BirationalityInputs(4, 7, F(4), rmax=9, nu0=2),
@@ -569,52 +551,20 @@ def _replay_weak_97() -> ReplayReport:
         [AX_MU0_REMARK],
     )
 
-    # rmax = 10: rX <= 210
-    att10 = attainable_indices(10, must_contain=(2,))
-    require(max(att10) == 210, f"Weak97 IV: with rmax = 10, rX <= {max(att10)}, not 210")
-    m1 = thm1_threshold_from_bounds(210, F(1, 210), 10, F(10))
-    require(m1 == 39, f"Weak97 IV: growth threshold {m1} != 39")
-    leaf(
-        "IV: rmax=10",
-        BirationalityInputs(4, m1, F(4), rmax=10, nu0=2),
-        "ii",
-        ["t = 10"],
-        [AX_RX_VOL_INT],
-    )
+    _require_index_split(10, 210)
+    _growth_leaf(leaf, "IV: rmax=10", (210, F(1, 210), 10), 10, 39, 4, "ii",
+                 ["t = 10"], [AX_RX_VOL_INT], nu0=2)
 
-    # rmax = 11: rX <= 330, or 462, or 660 (660 dies)
-    att11 = attainable_indices(11, must_contain=(2,))
-    require(max(att11) == 660 and all(v <= 330 or v in (462, 660) for v in att11),
-            "Weak97 IV: with rmax = 11, rX is 660, 462 or <= 330")
-    m1 = thm1_threshold_from_bounds(330, F(1, 330), 11, F(13))
-    require(m1 == 48, f"Weak97 IV: growth threshold {m1} != 48")
-    leaf(
-        "IV: rmax=11, rX<=330",
-        BirationalityInputs(4, m1, F(4), rmax=11, nu0=2),
-        "ii",
-        ["t = 13"],
-        [AX_CC_VOL],
-    )
-    sets660 = admissible_index_sets_with_lcm(660, 11, must_contain=(2,))
-    require(_unique_zero_p1_basket(sets660) == [],
-            "Weak97 IV: no index-660 basket with P_-1 = 0 has -K^3 > 0")
-    report.eliminated.append(
-        EliminatedRow(
-            WeightedBasket(Basket.parse("(1,2),(1,3),(1,4),(2,5),(5,11)"), 0),
-            "every index-660 candidate with P_-1 = 0 has -K^3 <= 0",
-            branch="IV: rmax=11",
-        )
-    )
-    sets462 = admissible_index_sets_with_lcm(462, 11, must_contain=(2,))
-    only462 = _unique_zero_p1_basket(sets462 + [(2,) + s for s in sets462])
-    require([wb.basket.text() for wb in only462] == ["2x(1,2),(1,3),(3,7),(5,11)"],
-            "Weak97 IV: 2x(1,2),(1,3),(3,7),(5,11) is the only index-462 basket")
-    wb462 = only462[0]
+    _require_index_split(11, 330, (660, 462))
+    _growth_leaf(leaf, "IV: rmax=11, rX<=330", (330, F(1, 330), 11), 13, 48, 4, "ii",
+                 ["t = 13"], [AX_CC_VOL], nu0=2)
+    _dead_index(report, 660, admissible_index_sets_with_lcm(660, 11, must_contain=(2,)),
+                "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
+    wb462 = _only_basket(report, 462, 11, "2x(1,2),(1,3),(3,7),(5,11)")
     seq462 = wb462.plurigenera(52)
     require(seq462[52] == 2612 and wb462.volume() == F(50, 462)
             and seq462[52] > 462 * F(50, 462) * 52 + 1 == 2601,
             "Weak97 IV rX=462: P_-52 = 2612 > 2601")
-    report.survivors.append(SurvivorRow(wb462, {"leaf": "IV: rX=462"}))
     leaf(
         "IV: rX=462",
         BirationalityInputs(4, 52, F(4), rmax=11, nu0=2),
@@ -623,42 +573,19 @@ def _replay_weak_97() -> ReplayReport:
         [],
     )
 
-    # rmax = 12: rX <= 84
-    att12 = attainable_indices(12, must_contain=(2,))
-    require(max(att12) == 84, f"Weak97 IV: with rmax = 12, rX <= {max(att12)}, not 84")
-    m1 = thm1_threshold_from_bounds(84, F(1, 84), 12, F(5))
-    require(m1 == 37, f"Weak97 IV: growth threshold {m1} != 37")
-    leaf(
-        "IV: rmax=12",
-        BirationalityInputs(4, m1, F(4), rmax=12, nu0=2),
-        "ii",
-        ["t = 5"],
-        [AX_RX_VOL_INT],
-    )
+    _require_index_split(12, 84)
+    _growth_leaf(leaf, "IV: rmax=12", (84, F(1, 84), 12), 5, 37, 4, "ii",
+                 ["t = 5"], [AX_RX_VOL_INT], nu0=2)
 
-    # rmax = 13: rX <= 390 or exactly 546
-    att13 = attainable_indices(13, must_contain=(2,))
-    require(max(att13) == 546 and all(v <= 390 or v == 546 for v in att13),
-            "Weak97 IV: with rmax = 13, rX is 546 or <= 390")
-    m1 = thm1_threshold_from_bounds(390, F(1, 330), 13, F(12))
-    require(m1 == 52, f"Weak97 IV: growth threshold {m1} != 52")
-    leaf(
-        "IV: rmax=13, rX<=390",
-        BirationalityInputs(4, m1, F(4), rmax=13, nu0=2),
-        "ii",
-        ["t = 12"],
-        [AX_CC_VOL],
-    )
+    _require_index_split(13, 390, (546,))
+    _growth_leaf(leaf, "IV: rmax=13, rX<=390", (390, F(1, 330), 13), 12, 52, 4, "ii",
+                 ["t = 12"], [AX_CC_VOL], nu0=2)
     sets546 = admissible_index_sets_with_lcm(546, 13, must_contain=(2,))
     require(sets546 == [(2, 3, 7, 13)], f"Weak97 IV: index-546 sets {sets546}, not {{2,3,7,13}}")
-    only546 = _unique_zero_p1_basket(sets546 + [(2,) + s for s in sets546])
-    require([wb.basket.text() for wb in only546] == ["(1,2),(1,3),(3,7),(6,13)"],
-            "Weak97 IV: (1,2),(1,3),(3,7),(6,13) is the only index-546 basket")
-    wb546 = only546[0]
+    wb546 = _only_basket(report, 546, 13, "(1,2),(1,3),(3,7),(6,13)")
     seq546 = wb546.plurigenera(57)
     require((seq546[4], seq546[6], seq546[10]) == (2, 5, 21),
             "Weak97 IV rX=546: P_-4, P_-6, P_-10 = 2, 5, 21")
-    report.survivors.append(SurvivorRow(wb546, {"leaf": "IV: rX=546"}))
     leaf(
         "IV: rX=546, degree-10 escape",
         BirationalityInputs(4, 10, F(4), rmax=13, nu0=2),

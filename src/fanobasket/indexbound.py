@@ -3,9 +3,12 @@
 Every basket satisfies sum_i (r_i - 1/r_i) <= 24.  Splitting each r_i into
 its maximal prime-power factors only lowers that sum (for coprime a, b > 1
 one has ab - 1/(ab) >= a - 1/a + b - 1/b + 2), and preserves the lcm, so
-the index maximum can be searched over multisets of prime powers under the
-same budget.  For per-r_max questions the search runs on raw index values
-directly.  Costs are the exact integers of `recovery.cost`, in units of
+the index maximum can be searched over prime powers under the same budget.
+Every search here walks sets of distinct values, never multisets: a repeated
+entry costs budget without changing the lcm, so sets lose nothing for lcm
+questions.  The global maximum searches sets of prime powers, the per-r_max
+questions sets of raw index values, both through one budgeted subset
+recursion.  Costs are the exact integers of `recovery.cost`, in units of
 1/COST_UNIT: every value summed here is at most 24, and a product of coprime
 values at most 24 divides COST_UNIT.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .recovery import BUDGET, COST_UNIT, cost
 
@@ -22,37 +25,23 @@ from .recovery import BUDGET, COST_UNIT, cost
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
 
 
-@dataclass(frozen=True)
-class PrimePowerMultiset:
-    values: tuple[int, ...]  # non-increasing
+def _budgeted_sets(base: Sequence[int], rest: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every sorted set base + S, S a subset of the distinct values rest,
+    whose total cost is at most BUDGET."""
+    remaining = BUDGET - sum(cost(v) for v in base)
+    if remaining < 0:
+        return
 
-    def budget(self) -> int:
-        """Total cost in units of 1/COST_UNIT."""
-        return sum(cost(v) for v in self.values)
-
-    def lcm(self) -> int:
-        return lcm(*self.values) if self.values else 1
-
-
-def enumerate_admissible(budget: int = BUDGET) -> list[PrimePowerMultiset]:
-    """All prime-power multisets with total cost <= budget (in units of
-    1/COST_UNIT); complete."""
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    out: list[PrimePowerMultiset] = []
-    values = sorted(PRIME_POWERS, reverse=True)
-
-    def rec(start: int, remaining: int, chosen: list[int]) -> None:
-        out.append(PrimePowerMultiset(tuple(chosen)))
-        for i in range(start, len(values)):
-            c = cost(values[i])
+    def rec(idx: int, remaining: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
+        yield tuple(sorted([*base, *chosen]))
+        for i in range(idx, len(rest)):
+            c = cost(rest[i])
             if c <= remaining:
-                chosen.append(values[i])
-                rec(i, remaining - c, chosen)
+                chosen.append(rest[i])
+                yield from rec(i + 1, remaining - c, chosen)
                 chosen.pop()
 
-    rec(0, budget, [])
-    return out
+    yield from rec(0, remaining, [])
 
 
 @dataclass(frozen=True)
@@ -70,22 +59,22 @@ class IndexReport:
 
 
 def max_index_report() -> IndexReport:
-    """Global maximum of lcm over admissible prime-power multisets.
+    """Global maximum of lcm over the budgeted sets of distinct prime powers.
 
-    Witness multisets are deduplicated on their distinct-value support
-    (repeats never change the lcm).
+    The witnesses are every set attaining the maximum; `second_max` is the
+    largest lcm below it.
     """
     best = 0
     second = 0
-    witnesses: set[tuple[int, ...]] = set()
-    for ms in enumerate_admissible():
-        value = ms.lcm()
+    witnesses: list[tuple[int, ...]] = []
+    for values in _budgeted_sets((), PRIME_POWERS):
+        value = lcm(*values)
         if value > best:
             second = best
             best = value
-            witnesses = {tuple(sorted(set(ms.values)))}
+            witnesses = [values]
         elif value == best:
-            witnesses.add(tuple(sorted(set(ms.values))))
+            witnesses.append(values)
         elif value > second:
             second = value
     return IndexReport(best, tuple(sorted(witnesses)), second)
@@ -94,39 +83,20 @@ def max_index_report() -> IndexReport:
 def _raw_subsets(
     r_max: int, must_contain: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
-    """Distinct-value index sets: r_max included, budget respected.
-
-    Enumerating sets rather than multisets is lossless for lcm maxima,
-    since repeated entries cost budget without changing the lcm.
-    """
+    """Distinct-value index sets: r_max and must_contain included, budget
+    respected."""
     base = [r_max, *must_contain]
     if len(set(base)) != len(base):
         raise ValueError("must_contain should not repeat r_max or itself")
-    start_cost = sum(cost(v) for v in base)
-    if start_cost > BUDGET:
-        return
     rest = [v for v in range(2, r_max) if v not in must_contain]
-
-    def rec(idx: int, remaining: int, chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        yield tuple(sorted(base + chosen))
-        for i in range(idx, len(rest)):
-            c = cost(rest[i])
-            if c <= remaining:
-                chosen.append(rest[i])
-                yield from rec(i + 1, remaining - c, chosen)
-                chosen.pop()
-
-    yield from rec(0, BUDGET - start_cost, [])
+    return _budgeted_sets(base, rest)
 
 
-def max_index_given_rmax(r_max: int, must_contain: tuple[int, ...] = ()) -> int:
+def max_index_given_rmax(r_max: int) -> int:
     """Max lcm over admissible raw index sets whose largest entry is r_max."""
     if not 2 <= r_max <= 24:
         raise ValueError("r_max must lie in [2, 24]")
-    best = 0
-    for subset in _raw_subsets(r_max, must_contain):
-        best = max(best, lcm(*subset))
-    return best
+    return max(lcm(*subset) for subset in _raw_subsets(r_max))
 
 
 def attainable_indices(
@@ -155,10 +125,9 @@ def coprime_split_inequality(a: int, b: int, slack: int = 0) -> bool:
 
     slack (a whole number) = 0 is what makes the prime-power reduction
     budget-sound and holds for every coprime pair; the sharper slack=2 form
-    fails exactly at {a, b} = {2, 3} (35/6 < 37/6).
+    fails exactly at {a, b} = {2, 3} (35/6 < 37/6).  A product ab that does
+    not divide COST_UNIT raises ValueError from `cost`.
     """
-    if COST_UNIT % (a * b):
-        raise ValueError(f"{a} * {b} does not divide COST_UNIT; need coprime a, b <= 24")
     return cost(a * b) >= cost(a) + cost(b) + slack * COST_UNIT
 
 

@@ -209,13 +209,14 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     both P_{-m} >= 840 (-K^3) m + 2 and the linear envelope
     l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: with
     -K^3 = num/den the first reads (P_{-m} - 2) den >= 840 num m, and the
-    envelope is compared on 12 * 840 l(-m), lifted to the common denominator
-    of L840_SLOPE and L840_OFFSET.
+    envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch
+    and lifted to the common denominator of L840_SLOPE and L840_OFFSET.
     """
     if wb.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
     vol = wb.volume()
     num, den = vol.numerator, vol.denominator
+    vol_840 = 840 * num // den  # exact: den divides r_X = 840
     scale = lcm(12 * 840, L840_SLOPE.denominator, L840_OFFSET.denominator)
     lift = scale // (12 * 840)
     slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
@@ -224,7 +225,9 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     for m in range(71, L840_HORIZON + 1):
         if (seq[m] - 2) * den < 840 * num * m:
             return False
-        if wb.basket.l_neg_scaled(m) * lift > slope * m + offset:
+        # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
+        l_840 = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - seq[m])
+        if l_840 * lift > slope * m + offset:
             return False
     return True
 

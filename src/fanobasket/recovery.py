@@ -36,9 +36,13 @@ BUDGET = 24 * COST_UNIT
 
 
 def cost(r: int) -> int:
-    """r - 1/r in units of 1/COST_UNIT; exact whenever r divides COST_UNIT,
-    so for every r <= TAIL_R_CAP and every product of coprime such r."""
-    return (r * r - 1) * (COST_UNIT // r)
+    """r - 1/r in units of 1/COST_UNIT, for r dividing COST_UNIT: every
+    r <= TAIL_R_CAP and every product of coprime such r.  Any other r raises
+    ValueError, since its r - 1/r is not a whole number of units."""
+    share, rem = divmod(COST_UNIT, r)
+    if rem:
+        raise ValueError(f"{r} does not divide COST_UNIT")
+    return (r * r - 1) * share
 
 
 def within_budget(basket: Basket, strict: bool) -> bool:

@@ -2,22 +2,22 @@
 
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from fanobasket.indexbound import (
     PRIME_POWERS,
-    PrimePowerMultiset,
+    _budgeted_sets,
     admissible_index_sets_with_lcm,
     attainable_indices,
     coprime_split_inequality,
-    enumerate_admissible,
     max_index_given_rmax,
     max_index_report,
     prime_power_parts,
 )
-from fanobasket.recovery import BUDGET, COST_UNIT, cost
+from fanobasket.recovery import COST_UNIT, cost
 
 F = Fraction
 
@@ -28,30 +28,17 @@ def test_prime_power_menu():
     assert 23 in PRIME_POWERS and 24 not in PRIME_POWERS and 25 not in PRIME_POWERS
 
 
-def test_enumerate_admissible_tiny_budget():
-    got = {ms.values for ms in enumerate_admissible(2 * COST_UNIT)}
-    assert got == {(), (2,)}
-
-
-def test_enumerate_admissible_contains_witnesses():
-    sets = {tuple(sorted(ms.values)) for ms in enumerate_admissible()}
-    assert (3, 5, 7, 8) in sets
-    assert (2, 3, 5, 7, 8) in sets
-    assert (2, 3, 4, 5, 7) in sets  # lcm 420, cost < 20
-    ms = PrimePowerMultiset((7, 5, 4, 3, 2))
-    assert ms.budget() == (
-        F(2) - F(1, 2) + F(3) - F(1, 3) + F(4) - F(1, 4) + F(5) - F(1, 5) + F(7) - F(1, 7)
-    ) * COST_UNIT
-    assert ms.lcm() == 420
-
-
-def test_budget_and_maximality():
-    sets = enumerate_admissible()
-    for ms in sets:
-        assert ms.budget() <= BUDGET
-    # maximal multisets cannot absorb another 2 (the cheapest element)
-    maximal = [ms for ms in sets if ms.budget() + cost(2) > BUDGET]
-    assert maximal, "budget 24 admits saturated multisets"
+def test_budgeted_set_search_matches_all_subsets():
+    # oracle: all 2^13 subsets of PRIME_POWERS, filtered by the Fraction budget
+    brute = {
+        subset
+        for k in range(len(PRIME_POWERS) + 1)
+        for subset in combinations(PRIME_POWERS, k)
+        if sum(F(s) - F(1, s) for s in subset) <= 24
+    }
+    found = list(_budgeted_sets((), PRIME_POWERS))
+    assert len(found) == len(set(found)) and set(found) == brute
+    assert {(3, 5, 7, 8), (2, 3, 5, 7, 8), (2, 3, 4, 5, 7)} <= brute
 
 
 def test_max_index_report():

@@ -24,6 +24,21 @@ FAULTS = {
         "contradiction: Weak97 840 sweep, ",
         ": growth regime fails on 71..150\n",
     ),
+    "growth threshold": (
+        "import fanobasket.birational as birational\n"
+        "threshold = birational.thm1_threshold_from_bounds\n"
+        "birational.thm1_threshold_from_bounds = lambda *bounds: threshold(*bounds) + 1\n",
+        "birat2",
+        "contradiction: Weak97 leaf I: P2=0: growth threshold 39 != 38",
+        "\n",
+    ),
+    "index-840 sets": (
+        "import fanobasket.birational as birational\n"
+        "birational.INDEX_840_SETS = birational.INDEX_840_SETS[:1]\n",
+        "birat2",
+        "contradiction: Weak97 III: index-840 sets [(2, 3, 5, 7, 8), (3, 5, 7, 8)], ",
+        "not [(3, 5, 7, 8)] with rmax 8\n",
+    ),
     "row No.7 m1": (
         "import dataclasses\n"
         "import fanobasket.search as search\n"
@@ -99,8 +114,10 @@ def _tree(module: str) -> ast.AST:
 
 
 def test_replay_modules_state_proof_steps_only_through_require():
-    # pencil holds the 840 growth check, basket the kernels it rests on
-    for module in ("search.py", "birational.py", "pencil.py", "basket.py"):
+    # pencil holds the 840 growth check, basket the kernels it rests on,
+    # indexbound the index caps Weak97 reads
+    modules = ("search.py", "birational.py", "pencil.py", "basket.py", "indexbound.py")
+    for module in modules:
         for node in ast.walk(_tree(module)):
             assert not isinstance(node, ast.Assert), f"{module}:{node.lineno} assert"
             if isinstance(node, ast.Raise):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
+import pytest
+
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.canonical import epsilon_n, unpack
 from fanobasket.recovery import (
@@ -119,6 +121,10 @@ def test_cost_unit_is_exact_up_to_the_cap():
     assert COST_UNIT == 5_354_228_880 and BUDGET == 24 * COST_UNIT
     for r in range(2, TAIL_R_CAP + 1):
         assert Fraction(cost(r), COST_UNIT) == r - Fraction(1, r)
+    # past the cap r - 1/r is no whole number of units (cost(COST_UNIT + 1) once read 0)
+    for r in (25, COST_UNIT + 1):
+        with pytest.raises(ValueError):
+            cost(r)
     assert tail_budget(2, 1, 1) == (24 - 3 - Fraction(8, 3) - Fraction(15, 4)) * COST_UNIT
 
 
