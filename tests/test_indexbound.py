@@ -3,7 +3,7 @@
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -17,7 +17,7 @@ from fanobasket.indexbound import (
     max_index_report,
     prime_power_parts,
 )
-from fanobasket.recovery import COST_UNIT, cost
+from fanobasket.recovery import BUDGET, COST_UNIT, cost
 
 F = Fraction
 
@@ -28,7 +28,30 @@ def test_prime_power_menu():
     assert 23 in PRIME_POWERS and 24 not in PRIME_POWERS and 25 not in PRIME_POWERS
 
 
-def test_budgeted_set_search_matches_all_subsets():
+def test_enumerate_admissible_tiny_budget():
+    # a base entry that uses up the budget leaves room for the cheapest
+    # prime power only: 24 - (22 - 1/22) < cost(3) = 8/3, and 1 + 1/23 < cost(2)
+    assert set(_budgeted_sets((22,), PRIME_POWERS)) == {(22,), (2, 22)}
+    assert list(_budgeted_sets((23,), PRIME_POWERS)) == [(23,)]
+    assert list(_budgeted_sets((23, 2), PRIME_POWERS)) == []
+
+
+def test_enumerate_admissible_contains_witnesses():
+    sets = set(_budgeted_sets((), PRIME_POWERS))
+    assert (3, 5, 7, 8) in sets
+    assert (2, 3, 5, 7, 8) in sets
+    assert (2, 3, 4, 5, 7) in sets  # lcm 420, cost < 20
+    assert sum(cost(v) for v in (7, 5, 4, 3, 2)) == (
+        F(2) - F(1, 2) + F(3) - F(1, 3) + F(4) - F(1, 4) + F(5) - F(1, 5) + F(7) - F(1, 7)
+    ) * COST_UNIT
+    assert lcm(7, 5, 4, 3, 2) == 420
+
+
+def test_budget_and_maximality():
+    found = list(_budgeted_sets((), PRIME_POWERS))
+    assert len(found) == len(set(found))
+    for values in found:
+        assert sum(cost(v) for v in values) <= BUDGET
     # oracle: all 2^13 subsets of PRIME_POWERS, filtered by the Fraction budget
     brute = {
         subset
@@ -36,9 +59,13 @@ def test_budgeted_set_search_matches_all_subsets():
         for subset in combinations(PRIME_POWERS, k)
         if sum(F(s) - F(1, s) for s in subset) <= 24
     }
-    found = list(_budgeted_sets((), PRIME_POWERS))
-    assert len(found) == len(set(found)) and set(found) == brute
-    assert {(3, 5, 7, 8), (2, 3, 5, 7, 8), (2, 3, 4, 5, 7)} <= brute
+    assert set(found) == brute
+    # saturated sets cannot absorb another 2 (the cheapest element)
+    saturated = [
+        values for values in found
+        if sum(cost(v) for v in values) + cost(2) > BUDGET
+    ]
+    assert saturated, "budget 24 admits saturated sets"
 
 
 def test_max_index_report():
