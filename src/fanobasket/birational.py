@@ -59,6 +59,9 @@ class BirationalityInputs:
             raise ValueError("mu0 upper bound must be positive")
         if self.genus_case is not None and self.genus_case not in GENUS_CASES:
             raise ValueError(f"unknown genus case {self.genus_case!r}")
+        for name, value in (("rmax", self.rmax), ("nu0", self.nu0)):
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def a_of_m0(m0: int) -> int:
@@ -158,13 +161,6 @@ def _conclude(report: ReplayReport, target: int) -> ReplayReport:
     return report
 
 
-def _rows_by_no() -> dict[int, WeightedBasket]:
-    return {
-        row.no: WeightedBasket(Basket.parse(row.basket), 0)
-        for row in P1_P2_ZERO_TABLE
-    }
-
-
 def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
     """Every basket with one point (b, r) per entry r of each index set, over
     all canonical residues b."""
@@ -192,6 +188,19 @@ def replay_birationality(target_name: str) -> ReplayReport:
     if target_name == "Weak97":
         return _replay_weak_97()
     raise ValueError(f"unknown target {target_name!r}")
+
+
+def _family(
+    report: ReplayReport, name: str, cs: ConstraintSet, *texts: str
+) -> tuple[list[WeightedBasket], int]:
+    """One enumerated P_-1 = 1 family of the QFano39 tree: its survivors must
+    be exactly the baskets `texts`, and each is recorded under leaf `name`.
+    Returns the survivors and their largest local index."""
+    survivors = enumerate_geometric_full(cs).survivors
+    found = {wb.basket.text() for wb in survivors}
+    require(found == set(texts), f"QFano39 {name}: survivor family {sorted(found)}")
+    report.survivors.extend(SurvivorRow(wb, {"leaf": name}) for wb in survivors)
+    return survivors, max(wb.basket.r_max() for wb in survivors)
 
 
 def _replay_qfano_39() -> ReplayReport:
@@ -234,97 +243,45 @@ def _replay_qfano_39() -> ReplayReport:
         [],
     )
     # n0 = 6 with the escape exactly at 8: the surviving family pins rmax
-    cs6 = ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2})
-    res6 = enumerate_geometric_full(cs6)
-    fam6 = {wb.basket.text() for wb in res6.survivors}
-    require(fam6 == {
-        "2x(1,2),2x(1,3),(1,5),(1,8)",
-        "2x(1,2),2x(1,3),(1,5),(1,9)",
-        "2x(1,2),2x(1,3),(1,5),(1,10)",
-    }, f"QFano39 P1=1, n0=6: survivor family {sorted(fam6)}")
-    rmax6 = max(wb.basket.r_max() for wb in res6.survivors)
-    report.survivors.extend(
-        SurvivorRow(wb, {"leaf": "P1=1, n0=6, escape at 8"})
-        for wb in res6.survivors
-    )
-    leaf(
-        "P1=1, n0=6, escape at 8",
-        BirationalityInputs(6, 8, F(6), rmax=rmax6),
-        "ii",
-        [f"survivor family rmax = {rmax6}"],
-        [],
-    )
+    _, rmax6 = _family(report, "P1=1, n0=6, escape at 8",
+                       ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2}),
+                       *(f"2x(1,2),2x(1,3),(1,5),(1,{r})" for r in (8, 9, 10)))
+    leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, 8, F(6), rmax=rmax6), "ii",
+         [f"survivor family rmax = {rmax6}"], [])
     # n0 in {7, 8}: the single family with tail 9..11 and escape at 9
-    cs78 = ConstraintSet(
-        p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 8: 2},
-        p_min={7: 1, 9: 3},
-        p_max={7: 2},
-    )
-    res78 = enumerate_geometric_full(cs78)
-    fam78 = {wb.basket.text() for wb in res78.survivors}
-    require(fam78 == {
-        "(1,2),(1,3),(1,4),(2,5),(1,9)",
-        "(1,2),(1,3),(1,4),(2,5),(1,10)",
-        "(1,2),(1,3),(1,4),(2,5),(1,11)",
-    }, f"QFano39 P1=1, n0>=7: survivor family {sorted(fam78)}")
+    fam78, rmax78 = _family(report, "P1=1, n0>=7",
+                            ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 8: 2},
+                                          p_min={7: 1, 9: 3}, p_max={7: 2}),
+                            *(f"(1,2),(1,3),(1,4),(2,5),(1,{r})" for r in (9, 10, 11)))
     # escape degree 9 is arithmetic
-    require(all(wb.plurigenera(9)[9] == 3 for wb in res78.survivors),
+    require(all(wb.plurigenera(9)[9] == 3 for wb in fam78),
             "QFano39 P1=1, n0>=7: P_-9 = 3 on every survivor")
-    rmax78 = max(wb.basket.r_max() for wb in res78.survivors)
-    report.survivors.extend(
-        SurvivorRow(wb, {"leaf": "P1=1, n0>=7"}) for wb in res78.survivors
-    )
-    leaf(
-        "P1=1, n0>=7",
-        BirationalityInputs(8, 9, F(8), rmax=rmax78),
-        "ii",
-        [f"survivor family rmax = {rmax78}", "P_-9 = 3 on every survivor"],
-        [AX_CC_P8],
-    )
+    leaf("P1=1, n0>=7", BirationalityInputs(8, 9, F(8), rmax=rmax78), "ii",
+         [f"survivor family rmax = {rmax78}", "P_-9 = 3 on every survivor"], [AX_CC_P8])
 
-    # case 3: P_-1 = P_-2 = 0, on the 23 tabulated rows
-    rows = _rows_by_no()
+    # case 3: P_-1 = P_-2 = 0, on the 23 tabulated rows; each row group is
+    # picked by row number, not by m1, so a row whose m1 drifts is not
+    # absorbed into another group
     for row in P1_P2_ZERO_TABLE:
-        wb = rows[row.no]
+        wb = WeightedBasket(Basket.parse(row.basket), 0)
         seq = wb.plurigenera(12)
         if row.no in (1, 2, 4):
-            require(seq[8] >= 2, f"QFano39 No.{row.no}: P_-8 >= 2")
-            checks = [f"No.{row.no}: P_-8 = {seq[8]}"]
-            axioms = [] if row.m1 <= 10 else [AX_DELTA1]
-            leaf(
-                f"P1=P2=0 No.{row.no}",
-                BirationalityInputs(8, 10, F(8), rmax=wb.basket.r_max()),
-                "ii",
-                checks + ["m1 = 10 via the exceptional-type upgrades"],
-                axioms,
-            )
+            m0, m1, holds, claim = 8, 10, seq[8] >= 2, "P_-8 >= 2"
+            checks = [f"No.{row.no}: P_-8 = {seq[8]}", "m1 = 10 via the exceptional-type upgrades"]
+            axioms = [AX_DELTA1] if row.m1 > 10 else []
         elif row.no == 3:
-            require(seq[8] == 2 and seq[9] == 2, "QFano39 No.3: P_-8 = P_-9 = 2")
-            leaf(
-                "P1=P2=0 No.3",
-                BirationalityInputs(8, 9, F(8), rmax=wb.basket.r_max()),
-                "ii",
-                ["P_-8 = P_-9 = 2; degrees 8 and 9 carry different pencils"],
-                [AX_PENCIL_DIFF],
-            )
+            m0, m1, holds, claim = 8, 9, seq[8] == seq[9] == 2, "P_-8 = P_-9 = 2"
+            checks = ["P_-8 = P_-9 = 2; degrees 8 and 9 carry different pencils"]
+            axioms = [AX_PENCIL_DIFF]
         elif row.no in (5, 6):
-            require(seq[7] >= 2 and row.m1 == 8, f"QFano39 No.{row.no}: P_-7 >= 2 and m1 = 8")
-            leaf(
-                f"P1=P2=0 No.{row.no}",
-                BirationalityInputs(7, 8, F(7), rmax=wb.basket.r_max()),
-                "ii",
-                [f"P_-7 = {seq[7]}"],
-                [],
-            )
+            m0, m1, holds, claim = 7, 8, seq[7] >= 2 and row.m1 == 8, "P_-7 >= 2 and m1 = 8"
+            checks, axioms = [f"P_-7 = {seq[7]}"], []
         else:
-            require(seq[6] >= 3 and row.m1 == 6, f"QFano39 No.{row.no}: P_-6 >= 3 and m1 = 6")
-            leaf(
-                f"P1=P2=0 No.{row.no}",
-                BirationalityInputs(6, 6, F(6), rmax=wb.basket.r_max()),
-                "i",
-                [],
-                [],
-            )
+            m0, m1, holds, claim = 6, 6, seq[6] >= 3 and row.m1 == 6, "P_-6 >= 3 and m1 = 6"
+            checks, axioms = [], []
+        require(holds, f"QFano39 No.{row.no}: {claim}")
+        leaf(f"P1=P2=0 No.{row.no}", BirationalityInputs(m0, m1, F(m0), rmax=wb.basket.r_max()),
+             "i" if m0 == m1 else "ii", checks, axioms)
 
     # case 4: P_-1 = 0 < P_-2, from the replayed survivor list
     d0 = replay_delta1("P1_eq_0")
@@ -459,7 +416,7 @@ def _replay_weak_97() -> ReplayReport:
             "Weak97: without an index-2 point, P_-1 = 0 forces -K^3 <= 0")
 
     # case I: P_-2 = 0 -> the 23 rows pin everything
-    rows = list(_rows_by_no().values())
+    rows = [WeightedBasket(Basket.parse(row.basket), 0) for row in P1_P2_ZERO_TABLE]
     r_x = max(wb.gorenstein_index() for wb in rows)
     vol_min = min(wb.volume() for wb in rows)
     rmax = max(wb.basket.r_max() for wb in rows)

@@ -4,8 +4,9 @@ Subcommands: rr, enumerate, replay, index-bound, pencil, thresholds, wci.
 Exit codes: 0 success, 1 a proof step failed (a replay names the step on
 stderr; index-bound finds a maximum other than 840), 2 usage error, malformed
 or out-of-bounds input (degrees and horizons lie in 1..MAX_DEGREE, a Hilbert
-series has at most MAX_SERIES terms), or a search cap that would truncate
-silently.  All tables print exact fractions, never decimals.
+series has at most MAX_SERIES terms, a basket's local indices are at most
+MAX_SERIES), a search cap that would truncate silently, or an --out file that
+cannot be written.  All tables print exact fractions, never decimals.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
 
 MAX_DEGREE = 1000  # bound on --m, --upto and --horizon
-MAX_SERIES = 100_000  # bound on the Hilbert series length upto * iota
+# bound on the Hilbert series length upto * iota, and on the local index r of
+# a --basket, since the Riemann-Roch kernels keep about r entries per point
+MAX_SERIES = 100_000
 
 
 def _parse_fraction(flag: str, text: str) -> Fraction:
@@ -74,7 +77,10 @@ def _emit(args, text: str) -> None:
 
 
 def _wb_from_args(args) -> WeightedBasket:
-    return WeightedBasket(Basket.parse(args.basket), args.p1)
+    basket = Basket.parse(args.basket)
+    if basket.r_max() > MAX_SERIES:
+        raise ValueError(f"--basket local index {basket.r_max()} exceeds {MAX_SERIES}")
+    return WeightedBasket(basket, args.p1)
 
 
 def cmd_rr(args) -> int:
@@ -336,7 +342,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (BasketParseError, ValueError, SearchBudgetExceeded) as exc:
+    except (BasketParseError, ValueError, SearchBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

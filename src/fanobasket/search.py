@@ -40,6 +40,9 @@ class ConstraintSet:
         pinned = [*self.p_exact, *self.p_min, *self.p_max]
         if self.horizon < 1 or any(not 1 <= m <= self.horizon for m in pinned):
             raise ValueError(f"horizon {self.horizon} must be >= 1 and >= every pinned degree")
+        for m, v in sorted(self.p_exact.items()):
+            if v < 0:  # an anti-plurigenus is a dimension
+                raise ValueError(f"pinned P_-{m} must be >= 0, got {v}")
 
     def describe(self) -> str:
         bits = [f"P_-{m}={v}" for m, v in sorted(self.p_exact.items())]

@@ -44,6 +44,13 @@ def test_zeta_lower_bound_menu():
     ) == F(3, 7)
 
 
+def test_inputs_reject_a_nonpositive_rmax_or_nu0():
+    # nu0 = 0 would divide by zero in the section-based zeta bound
+    for kwargs in ({"rmax": 0}, {"rmax": -3}, {"rmax": 3, "nu0": 0}):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            BirationalityInputs(1, 2, F(1), **kwargs)
+
+
 def test_thm_main_threshold_examples():
     inp = BirationalityInputs(1, 2, F(1), rmax=3, nu0=1)
     assert thm_main_threshold(inp, "i") == 9

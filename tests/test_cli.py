@@ -231,6 +231,19 @@ BAD_INPUTS = {
                "error: --upto must lie in 1..1000, got 1001"),
     "series": (["wci", "--weights", "1,1,1,1,1000", "--upto", "1000"],
                "error: --upto times the Fano index exceeds 100000 series terms"),
+    "unwritable --out": (["replay", "birat1", "--out", "/nonexistent/dir/x"],
+                         "error: [Errno 2] No such file or directory: '/nonexistent/dir/x'"),
+    "local index": (["rr", "--basket", "(99999999999,100000000000)", "--p1", "0"],
+                    "error: --basket local index 100000000000 exceeds 100000"),
+    "--rmax": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1", "--rmax", "-3",
+                "--variant", "ii"],
+               "error: rmax must be >= 1, got -3"),
+    "--nu0": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1", "--rmax", "3",
+               "--nu0", "0", "--variant", "iii"],
+              "error: nu0 must be >= 1, got 0"),
+    "negative --p1": (["enumerate", "--p1", "-1"], "error: pinned P_-1 must be >= 0, got -1"),
+    "negative --p2": (["enumerate", "--p1", "0", "--p2", "-1"],
+                      "error: pinned P_-2 must be >= 0, got -1"),
 }
 
 
@@ -247,6 +260,9 @@ def test_inputs_at_the_bounds_still_run(capsys):
     # Fano index 100: the series has exactly MAX_SERIES terms
     assert main(["wci", "--weights", "1,1,1,1,96", "--upto", "1000"]) == 0
     assert capsys.readouterr().out.rstrip().endswith("1000,43489628430510466")
+    # a prime local index just under MAX_SERIES
+    assert main(["rr", "--basket", "(1,99991)", "--p1", "0"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("P_-12 = -1639")
     assert main(["pencil", "--basket", "(1,2)", "--p1", "3", "--t", "16/2"]) == 0
     assert "growth threshold (t = 8)" in capsys.readouterr().out
 

@@ -50,6 +50,18 @@ FAULTS = {
         "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
         "\n",
     ),
+    # a group picked by m1 would absorb No.5 into the m1 > 8 rows and pass
+    "QFano39 row": (
+        "import dataclasses\n"
+        "import fanobasket.birational as birational\n"
+        "birational.P1_P2_ZERO_TABLE = tuple(\n"
+        "    dataclasses.replace(row, m1=9) if row.no == 5 else row\n"
+        "    for row in birational.P1_P2_ZERO_TABLE\n"
+        ")\n",
+        "birat1",
+        "contradiction: QFano39 No.5: P_-7 >= 2 and m1 = 8",
+        "\n",
+    ),
 }
 
 
