@@ -41,7 +41,6 @@ from .birational import (
     BirationalityInputs,
     replay_birationality,
     thm_main_threshold,
-    zeta_lower_bound,
 )
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket, hilbert_coeffs
 
@@ -81,7 +80,6 @@ __all__ = [
     "s_set",
     "thm_main_threshold",
     "unpack",
-    "zeta_lower_bound",
 ]
 
 __version__ = "0.1.0"

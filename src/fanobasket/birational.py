@@ -31,14 +31,13 @@ from .indexbound import (
     attainable_indices,
     max_index_given_rmax,
 )
-from .pencil import L840_HORIZON, non_pencil_threshold, thm1_threshold_from_bounds, thm2_check_840
+from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .search import ConstraintSet, enumerate_geometric_full, is_geometric_candidate, replay_delta1
 from .tables import P1_P2_ZERO_TABLE
 
 F = Fraction
 
-GENUS_CASES = ("g0", "g1", "g_ge2", "unknown")
 INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
 
 
@@ -49,7 +48,6 @@ class BirationalityInputs:
     mu0_upper: Fraction
     rmax: Optional[int] = None
     nu0: Optional[int] = None
-    genus_case: Optional[str] = None
     mu0_provenance: str = "default m0/iota"
 
     def __post_init__(self) -> None:
@@ -57,8 +55,6 @@ class BirationalityInputs:
             raise ValueError("need 1 <= m0 <= m1")
         if self.mu0_upper <= 0:
             raise ValueError("mu0 upper bound must be positive")
-        if self.genus_case is not None and self.genus_case not in GENUS_CASES:
-            raise ValueError(f"unknown genus case {self.genus_case!r}")
         for name, value in (("rmax", self.rmax), ("nu0", self.nu0)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -68,28 +64,6 @@ def a_of_m0(m0: int) -> int:
     if m0 < 1:
         raise ValueError("m0 must be >= 1")
     return 6 if m0 >= 2 else 1
-
-
-def zeta_lower_bound(inp: BirationalityInputs) -> Fraction:
-    """Best applicable lower bound for the auxiliary curve degree zeta."""
-    candidates: list[Fraction] = []
-    if inp.nu0 is not None:
-        if inp.rmax is None:
-            raise ValueError("the section-based bound needs rmax")
-        candidates.append(F(1, inp.nu0 * inp.rmax))
-    case = inp.genus_case or "unknown"
-    if case == "g0":
-        candidates.append(F(2))
-    elif case == "g1":
-        if inp.rmax is None:
-            raise ValueError("the elliptic bound needs rmax")
-        candidates.append(F(1, inp.rmax))
-        candidates.append(F(1, inp.mu0_upper + inp.m1))
-    elif case == "g_ge2":
-        candidates.append(F(3, inp.mu0_upper + inp.m1))
-    if not candidates:
-        raise ValueError("no bound applies: set a genus case or nu0")
-    return max(candidates)
 
 
 def thm_main_threshold(inp: BirationalityInputs, variant: str) -> int:
@@ -379,16 +353,47 @@ def _require_index_split(rmax: int, low: int, isolated: tuple[int, ...] = ()) ->
             f"Weak97 IV: with rmax = {rmax}, rX is {options}<= {low} (max {max(values)})")
 
 
-def _only_basket(report: ReplayReport, index: int, rmax: int, text: str) -> WeightedBasket:
-    """The one p1 = 0 basket of Gorenstein index `index` (largest local index
-    rmax, index 2 once or twice) that passes the weak constraints; it is
-    recorded as the survivor of leaf "IV: rX=<index>"."""
+# the explicit p1 = 0 baskets of Weak97 case IV, by Gorenstein index:
+# (basket, -K^3, pinned P_-m, escape degree k or None, variant of the growth
+# leaf); the last pinned degree is the growth degree m1
+EXPLICIT_BASKETS = {
+    630: ("2x(1,2),(2,5),(3,7),(4,9)", F(43, 315), {3: 1, 4: 2, 7: 10, 61: 5294}, 7, "iii"),
+    462: ("2x(1,2),(1,3),(3,7),(5,11)", F(50, 462), {52: 2612}, None, "ii"),
+    546: ("(1,2),(1,3),(3,7),(6,13)", F(61, 546), {4: 2, 6: 5, 10: 21, 57: 3540}, 10, "ii"),
+}
+
+
+def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
+    """The one p1 = 0 basket of Gorenstein index `index` (index 2 once or
+    twice) that passes the weak constraints, recorded as the survivor of leaf
+    "IV: rX=<index>"; its -K^3 and P_-m are the pinned ones, and the growth
+    criterion holds at m1.  The pencil of degree m0 = 4 escapes at m1; with
+    an escape degree k it also escapes at k, and the growth leaf then takes
+    mu0 = k/iota(k), iota(k) = P_-k - 1."""
+    text, volume, pins, k, variant = EXPLICIT_BASKETS[index]
+    name, rmax, m0, m1 = f"IV: rX={index}", Basket.parse(text).r_max(), 4, max(pins)
     sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
     found = _unique_zero_p1_basket(sets + [(2,) + s for s in sets])
     require([wb.basket.text() for wb in found] == [text],
             f"Weak97 IV: {text} is the only index-{index} basket")
-    report.survivors.append(SurvivorRow(found[0], {"leaf": f"IV: rX={index}"}))
-    return found[0]
+    wb = found[0]
+    report.survivors.append(SurvivorRow(wb, {"leaf": name}))
+    seq, bound = wb.plurigenera(m1), growth_bounds(wb, m1)[m1]
+    require(wb.volume() == volume and all(seq[m] == v for m, v in pins.items())
+            and seq[m1] > bound,
+            f"Weak97 {name}: -K^3 = {volume}, "
+            + ", ".join(f"P_-{m} = {v}" for m, v in pins.items()) + f" > {bound}")
+    inputs = partial(BirationalityInputs, m0, rmax=rmax, nu0=2)
+    if k is None:
+        leaf(name, inputs(m1, F(m0)), variant, [f"P_-{m1} = {seq[m1]} > {bound}"], [])
+        return
+    mu0 = F(k, seq[k] - 1)
+    cited = ", ".join(f"P_-{m} = {seq[m]}" for m in dict.fromkeys((k, *pins)) if m not in (m0, m1))
+    leaf(f"{name}, degree-{k} escape", inputs(k, F(m0)), "ii", [f"P_-{k} = {seq[k]}"], [])
+    leaf(f"{name}, pencil persists",
+         inputs(m1, mu0, mu0_provenance=f"mu0 <= {k}/iota({k}) = {mu0}; {cited}"),
+         variant, [f"P_-{m1} = {seq[m1]} > {index} ({volume}) {m1} + 1 = {bound}"],
+         [AX_MU0_REMARK])
 
 
 def _dead_index(
@@ -484,29 +489,7 @@ def _replay_weak_97() -> ReplayReport:
     _require_index_split(9, 360, (630,))
     _growth_leaf(leaf, "IV: rmax=9, rX<=360", (360, F(1, 330), 9), 12, 50, 4, "iii",
                  ["t = 12"], [AX_CC_VOL], nu0=2)
-    wb630 = _only_basket(report, 630, 9, "2x(1,2),(2,5),(3,7),(4,9)")
-    seq = wb630.plurigenera(61)
-    require((seq[3], seq[4], seq[7]) == (1, 2, 10), "Weak97 IV rX=630: P_-3, -4, -7 = 1, 2, 10")
-    leaf(
-        "IV: rX=630, degree-7 escape",
-        BirationalityInputs(4, 7, F(4), rmax=9, nu0=2),
-        "ii",
-        ["P_-7 = 10"],
-        [],
-    )
-    scan = non_pencil_threshold(wb630, 61)
-    require(seq[61] == 5294 and scan.verdicts[60].verdict == "NotPencil",
-            "Weak97 IV rX=630: P_-61 = 5294 and degree 61 is not a pencil")
-    leaf(
-        "IV: rX=630, pencil persists",
-        BirationalityInputs(
-            4, 61, F(7, 9), rmax=9, nu0=2,
-            mu0_provenance="mu0 <= 7/iota(7) = 7/9; P_-7 = 10, P_-3 = 1",
-        ),
-        "iii",
-        ["P_-61 = 5294 > 630 (43/315) 61 + 1 = 5247"],
-        [AX_MU0_REMARK],
-    )
+    _explicit_basket(report, leaf, 630)
 
     _require_index_split(10, 210)
     _growth_leaf(leaf, "IV: rmax=10", (210, F(1, 210), 10), 10, 39, 4, "ii",
@@ -517,18 +500,7 @@ def _replay_weak_97() -> ReplayReport:
                  ["t = 13"], [AX_CC_VOL], nu0=2)
     _dead_index(report, 660, admissible_index_sets_with_lcm(660, 11, must_contain=(2,)),
                 "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
-    wb462 = _only_basket(report, 462, 11, "2x(1,2),(1,3),(3,7),(5,11)")
-    seq462 = wb462.plurigenera(52)
-    require(seq462[52] == 2612 and wb462.volume() == F(50, 462)
-            and seq462[52] > 462 * F(50, 462) * 52 + 1 == 2601,
-            "Weak97 IV rX=462: P_-52 = 2612 > 2601")
-    leaf(
-        "IV: rX=462",
-        BirationalityInputs(4, 52, F(4), rmax=11, nu0=2),
-        "ii",
-        ["P_-52 = 2612 > 2601"],
-        [],
-    )
+    _explicit_basket(report, leaf, 462)
 
     _require_index_split(12, 84)
     _growth_leaf(leaf, "IV: rmax=12", (84, F(1, 84), 12), 5, 37, 4, "ii",
@@ -539,30 +511,7 @@ def _replay_weak_97() -> ReplayReport:
                  ["t = 12"], [AX_CC_VOL], nu0=2)
     sets546 = admissible_index_sets_with_lcm(546, 13, must_contain=(2,))
     require(sets546 == [(2, 3, 7, 13)], f"Weak97 IV: index-546 sets {sets546}, not {{2,3,7,13}}")
-    wb546 = _only_basket(report, 546, 13, "(1,2),(1,3),(3,7),(6,13)")
-    seq546 = wb546.plurigenera(57)
-    require((seq546[4], seq546[6], seq546[10]) == (2, 5, 21),
-            "Weak97 IV rX=546: P_-4, P_-6, P_-10 = 2, 5, 21")
-    leaf(
-        "IV: rX=546, degree-10 escape",
-        BirationalityInputs(4, 10, F(4), rmax=13, nu0=2),
-        "ii",
-        ["P_-10 = 21"],
-        [],
-    )
-    require(seq546[57] == 3540 and wb546.volume() == F(61, 546)
-            and seq546[57] > 546 * F(61, 546) * 57 + 1 == 3478,
-            "Weak97 IV rX=546: P_-57 = 3540 > 3478")
-    leaf(
-        "IV: rX=546, pencil persists",
-        BirationalityInputs(
-            4, 57, F(1, 2), rmax=13, nu0=2,
-            mu0_provenance="mu0 <= 10/iota(10) = 1/2; P_-10 = 21, P_-6 = 5",
-        ),
-        "ii",
-        ["P_-57 = 3540 > 546 (61/546) 57 + 1 = 3478"],
-        [AX_MU0_REMARK],
-    )
+    _explicit_basket(report, leaf, 546)
 
     report.coverage = [
         "P_-2 = 0 | rmax >= 14 | (rmax <= 13, P_-1 >= 1) |"

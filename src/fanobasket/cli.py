@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Subcommands: rr, enumerate, replay, index-bound, pencil, thresholds, wci.
-Exit codes: 0 success, 1 a proof step failed (a replay names the step on
-stderr; index-bound finds a maximum other than 840), 2 usage error, malformed
+Exit codes: 0 success, 1 a proof step failed (a replay or index-bound names
+the step on stderr, e.g. a maximum other than 840), 2 usage error, malformed
 or out-of-bounds input (degrees and horizons lie in 1..MAX_DEGREE, a Hilbert
-series has at most MAX_SERIES terms, a basket's local indices are at most
-MAX_SERIES), a search cap that would truncate silently, or an --out file that
-cannot be written.  All tables print exact fractions, never decimals.
+series has at most MAX_SERIES terms, a basket's distinct local indices sum to
+at most MAX_SERIES), a search cap that would truncate silently, or an --out
+file that cannot be written.  All tables print exact fractions, never decimals.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
-from .pencil import non_pencil_threshold, thm1_threshold
+from .pencil import growth_bounds, non_pencil_threshold, thm1_threshold
 from .reports import ReplayContradiction, require
 from .search import (
     ConstraintSet,
@@ -32,8 +32,9 @@ from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
 
 MAX_DEGREE = 1000  # bound on --m, --upto and --horizon
-# bound on the Hilbert series length upto * iota, and on the local index r of
-# a --basket, since the Riemann-Roch kernels keep about r entries per point
+# bound on the Hilbert series length upto * iota, and on the sum of the
+# distinct local indices r of a --basket, since the Riemann-Roch kernels keep
+# r entries per distinct index
 MAX_SERIES = 100_000
 
 
@@ -78,8 +79,9 @@ def _emit(args, text: str) -> None:
 
 def _wb_from_args(args) -> WeightedBasket:
     basket = Basket.parse(args.basket)
-    if basket.r_max() > MAX_SERIES:
-        raise ValueError(f"--basket local index {basket.r_max()} exceeds {MAX_SERIES}")
+    total = sum({r for (_, r), _ in basket.counts()})
+    if total > MAX_SERIES:
+        raise ValueError(f"--basket distinct local indices sum to {total}, over {MAX_SERIES}")
     return WeightedBasket(basket, args.p1)
 
 
@@ -174,7 +176,10 @@ def cmd_index_bound(args) -> int:
         else:
             _emit(args, f"max r_X with largest local index {args.rmax}: {value}")
         return 0
-    report = max_index_report()
+    try:
+        report = max_index_report()  # requires its prime-power reduction
+    except ReplayContradiction as exc:
+        return _contradiction(exc)
     if args.json:
         _emit(args, json.dumps(report.to_json(), indent=2))
     else:
@@ -212,15 +217,15 @@ def cmd_pencil(args) -> int:
         _emit(args, json.dumps(payload, indent=2))
         return 0
     seq = wb.plurigenera(args.horizon)
-    vol, r_x = wb.volume(), wb.gorenstein_index()
+    bounds = growth_bounds(wb, args.horizon)
     lines = [
-        f"basket {wb.basket.text()}  p1 = {wb.p1}  -K^3 = {vol}  r_X = {r_x}",
+        f"basket {wb.basket.text()}  p1 = {wb.p1}  -K^3 = {wb.volume()}"
+        f"  r_X = {wb.gorenstein_index()}",
         f"growth threshold (t = {t}): P_-m >= r_X(-K^3)m + 2 for m >= {star}",
         f"{'m':>4} {'P_-m':>8} {'r_X(-K^3)m+1':>14}  verdict",
     ]
     for v in scan.verdicts:
-        bound = r_x * vol * v.m + 1
-        lines.append(f"{v.m:>4} {seq[v.m]:>8} {str(bound):>14}  {v.verdict}")
+        lines.append(f"{v.m:>4} {seq[v.m]:>8} {bounds[v.m]:>14}  {v.verdict}")
     lines.append(f"first degree not composed with a pencil: {scan.first_not_pencil}")
     _emit(args, "\n".join(lines))
     return 0

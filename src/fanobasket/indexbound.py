@@ -2,8 +2,9 @@
 
 Every basket satisfies sum_i (r_i - 1/r_i) <= 24.  Splitting each r_i into
 its maximal prime-power factors only lowers that sum (for coprime a, b > 1
-one has ab - 1/(ab) >= a - 1/a + b - 1/b + 2), and preserves the lcm, so
-the index maximum can be searched over prime powers under the same budget.
+one has ab - 1/(ab) >= a - 1/a + b - 1/b), and preserves the lcm, so
+the index maximum can be searched over prime powers under the same budget;
+`max_index_report` requires both facts for r = 2..24 before it searches.
 Every search here walks sets of distinct values, never multisets: a repeated
 entry costs budget without changing the lcm, so sets lose nothing for lcm
 questions.  The global maximum searches sets of prime powers, the per-r_max
@@ -16,10 +17,12 @@ values at most 24 divides COST_UNIT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 from .recovery import BUDGET, COST_UNIT, cost
+from .reports import require
 
 # prime powers s with s - 1/s <= 24 (25 = 5^2 already exceeds the budget)
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
@@ -62,8 +65,19 @@ def max_index_report() -> IndexReport:
     """Global maximum of lcm over the budgeted sets of distinct prime powers.
 
     The witnesses are every set attaining the maximum; `second_max` is the
-    largest lcm below it.
+    largest lcm below it.  The search first requires the reduction it rests
+    on: for r = 2..24, `prime_power_parts(r)` are coprime members of
+    PRIME_POWERS with product r, and splitting off the first part does not
+    raise the budget (`coprime_split_inequality`; the rest is a smaller r).
     """
+    for r in range(2, 25):
+        parts = prime_power_parts(r)
+        rest = r // parts[0]
+        require(prod(parts) == r and set(parts) <= set(PRIME_POWERS)
+                and all(gcd(a, b) == 1 for a, b in combinations(parts, 2))
+                and (rest == 1 or coprime_split_inequality(parts[0], rest)),
+                f"index bound: r = {r} splits into coprime prime powers {parts}"
+                " at no extra budget")
     best = 0
     second = 0
     witnesses: list[tuple[int, ...]] = []

@@ -12,9 +12,9 @@ Three independent tools live here.
   multiples of a base degree.
 
 * The growth thresholds: P_{-m} > r_X (-K^3) m + 1 certifies "not composed
-  with a pencil", and two explicit lower-bound regimes make the inequality
-  effective (a general one driven by a tunable rational t, and a sharper one
-  for Gorenstein index 840).
+  with a pencil" (`growth_bounds` states it once, in integers), and two
+  explicit lower-bound regimes make the inequality effective (a general one
+  driven by a tunable rational t, and a sharper one for Gorenstein index 840).
 """
 
 from __future__ import annotations
@@ -133,26 +133,30 @@ class PencilScan:
     first_not_pencil: Optional[int]
 
 
+def growth_bounds(wb: WeightedBasket, upto: int) -> list[int]:
+    """r_X (-K^3) m + 1 for m = 0..upto, in integers.
+
+    The growth criterion P_{-m} > r_X (-K^3) m + 1 certifies that |-mK| is
+    not composed with a pencil.  r_X (-K^3) is the volume scaled by L = r_X,
+    an integer, so every caller compares P_{-m} with these bounds exactly.
+    """
+    slope = wb._scaled_volume(wb.gorenstein_index())
+    return [slope * m + 1 for m in range(upto + 1)]
+
+
 def non_pencil_threshold(wb: WeightedBasket, horizon: int) -> PencilScan:
     """Per-degree verdicts of P_{-m} > r_X (-K^3) m + 1, exact."""
-    vol = wb.volume()
-    if vol <= 0:
+    if wb.volume() <= 0:
         raise ValueError("the growth criterion needs positive volume")
-    r_x = wb.gorenstein_index()
     seq = wb.plurigenera(horizon)
-    verdicts = []
-    first = None
-    for m in range(1, horizon + 1):
-        bound = r_x * vol * m + 1
-        if seq[m] > bound:
-            verdicts.append(
-                PencilVerdict(m, NOT_PENCIL, f"P_-{m} = {seq[m]} > {bound}")
-            )
-            if first is None:
-                first = m
-        else:
-            verdicts.append(PencilVerdict(m, POSSIBLY_PENCIL))
-    return PencilScan(tuple(verdicts), first)
+    bounds = growth_bounds(wb, horizon)
+    verdicts = tuple(
+        PencilVerdict(m, NOT_PENCIL, f"P_-{m} = {seq[m]} > {bounds[m]}")
+        if seq[m] > bounds[m] else PencilVerdict(m, POSSIBLY_PENCIL)
+        for m in range(1, horizon + 1)
+    )
+    first = next((v.m for v in verdicts if v.verdict == NOT_PENCIL), None)
+    return PencilScan(verdicts, first)
 
 
 def _ceil_sqrt(q: Fraction) -> int:
@@ -206,24 +210,23 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     """Check the index-840 growth regime on an explicit weighted basket.
 
     Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= L840_HORIZON,
-    both P_{-m} >= 840 (-K^3) m + 2 and the linear envelope
-    l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: with
-    -K^3 = num/den the first reads (P_{-m} - 2) den >= 840 num m, and the
+    both the growth criterion P_{-m} > `growth_bounds`[m], that is
+    P_{-m} >= 840 (-K^3) m + 2, and the linear envelope
+    l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: the
     envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch
     and lifted to the common denominator of L840_SLOPE and L840_OFFSET.
     """
     if wb.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
-    vol = wb.volume()
-    num, den = vol.numerator, vol.denominator
-    vol_840 = 840 * num // den  # exact: den divides r_X = 840
+    bounds = growth_bounds(wb, L840_HORIZON)
+    vol_840 = bounds[1] - 1  # 840 (-K^3)
     scale = lcm(12 * 840, L840_SLOPE.denominator, L840_OFFSET.denominator)
     lift = scale // (12 * 840)
     slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
     offset = L840_OFFSET.numerator * (scale // L840_OFFSET.denominator)
     seq = wb.plurigenera(L840_HORIZON)
     for m in range(71, L840_HORIZON + 1):
-        if (seq[m] - 2) * den < 840 * num * m:
+        if seq[m] <= bounds[m]:
             return False
         # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
         l_840 = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - seq[m])

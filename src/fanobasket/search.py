@@ -225,6 +225,19 @@ AXIOM_DELTA1_UPGRADE_10 = "divisor-class upgrade: exceptional types No.1-No.4 re
 AXIOM_DELTA1_UPGRADE_8 = "divisor-class upgrade: types No.A-No.D reach dimension > 1 at degree 8"
 AXIOM_DELTA1_UPGRADE_6 = "divisor-class upgrade: types No.E-No.F reach dimension > 1 at degree 6"
 
+# the ten exceptional types of P_-1 = 0, by delta_1: (types, delta_1, exact,
+# upgrade pins, axiom).  With `exact`, P_-m <= 2 below delta_1, so no lower
+# degree has image dimension > 1 and delta_1 is attained.  A type whose m1
+# passes delta_1 reaches dimension > 1 at delta_1 by the divisor-class
+# upgrade, on the pinned P_-m; the others do so by P_-delta_1 >= 3.
+UPGRADES = (
+    (("No.1", "No.2", "No.3", "No.4"), 10, True, {4: 1, 6: 1, 8: 2, 9: 2},
+     AXIOM_DELTA1_UPGRADE_10),
+    (("No.A", "No.B", "No.C", "No.D"), 8, True, {2: 1, 4: 1, 6: 2, 8: 3},
+     AXIOM_DELTA1_UPGRADE_8),
+    (("No.E", "No.F"), 6, False, {2: 1, 4: 3, 6: 9}, AXIOM_DELTA1_UPGRADE_6),
+)
+
 
 def replay_delta1(family: str) -> ReplayReport:
     """Machine replay of the image-dimension bounds, by first-plurigenus family.
@@ -288,7 +301,7 @@ def _replay_p1_zero() -> ReplayReport:
         constraints="P_-1 = 0; split on P_-2 = 0 vs P_-2 > 0",
         axioms=[AXIOM_LOCAL_CRITERION, AXIOM_DOUBLING],
     )
-    exceptional: dict[str, dict] = {}
+    exceptional: dict[str, tuple[WeightedBasket, dict]] = {}
 
     # branch one: P_-2 = 0, the tabulated 23 baskets
     cs0 = ConstraintSet(p_exact={1: 0, 2: 0})
@@ -306,7 +319,7 @@ def _replay_p1_zero() -> ReplayReport:
         notes = {"branch": "P2=0", "no": row.no, "m": row.m_choice, "m1": m1, "why": why}
         report.survivors.append(SurvivorRow(wb, notes))
         if m1 > 8:
-            exceptional[wb.basket.text()] = notes
+            exceptional[wb.basket.text()] = wb, notes
 
     # branch two: P_-2 > 0
     cs2 = ConstraintSet(p_exact={1: 0}, p_min={2: 1})
@@ -326,44 +339,31 @@ def _replay_p1_zero() -> ReplayReport:
         notes = {"branch": "P2>0", "m": m, "m1": m1, "why": why}
         report.survivors.append(SurvivorRow(wb, notes))
         if m1 > 8:
-            exceptional[text] = notes
+            exceptional[text] = wb, notes
 
     # the exceptional list must be the ten tabulated types, with the
     # divisor-class upgrades consumed as named axioms
     require(set(exceptional) == set(EXCEPTIONAL_TYPES),
             f"P1_eq_0: m1 > 8 on {sorted(exceptional)}, not the exceptional types")
-    for text, notes in sorted(exceptional.items(), key=lambda kv: EXCEPTIONAL_TYPES[kv[0]]):
+    rule = {tag: row for row in UPGRADES for tag in row[0]}
+    for text, (wb, notes) in exceptional.items():
         tag = EXCEPTIONAL_TYPES[text]
-        wb = WeightedBasket(Basket.parse(text), 0)
+        _, delta1, exact, pins, axiom = rule[tag]
         seq = wb.plurigenera(12)
-        if tag in ("No.1", "No.2", "No.3", "No.4"):
-            # dimension <= P - 1 <= 1 up to degree 9, so delta_1 >= 10
-            require(all(seq[m] <= 2 for m in range(1, 10)), f"P1_eq_0 {tag}: P_-m <= 2, m <= 9")
-            notes["delta1"] = 10
-            if notes["m1"] > 10:
-                # the divisor-class upgrade (No.2, No.4); its inputs recomputed
-                require(seq[4] == 1 and seq[6] == 1 and seq[8] == 2 and seq[9] == 2,
-                        f"P1_eq_0 {tag}: upgrade needs P_-4 = P_-6 = 1, P_-8 = P_-9 = 2")
-                notes["axiom"] = AXIOM_DELTA1_UPGRADE_10
-                report.axioms.append(AXIOM_DELTA1_UPGRADE_10)
-            else:
-                require(seq[10] >= 3, f"P1_eq_0 {tag}: P_-10 >= 3")  # delta_1 = 10 by arithmetic
-        elif tag in ("No.A", "No.B", "No.C", "No.D"):
-            require(seq[2] == 1 and seq[4] == 1 and seq[6] == 2 and seq[8] == 3,
-                    f"P1_eq_0 {tag}: upgrade needs P_-2 = P_-4 = 1, P_-6 = 2, P_-8 = 3")
-            require(all(seq[m] <= 2 for m in range(1, 8)), f"P1_eq_0 {tag}: P_-m <= 2, m <= 7")
-            notes["delta1"] = 8
-            notes["axiom"] = AXIOM_DELTA1_UPGRADE_8
-            report.axioms.append(AXIOM_DELTA1_UPGRADE_8)
-        else:  # No.E, No.F
-            require(seq[2] == 1 and seq[4] == 3 and seq[6] == 9,
-                    f"P1_eq_0 {tag}: upgrade needs P_-2 = 1, P_-4 = 3, P_-6 = 9")
-            notes["delta1"] = 6
-            notes["axiom"] = AXIOM_DELTA1_UPGRADE_6
-            report.axioms.append(AXIOM_DELTA1_UPGRADE_6)
+        if exact:  # dimension <= P - 1 <= 1 below delta_1
+            require(all(seq[m] <= 2 for m in range(1, delta1)),
+                    f"P1_eq_0 {tag}: P_-m <= 2, m <= {delta1 - 1}")
+        if notes["m1"] > delta1:  # the upgrade, its inputs recomputed
+            require(all(seq[m] == v for m, v in pins.items()), f"P1_eq_0 {tag}: upgrade needs "
+                    + ", ".join(f"P_-{m} = {v}" for m, v in pins.items()))
+            notes["axiom"] = axiom
+            report.axioms.append(axiom)
+        else:
+            require(seq[delta1] >= 3, f"P1_eq_0 {tag}: P_-{delta1} >= 3")
+        notes["delta1"] = delta1
         notes["type"] = tag
-    report.conclusion = (
-        "delta_1 <= 8 except No.1-No.4 (delta_1 = 10), No.A-No.D (delta_1 = 8),"
-        " No.E-No.F (delta_1 <= 6)"
+    report.conclusion = "delta_1 <= 8 except " + ", ".join(
+        f"{tags[0]}-{tags[-1]} (delta_1 {'=' if exact else '<='} {delta1})"
+        for tags, delta1, exact, _, _ in UPGRADES
     )
     return report

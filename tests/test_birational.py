@@ -11,7 +11,6 @@ from fanobasket.birational import (
     a_of_m0,
     replay_birationality,
     thm_main_threshold,
-    zeta_lower_bound,
 )
 from fanobasket.indexbound import admissible_index_sets_with_lcm
 from fanobasket.search import ConstraintSet, enumerate_geometric
@@ -28,24 +27,8 @@ def test_a_of_m0():
         a_of_m0(0)
 
 
-def test_zeta_lower_bound_menu():
-    assert zeta_lower_bound(
-        BirationalityInputs(1, 2, F(1), rmax=3, nu0=1, genus_case="g0")
-    ) == 2
-    g1 = zeta_lower_bound(
-        BirationalityInputs(2, 5, F(2), rmax=10, genus_case="g1")
-    )
-    assert g1 == max(F(1, 10), F(1, 7))
-    assert zeta_lower_bound(
-        BirationalityInputs(2, 5, F(2), rmax=13, nu0=2, genus_case="unknown")
-    ) == F(1, 26)
-    assert zeta_lower_bound(
-        BirationalityInputs(2, 5, F(2), genus_case="g_ge2")
-    ) == F(3, 7)
-
-
 def test_inputs_reject_a_nonpositive_rmax_or_nu0():
-    # nu0 = 0 would divide by zero in the section-based zeta bound
+    # rmax and nu0 are a local index and a degree, both at least 1
     for kwargs in ({"rmax": 0}, {"rmax": -3}, {"rmax": 3, "nu0": 0}):
         with pytest.raises(ValueError, match="must be >= 1"):
             BirationalityInputs(1, 2, F(1), **kwargs)

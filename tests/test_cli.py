@@ -82,13 +82,21 @@ def test_thresholds_x6d_example(capsys):
     assert code == 0 and out.strip() == "9"
 
 
+PENCIL_630 = ["pencil", "--basket", "2x(1,2),(2,5),(3,7),(4,9)", "--p1", "0", "--horizon", "61"]
+
+
 def test_pencil_table(capsys):
-    code, out = run(
-        capsys, "pencil", "--basket", "2x(1,2),(2,5),(3,7),(4,9)", "--p1", "0",
-        "--horizon", "8",
-    )
-    assert code == 0
-    assert "-K^3 = 43/315" in out and "r_X = 630" in out
+    """The index-630 basket through degree 61, where it first leaves the
+    pencil, is pinned as text and as JSON.
+
+    Regenerate only for an intended change, e.g.
+    PYTHONPATH=src python -m fanobasket.cli pencil --basket "2x(1,2),(2,5),(3,7),(4,9)"
+    --p1 0 --horizon 61 --json --out tests/golden/pencil_630.json
+    """
+    for flags, golden in (([], "pencil_630.txt"), (["--json"], "pencil_630.json")):
+        code, out = run(capsys, *PENCIL_630, *flags)
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text(), golden
 
 
 def test_replay_list_matches_golden_bytes(capsys):
@@ -234,7 +242,9 @@ BAD_INPUTS = {
     "unwritable --out": (["replay", "birat1", "--out", "/nonexistent/dir/x"],
                          "error: [Errno 2] No such file or directory: '/nonexistent/dir/x'"),
     "local index": (["rr", "--basket", "(99999999999,100000000000)", "--p1", "0"],
-                    "error: --basket local index 100000000000 exceeds 100000"),
+                    "error: --basket distinct local indices sum to 100000000000, over 100000"),
+    "local index sum": (["pencil", "--basket", "(1,99989),(1,99991)", "--p1", "0"],
+                        "error: --basket distinct local indices sum to 199980, over 100000"),
     "--rmax": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1", "--rmax", "-3",
                 "--variant", "ii"],
                "error: rmax must be >= 1, got -3"),

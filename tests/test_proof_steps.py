@@ -1,6 +1,6 @@
-"""Replay proof steps are checked by `reports.require`, so a replay does the
-same work, prints the same bytes and returns the same exit code with and
-without `python -O`."""
+"""Replay and index-bound proof steps are checked by `reports.require`, so a
+command does the same work, prints the same bytes and returns the same exit
+code with and without `python -O`."""
 
 import ast
 import os
@@ -14,13 +14,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanobasket"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 INTERPRETERS = {"plain": [], "optimized": ["-O"]}
+PENCIL_630 = ["pencil", "--basket", "2x(1,2),(2,5),(3,7),(4,9)", "--p1", "0", "--horizon", "61"]
 
-# name -> (patch run before the CLI, replay case, stderr prefix, stderr suffix)
+# name -> (patch run before the CLI, CLI arguments, stderr prefix, stderr suffix)
 FAULTS = {
     "840 growth check": (
         "import fanobasket.birational as birational\n"
         "birational.thm2_check_840 = lambda wb: False\n",
-        "birat2",
+        ("replay", "birat2"),
         "contradiction: Weak97 840 sweep, ",
         ": growth regime fails on 71..150\n",
     ),
@@ -28,14 +29,14 @@ FAULTS = {
         "import fanobasket.birational as birational\n"
         "threshold = birational.thm1_threshold_from_bounds\n"
         "birational.thm1_threshold_from_bounds = lambda *bounds: threshold(*bounds) + 1\n",
-        "birat2",
+        ("replay", "birat2"),
         "contradiction: Weak97 leaf I: P2=0: growth threshold 39 != 38",
         "\n",
     ),
     "index-840 sets": (
         "import fanobasket.birational as birational\n"
         "birational.INDEX_840_SETS = birational.INDEX_840_SETS[:1]\n",
-        "birat2",
+        ("replay", "birat2"),
         "contradiction: Weak97 III: index-840 sets [(2, 3, 5, 7, 8), (3, 5, 7, 8)], ",
         "not [(3, 5, 7, 8)] with rmax 8\n",
     ),
@@ -46,7 +47,7 @@ FAULTS = {
         "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
-        "p0",
+        ("replay", "p0"),
         "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
         "\n",
     ),
@@ -58,9 +59,30 @@ FAULTS = {
         "    dataclasses.replace(row, m1=9) if row.no == 5 else row\n"
         "    for row in birational.P1_P2_ZERO_TABLE\n"
         ")\n",
-        "birat1",
+        ("replay", "birat1"),
         "contradiction: QFano39 No.5: P_-7 >= 2 and m1 = 8",
         "\n",
+    ),
+    "exceptional-type upgrade pin": (
+        "import fanobasket.search as search\n"
+        "search.UPGRADES[1][3][8] = 4  # No.A-No.D: P_-8 = 3\n",
+        ("replay", "p0"),
+        "contradiction: P1_eq_0 No.A: upgrade needs P_-2 = 1, P_-4 = 1, P_-6 = 2, P_-8 = 4",
+        "\n",
+    ),
+    "Weak97 basket value": (
+        "import fanobasket.birational as birational\n"
+        "birational.EXPLICIT_BASKETS[546][2][10] = 20  # P_-10 = 21\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 IV: rX=546: -K^3 = 61/546, P_-4 = 2, P_-6 = 5, P_-10 = 20,",
+        " P_-57 = 3540 > 3478\n",
+    ),
+    "index-bound reduction": (
+        "import fanobasket.indexbound as indexbound\n"
+        "indexbound.coprime_split_inequality = lambda a, b, slack=0: False\n",
+        ("index-bound",),
+        "contradiction: index bound: r = 6 splits into coprime prime powers (3, 2)",
+        " at no extra budget\n",
     ),
 }
 
@@ -76,11 +98,11 @@ def _python(flags: list[str], script: str, *args: str) -> subprocess.CompletedPr
 @pytest.mark.parametrize("flags", INTERPRETERS.values(), ids=INTERPRETERS.keys())
 @pytest.mark.parametrize("fault", FAULTS)
 def test_injected_fault_exits_1_with_the_step_named(fault, flags):
-    patch, case, prefix, suffix = FAULTS[fault]
+    patch, argv, prefix, suffix = FAULTS[fault]
     script = patch + (
         "import sys\n"
         "from fanobasket.cli import main\n"
-        f"sys.exit(main(['replay', {case!r}]))\n"
+        f"sys.exit(main({list(argv)!r}))\n"
     )
     done = _python(flags, script)
     assert done.returncode == 1, done.stderr
@@ -96,12 +118,16 @@ def test_optimized_replays_match_golden_bytes(tmp_path):
         "codes = [main(['replay', 'list', '--out', out + '/p1_p2_zero_table.txt'])]\n"
         "for case in ('p2', 'p1', 'p0', 'birat1', 'birat2'):\n"
         "    codes.append(main(['replay', case, '--json', '--out', f'{out}/replay_{case}.json']))\n"
+        "codes.append(main(['index-bound', '--json', '--out', out + '/index_bound.json']))\n"
+        f"pencil = {PENCIL_630!r}\n"
+        "codes.append(main([*pencil, '--out', out + '/pencil_630.txt']))\n"
+        "codes.append(main([*pencil, '--json', '--out', out + '/pencil_630.json']))\n"
         "print(sys.flags.optimize, *codes)\n"
     )
     done = _python(["-O"], script, str(tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "1 0 0 0 0 0 0\n"
-    names = ["p1_p2_zero_table.txt"] + [
+    assert done.stdout == "1" + " 0" * 9 + "\n"
+    names = ["p1_p2_zero_table.txt", "index_bound.json", "pencil_630.txt", "pencil_630.json"] + [
         f"replay_{case}.json" for case in ("p2", "p1", "p0", "birat1", "birat2")
     ]
     for name in names:
