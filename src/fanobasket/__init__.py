@@ -28,7 +28,7 @@ from .canonical import (
 )
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import g_min, k1_condition, k2_thresholds, non_pencil_threshold
-from .recovery import RecoveryInput, feasible_tails, recover
+from .recovery import feasible_tails, recover
 from .reports import ReplayContradiction
 from .search import (
     ConstraintSet,
@@ -51,7 +51,6 @@ __all__ = [
     "ConstraintSet",
     "IntegralityFault",
     "PlurigenusSequence",
-    "RecoveryInput",
     "ReplayContradiction",
     "SearchBudgetExceeded",
     "WeightedBasket",

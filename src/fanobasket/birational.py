@@ -144,16 +144,15 @@ def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
             yield Basket(list(zip(bs, rset)))
 
 
-def _unique_zero_p1_basket(index_sets: list[tuple[int, ...]]) -> list[WeightedBasket]:
-    """All weighted baskets with p1 = 0 on the given index multisets that
-    pass the weak geometric constraints; used for the 'only basket' claims."""
+def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
+    """All weighted baskets with p1 = 0 and Gorenstein index `index` that pass
+    the weak geometric constraints, on the admissible index sets with largest
+    entry rmax, each with the forced index 2 once or twice."""
     cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
-    found: dict[WeightedBasket, None] = {}
-    for basket in _residue_baskets(index_sets):
-        wb = WeightedBasket(basket, 0)
-        if is_geometric_candidate(wb, cs)[0]:
-            found[wb] = None
-    return sorted(found, key=lambda w: w.basket)
+    sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
+    found = (WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets]))
+    return sorted((wb for wb in found if is_geometric_candidate(wb, cs)[0]),
+                  key=lambda w: w.basket)
 
 
 def replay_birationality(target_name: str) -> ReplayReport:
@@ -364,16 +363,15 @@ EXPLICIT_BASKETS = {
 
 
 def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
-    """The one p1 = 0 basket of Gorenstein index `index` (index 2 once or
-    twice) that passes the weak constraints, recorded as the survivor of leaf
+    """The one basket `_zero_p1_baskets` finds at Gorenstein index `index`
+    and the rmax of the pinned basket, recorded as the survivor of leaf
     "IV: rX=<index>"; its -K^3 and P_-m are the pinned ones, and the growth
     criterion holds at m1.  The pencil of degree m0 = 4 escapes at m1; with
     an escape degree k it also escapes at k, and the growth leaf then takes
     mu0 = k/iota(k), iota(k) = P_-k - 1."""
     text, volume, pins, k, variant = EXPLICIT_BASKETS[index]
     name, rmax, m0, m1 = f"IV: rX={index}", Basket.parse(text).r_max(), 4, max(pins)
-    sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
-    found = _unique_zero_p1_basket(sets + [(2,) + s for s in sets])
+    found = _zero_p1_baskets(index, rmax)
     require([wb.basket.text() for wb in found] == [text],
             f"Weak97 IV: {text} is the only index-{index} basket")
     wb = found[0]
@@ -396,12 +394,12 @@ def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
          [AX_MU0_REMARK])
 
 
-def _dead_index(
-    report: ReplayReport, index: int, sets: list[tuple[int, ...]], example: str, branch: str
-) -> None:
-    """No p1 = 0 basket on these index sets of Gorenstein index `index` has
-    -K^3 > 0; `example` stands for them among the eliminated rows."""
-    require(_unique_zero_p1_basket(sets) == [],
+def _dead_index(report: ReplayReport, index: int, rmax: int, example: str, branch: str) -> None:
+    """No p1 = 0 basket of Gorenstein index `index` and largest local index
+    rmax has -K^3 > 0 (without an index-2 point, -K^3 <= 0 by
+    `_no_two_forces_nonpositive_volume`); `example` stands for them among
+    the eliminated rows."""
+    require(not _zero_p1_baskets(index, rmax),
             f"Weak97 IV: no index-{index} basket with P_-1 = 0 has -K^3 > 0")
     report.eliminated.append(EliminatedRow(
         WeightedBasket(Basket.parse(example), 0),
@@ -482,7 +480,7 @@ def _replay_weak_97() -> ReplayReport:
         values = attainable_indices(r, must_contain=(2,) if r != 2 else ())
         require(all(840 % v == 0 and (v <= 420 or v == 840) for v in values),
                 f"Weak97 IV: with rmax = {r}, rX divides 840 and is 840 or <= 420")
-    _dead_index(report, 840, INDEX_840_SETS, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
+    _dead_index(report, 840, 8, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
     _growth_leaf(leaf, "IV: rmax<=8, rX<=420", (420, F(1, 330), 8), 20, 54, 4, "iii",
                  ["rX | 840 and rX < 840; t = 20"], [AX_CC_VOL], nu0=2)
 
@@ -498,8 +496,7 @@ def _replay_weak_97() -> ReplayReport:
     _require_index_split(11, 330, (660, 462))
     _growth_leaf(leaf, "IV: rmax=11, rX<=330", (330, F(1, 330), 11), 13, 48, 4, "ii",
                  ["t = 13"], [AX_CC_VOL], nu0=2)
-    _dead_index(report, 660, admissible_index_sets_with_lcm(660, 11, must_contain=(2,)),
-                "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
+    _dead_index(report, 660, 11, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
     _explicit_basket(report, leaf, 462)
 
     _require_index_split(12, 84)

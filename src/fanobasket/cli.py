@@ -20,7 +20,7 @@ from typing import Optional
 from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
-from .pencil import growth_bounds, non_pencil_threshold, thm1_threshold
+from .pencil import non_pencil_threshold, thm1_threshold
 from .reports import ReplayContradiction, require
 from .search import (
     ConstraintSet,
@@ -145,27 +145,18 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        if args.case == "list":
-            survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
-            report_text = render_enumeration(_sorted_like_table(survivors))
-            _emit(args, report_text)
-            return 0
-        if args.case in ("p2", "p1", "p0"):
-            family = {"p2": "P1_eq_2", "p1": "P1_eq_1", "p0": "P1_eq_0"}[args.case]
-            rep = replay_delta1(family)
-        else:
-            target = {"birat1": "QFano39", "birat2": "Weak97"}[args.case]
-            rep = replay_birationality(target)
-    except ReplayContradiction as exc:
-        return _contradiction(exc)
+    if args.case == "list":
+        survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
+        _emit(args, render_enumeration(_sorted_like_table(survivors)))
+        return 0
+    if args.case in ("p2", "p1", "p0"):
+        family = {"p2": "P1_eq_2", "p1": "P1_eq_1", "p0": "P1_eq_0"}[args.case]
+        rep = replay_delta1(family)
+    else:
+        target = {"birat1": "QFano39", "birat2": "Weak97"}[args.case]
+        rep = replay_birationality(target)
     _emit(args, rep.json_text() if args.json else rep.render())
     return 0
-
-
-def _contradiction(exc: ReplayContradiction) -> int:
-    print(f"contradiction: {exc}", file=sys.stderr)
-    return 1
 
 
 def cmd_index_bound(args) -> int:
@@ -176,10 +167,7 @@ def cmd_index_bound(args) -> int:
         else:
             _emit(args, f"max r_X with largest local index {args.rmax}: {value}")
         return 0
-    try:
-        report = max_index_report()  # requires its prime-power reduction
-    except ReplayContradiction as exc:
-        return _contradiction(exc)
+    report = max_index_report()  # requires its prime-power reduction
     if args.json:
         _emit(args, json.dumps(report.to_json(), indent=2))
     else:
@@ -189,10 +177,7 @@ def cmd_index_bound(args) -> int:
             f"max r_X = {report.max_lcm}; witnesses {wit};"
             f" second max = {report.second_max}",
         )
-    try:
-        require(report.max_lcm == 840, f"index bound: max r_X = {report.max_lcm}, not 840")
-    except ReplayContradiction as exc:
-        return _contradiction(exc)
+    require(report.max_lcm == 840, f"index bound: max r_X = {report.max_lcm}, not 840")
     return 0
 
 
@@ -216,8 +201,6 @@ def cmd_pencil(args) -> int:
         }
         _emit(args, json.dumps(payload, indent=2))
         return 0
-    seq = wb.plurigenera(args.horizon)
-    bounds = growth_bounds(wb, args.horizon)
     lines = [
         f"basket {wb.basket.text()}  p1 = {wb.p1}  -K^3 = {wb.volume()}"
         f"  r_X = {wb.gorenstein_index()}",
@@ -225,7 +208,7 @@ def cmd_pencil(args) -> int:
         f"{'m':>4} {'P_-m':>8} {'r_X(-K^3)m+1':>14}  verdict",
     ]
     for v in scan.verdicts:
-        lines.append(f"{v.m:>4} {seq[v.m]:>8} {bounds[v.m]:>14}  {v.verdict}")
+        lines.append(f"{v.m:>4} {scan.seq[v.m]:>8} {scan.bounds[v.m]:>14}  {v.verdict}")
     lines.append(f"first degree not composed with a pencil: {scan.first_not_pencil}")
     _emit(args, "\n".join(lines))
     return 0
@@ -347,6 +330,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except ReplayContradiction as exc:
+        print(f"contradiction: {exc}", file=sys.stderr)
+        return 1
     except (BasketParseError, ValueError, SearchBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
-from .recovery import BUDGET, COST_UNIT, cost
+from .recovery import BUDGET, cost
 from .reports import require
 
 # prime powers s with s - 1/s <= 24 (25 = 5^2 already exceeds the budget)
@@ -134,15 +134,14 @@ def admissible_index_sets_with_lcm(
     )
 
 
-def coprime_split_inequality(a: int, b: int, slack: int = 0) -> bool:
-    """ab - 1/(ab) >= a - 1/a + b - 1/b + slack for coprime 1 < a, b <= 24.
+def coprime_split_inequality(a: int, b: int) -> bool:
+    """ab - 1/(ab) >= a - 1/a + b - 1/b for coprime 1 < a, b <= 24.
 
-    slack (a whole number) = 0 is what makes the prime-power reduction
-    budget-sound and holds for every coprime pair; the sharper slack=2 form
-    fails exactly at {a, b} = {2, 3} (35/6 < 37/6).  A product ab that does
-    not divide COST_UNIT raises ValueError from `cost`.
+    This makes the prime-power reduction budget-sound, and holds for every
+    coprime pair.  A product ab that does not divide COST_UNIT raises
+    ValueError from `cost`.
     """
-    return cost(a * b) >= cost(a) + cost(b) + slack * COST_UNIT
+    return cost(a * b) >= cost(a) + cost(b)
 
 
 def prime_power_parts(n: int) -> tuple[int, ...]:

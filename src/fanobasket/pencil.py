@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from .basket import Basket, WeightedBasket, f_periodic
+from .basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
 
 F = Fraction
 
@@ -131,6 +131,8 @@ class PencilVerdict:
 class PencilScan:
     verdicts: tuple[PencilVerdict, ...]
     first_not_pencil: Optional[int]
+    seq: PlurigenusSequence  # P_{-1}..P_{-horizon}
+    bounds: list[int]        # `growth_bounds` for m = 0..horizon
 
 
 def growth_bounds(wb: WeightedBasket, upto: int) -> list[int]:
@@ -156,7 +158,7 @@ def non_pencil_threshold(wb: WeightedBasket, horizon: int) -> PencilScan:
         for m in range(1, horizon + 1)
     )
     first = next((v.m for v in verdicts if v.verdict == NOT_PENCIL), None)
-    return PencilScan(verdicts, first)
+    return PencilScan(verdicts, first, seq, bounds)
 
 
 def _ceil_sqrt(q: Fraction) -> int:
@@ -235,18 +237,11 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     return True
 
 
-def l_upper_bound_general(
-    b: int, r: int, n: int, t: Optional[Fraction] = None
-) -> bool:
-    """Assert sum_{j=1..n} F(jb) <= (r^2 - 1)/(12 r) (n + r/3), exactly.
-
-    For r > 2 the envelope holds for every n >= 0; the optional t is only
-    validated against the scoped hypothesis n >= r t / 3.
-    """
+def l_upper_bound_general(b: int, r: int, n: int) -> bool:
+    """Whether sum_{j=1..n} F(jb) <= (r^2 - 1)/(12 r) (n + r/3), exactly;
+    for r > 2 the envelope holds for every n >= 0."""
     if r <= 2:
         raise ValueError("the envelope needs r > 2")
-    if t is not None and Fraction(n) < Fraction(r) * Fraction(t) / 3:
-        raise ValueError("n below the scoped hypothesis r t / 3")
     lhs = Basket([(b, r)]).l_neg(n)
     rhs = F(r * r - 1, 12 * r) * (n + F(r, 3))
     return lhs <= rhs

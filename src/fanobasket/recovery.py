@@ -23,12 +23,13 @@ are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Iterator, Optional, Union
 
 from .basket import Basket, PlurigenusSequence
 from .canonical import unpack
+from .reports import require
 
 TAIL_R_CAP = 24  # a single (1, r) with r > 24 already violates sum(r - 1/r) <= 24
 COST_UNIT = lcm(*range(2, TAIL_R_CAP + 1))  # r - 1/r is a whole number of 1/COST_UNIT
@@ -85,26 +86,11 @@ def budgeted_tails(sigma5: int, budget: int) -> Iterator[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class RecoveryInput:
-    p: PlurigenusSequence
-    sigma5: int
-    tail_counts: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if any(r < 5 for r in self.tail_counts):
-            raise ValueError("tail counts are indexed by r >= 5")
-        if any(c < 0 for c in self.tail_counts.values()):
-            raise ValueError("tail counts must be non-negative")
-        if sum(self.tail_counts.values()) != self.sigma5:
-            raise ValueError("sigma5 must equal the total tail count")
-
-
-@dataclass(frozen=True)
 class Infeasible:
     """Witness that the recovery identities reject the input."""
 
     violated: str
-    value: Optional[int] = None
+    value: int
 
     def __bool__(self) -> bool:
         return False
@@ -113,7 +99,6 @@ class Infeasible:
 @dataclass(frozen=True)
 class RecoveredData:
     sigma: int
-    delta3: int
     delta4: int
     n0: dict[int, int]          # r in {2, 3, 4}
     tail: dict[int, int]        # r >= 5, shared by stages 0 and 5
@@ -132,42 +117,34 @@ class RecoveredData:
         )
 
 
-def stage0_head(
-    p: PlurigenusSequence, sigma5: int
-) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    """(n_{1,2}, n_{1,3}, n_{1,4}) of the stage-0 basket; None where unknown."""
-    if not p.has(2):
-        raise ValueError("recovery needs at least P_{-1} and P_{-2}")
-    p1, p2 = p[1], p[2]
-    p3, p4 = (p[m] if p.has(m) else None for m in (3, 4))
-    n12 = None if p3 is None else 5 - 6 * p1 + 4 * p2 - p3
-    if p4 is None:
-        return n12, None, None
-    n13 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4
-    return n12, n13, 1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5
+def stage0_head(p: PlurigenusSequence, sigma5: int) -> tuple[int, int, int]:
+    """(n_{1,2}, n_{1,3}, n_{1,4}) of the stage-0 basket."""
+    if not p.has(4):
+        raise ValueError("recovery needs P_{-1}..P_{-4}")
+    p1, p2, p3, p4 = (p[m] for m in range(1, 5))
+    return (5 - 6 * p1 + 4 * p2 - p3, 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4,
+            1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5)
 
 
-def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
-    """Evaluate the recovery formulas; first violated identity wins."""
-    p = inp.p
-    s5 = inp.sigma5
+def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData, Infeasible]:
+    """Evaluate the recovery formulas on P_{-1}.. and the tail counts
+    {r: n_{1,r}}, r >= 5; first violated identity wins."""
+    if any(r < 5 for r in tail):
+        raise ValueError("tail counts are indexed by r >= 5")
+    if any(c < 0 for c in tail.values()):
+        raise ValueError("tail counts must be non-negative")
+    s5 = sum(tail.values())
     n12, n13, n14 = stage0_head(p, s5)
     p1, p2, p3, p4, p5, p6, p7, p8 = (p[m] if p.has(m) else None for m in range(1, 9))
     sigma = 10 - 5 * p1 + p2
     if sigma < 0:
         return Infeasible("sigma >= 0", sigma)
 
-    delta4 = None if p4 is None else 14 - 14 * p1 + 6 * p2 + p3 - p4
     for name, val in (("n0_{1,2}", n12), ("n0_{1,3}", n13), ("n0_{1,4}", n14)):
-        if val is not None and val < 0:
+        if val < 0:
             return Infeasible(f"{name} >= 0", val)
 
-    n15 = inp.tail_counts.get(5, 0)
-    n16 = inp.tail_counts.get(6, 0)
-    n17 = inp.tail_counts.get(7, 0)
-    eps = 2 * s5 - n15
-    if eps < 0:
-        return Infeasible("eps = 2 sigma5 - n0_{1,5} >= 0", eps)
+    n15, n16, n17 = (tail.get(r, 0) for r in (5, 6, 7))
 
     eps5 = None if p5 is None else 2 + p2 - 2 * p4 + p5 - s5
     if eps5 is not None and eps5 < 0:
@@ -187,7 +164,7 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
 
     eps6 = None
     if p6 is not None:
-        eps6 = 3 * p1 + p2 - p3 - p4 - p5 + p6 - eps
+        eps6 = 3 * p1 + p2 - p3 - p4 - p5 + p6 - (2 * s5 - n15)
         if eps6 != 0:
             return Infeasible("eps_6 = 0", eps6)
 
@@ -207,10 +184,9 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
 
     return RecoveredData(
         sigma=sigma,
-        delta3=n12,  # n0_{1,2} = Delta^3
-        delta4=delta4,
+        delta4=14 - 14 * p1 + 6 * p2 + p3 - p4,
         n0={2: n12, 3: n13, 4: n14},
-        tail={r: c for r, c in inp.tail_counts.items() if c},
+        tail={r: c for r, c in tail.items() if c},
         n5=n5,
         eps={5: eps5, 6: eps6, 7: eps7, 8: eps8},
     )
@@ -218,25 +194,24 @@ def recover(inp: RecoveryInput) -> Union[RecoveredData, Infeasible]:
 
 def feasible_tails(p: PlurigenusSequence) -> list[RecoveredData]:
     """The recovered data of every (sigma5, tail) choice the recovery
-    identities accept whose known stage-0 counts leave room in the 24-budget:
-    gamma(B^(0)) >= 0 when P_{-1}..P_{-4} are given, a superset of those tails
-    otherwise.  Ordered by sigma5, then by the non-decreasing tail."""
+    identities accept with gamma(B^(0)) >= 0, ordered by sigma5, then by the
+    non-decreasing tail."""
     out = []
     for s5 in range(BUDGET // cost(5) + 1):  # (1, 5) is the cheapest tail point
         head = stage0_head(p, s5)
-        if any(n is not None and n < 0 for n in head):
+        if min(head) < 0:
             continue  # recover rejects every tail
-        left = tail_budget(*(n or 0 for n in head))  # unknown counts cost nothing
-        for tail in budgeted_tails(s5, left):
-            data = recover(RecoveryInput(p, s5, dict(Counter(tail))))
+        for tail in budgeted_tails(s5, tail_budget(*head)):
+            data = recover(p, dict(Counter(tail)))
             if not isinstance(data, Infeasible):
                 out.append(data)
     return out
 
 
-def structural_tail(basket: Basket) -> tuple[int, dict[int, int]]:
-    """The true (sigma5, tail counts) of a basket, read off its stage-0 form."""
+def structural_tail(basket: Basket) -> dict[int, int]:
+    """The true tail counts {r: n_{1,r}}, r >= 5, of a basket, read off its
+    stage-0 form, which consists of points (1, r) only."""
     runs = unpack(basket, 0).counts()
-    assert all(b == 1 for (b, _), _ in runs)
-    counts = {r: n for (_, r), n in runs if r >= 5}
-    return sum(counts.values()), counts
+    require(all(b == 1 for (b, _), _ in runs),
+            f"{basket.text()}: the stage-0 form has only points (1, r)")
+    return {r: n for (_, r), n in runs if r >= 5}

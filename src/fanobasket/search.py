@@ -314,6 +314,10 @@ def _replay_p1_zero() -> ReplayReport:
     require(found == set(table), f"P1_eq_0, P2=0: {len(found)} survivors, not the 23 rows")
     for wb in res0.survivors:
         row = table[wb.basket.text()]
+        vol, p3_to_p8 = wb.volume(), wb.plurigenera(8).values[2:]
+        require((vol, p3_to_p8) == (row.volume, row.p3_to_p8),
+                f"P1_eq_0 No.{row.no}: -K^3 = {vol}, P_-3..P_-8 = {p3_to_p8},"
+                f" the table says {row.volume}, {row.p3_to_p8}")
         m1, why = _m1_from_choice(wb, row.m_choice)
         require(m1 == row.m1, f"P1_eq_0 No.{row.no}: m1 = {m1}, the table says {row.m1}")
         notes = {"branch": "P2=0", "no": row.no, "m": row.m_choice, "m1": m1, "why": why}
@@ -328,9 +332,8 @@ def _replay_p1_zero() -> ReplayReport:
         EliminatedRow(wb, cert, branch="P2>0") for wb, cert in res2.eliminated
     )
     for wb in res2.survivors:
-        sigma5, _ = structural_tail(wb.basket)
         text = wb.basket.text()
-        if sigma5 == 0:
+        if not structural_tail(wb.basket):
             m = 3
         else:
             require(text in P1_ZERO_CASE2_M, f"P1_eq_0, P2>0: unexpected survivor {text}")

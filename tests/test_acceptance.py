@@ -16,7 +16,7 @@ from fanobasket.birational import replay_birationality, thm_main_threshold, Bira
 from fanobasket.canonical import epsilon_n, general_packings, unpack
 from fanobasket.indexbound import max_index_given_rmax, max_index_report
 from fanobasket.pencil import g_min, g_min_bruteforce
-from fanobasket.recovery import RecoveryInput, recover, structural_tail
+from fanobasket.recovery import recover, structural_tail
 from fanobasket.search import ConstraintSet, enumerate_geometric, replay_delta1
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
 from fanobasket.wci import X24_30, X42, X66, X6D_PAIRS, anti_plurigenera_from_hilbert, fit_basket, x6d_member
@@ -262,8 +262,7 @@ def _recovery_round_trips(count: int, seed: int) -> int:
         basket = Basket(rng.choices(CANONICAL_13, k=rng.randint(1, 8)))
         wb = WeightedBasket(basket, rng.randint(0, 5))
         p = wb.plurigenera(8)
-        s5, tail = structural_tail(basket)
-        data = recover(RecoveryInput(p, s5, tail))
+        data = recover(p, structural_tail(basket))
         assert data.basket0() == unpack(basket, 0)
         assert data.basket5() == unpack(basket, 5)
         assert data.eps[5] == epsilon_n(basket, 5)

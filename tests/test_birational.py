@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from fanobasket.birational import (
-    INDEX_840_SETS,
     BirationalityInputs,
-    _unique_zero_p1_basket,
+    _zero_p1_baskets,
     a_of_m0,
     replay_birationality,
     thm_main_threshold,
 )
-from fanobasket.indexbound import admissible_index_sets_with_lcm
 from fanobasket.search import ConstraintSet, enumerate_geometric
 from fanobasket.wci import X6D_PAIRS
 
@@ -142,18 +140,14 @@ def test_weak97_residue_claims_match_the_enumeration():
     )
     assert len(survivors) == 261
 
-    def residue_sets(index: int, rmax: int) -> list[tuple[int, ...]]:
-        sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
-        return sets + [(2,) + s for s in sets]
-
     claims = {
-        630: (residue_sets(630, 9), ["2x(1,2),(2,5),(3,7),(4,9)"]),
-        546: (residue_sets(546, 13), ["(1,2),(1,3),(3,7),(6,13)"]),
-        462: (residue_sets(462, 11), ["2x(1,2),(1,3),(3,7),(5,11)"]),
-        840: (INDEX_840_SETS, []),
-        660: (admissible_index_sets_with_lcm(660, 11, must_contain=(2,)), []),
+        (630, 9): ["2x(1,2),(2,5),(3,7),(4,9)"],
+        (546, 13): ["(1,2),(1,3),(3,7),(6,13)"],
+        (462, 11): ["2x(1,2),(1,3),(3,7),(5,11)"],
+        (840, 8): [],
+        (660, 11): [],
     }
-    for index, (sets, expected) in claims.items():
+    for (index, rmax), expected in claims.items():
         enumerated = [wb.basket.text() for wb in survivors if wb.gorenstein_index() == index]
-        residues = [wb.basket.text() for wb in _unique_zero_p1_basket(sets)]
-        assert enumerated == residues == expected, index
+        residues = [wb.basket.text() for wb in _zero_p1_baskets(index, rmax)]
+        assert enumerated == residues == expected, (index, rmax)

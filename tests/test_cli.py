@@ -99,6 +99,20 @@ def test_pencil_table(capsys):
         assert out == (GOLDEN_DIR / golden).read_text(), golden
 
 
+def test_pencil_text_builds_the_plurigenera_once(capsys, monkeypatch):
+    calls = []
+    plurigenera = WeightedBasket.plurigenera
+
+    def counted(self, upto):
+        calls.append(upto)
+        return plurigenera(self, upto)
+
+    monkeypatch.setattr(WeightedBasket, "plurigenera", counted)
+    code, out = run(capsys, *PENCIL_630[:-1], "1000")
+    assert code == 0 and out.endswith("first degree not composed with a pencil: 61\n")
+    assert calls == [1000]
+
+
 def test_replay_list_matches_golden_bytes(capsys):
     code, out = run(capsys, "replay", "list")
     assert code == 0

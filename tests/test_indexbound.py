@@ -127,13 +127,13 @@ def test_attainable_dichotomies():
 
 
 def test_coprime_split_inequality_exhaustive():
-    # slack 0 is the budget-soundness of the prime-power reduction and
-    # holds everywhere; slack 2 fails exactly at {2, 3}
+    # the budget-soundness of the prime-power reduction holds everywhere;
+    # the sharper form with slack 2 fails exactly at {2, 3} (35/6 < 37/6)
     for a in range(2, 25):
         for b in range(2, 25):
             if gcd(a, b) == 1:
                 assert coprime_split_inequality(a, b)
-                assert coprime_split_inequality(a, b, slack=2) == (
+                assert (cost(a * b) >= cost(a) + cost(b) + 2 * COST_UNIT) == (
                     {a, b} != {2, 3}
                 )
 

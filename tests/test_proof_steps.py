@@ -51,6 +51,18 @@ FAULTS = {
         "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
         "\n",
     ),
+    "row No.7 volume": (
+        "import dataclasses\n"
+        "from fractions import Fraction\n"
+        "import fanobasket.search as search\n"
+        "search.P1_P2_ZERO_TABLE = tuple(\n"
+        "    dataclasses.replace(row, volume=Fraction(1, 31)) if row.no == 7 else row\n"
+        "    for row in search.P1_P2_ZERO_TABLE\n"
+        ")\n",
+        ("replay", "p0"),
+        "contradiction: P1_eq_0 No.7: -K^3 = 1/30, P_-3..P_-8 = (1, 1, 1, 3, 3, 4),",
+        " the table says 1/31, (1, 1, 1, 3, 3, 4)\n",
+    ),
     # a group picked by m1 would absorb No.5 into the m1 > 8 rows and pass
     "QFano39 row": (
         "import dataclasses\n"
@@ -79,7 +91,7 @@ FAULTS = {
     ),
     "index-bound reduction": (
         "import fanobasket.indexbound as indexbound\n"
-        "indexbound.coprime_split_inequality = lambda a, b, slack=0: False\n",
+        "indexbound.coprime_split_inequality = lambda a, b: False\n",
         ("index-bound",),
         "contradiction: index bound: r = 6 splits into coprime prime powers (3, 2)",
         " at no extra budget\n",
@@ -153,8 +165,10 @@ def _tree(module: str) -> ast.AST:
 
 def test_replay_modules_state_proof_steps_only_through_require():
     # pencil holds the 840 growth check, basket the kernels it rests on,
-    # indexbound the index caps Weak97 reads
-    modules = ("search.py", "birational.py", "pencil.py", "basket.py", "indexbound.py")
+    # indexbound the index caps Weak97 reads, recovery the stage-0 tails
+    # the P_-1 = 0 replay reads
+    modules = ("search.py", "birational.py", "pencil.py", "basket.py", "indexbound.py",
+               "recovery.py")
     for module in modules:
         for node in ast.walk(_tree(module)):
             assert not isinstance(node, ast.Assert), f"{module}:{node.lineno} assert"

@@ -15,7 +15,6 @@ from fanobasket.recovery import (
     COST_UNIT,
     TAIL_R_CAP,
     Infeasible,
-    RecoveryInput,
     budgeted_tails,
     cost,
     feasible_tails,
@@ -42,7 +41,7 @@ def seq(*values: int) -> PlurigenusSequence:
 
 
 def test_recover_ladder_sequence():
-    out = recover(RecoveryInput(seq(2, 3, 4, 5, 6, 7), 1, {5: 1}))
+    out = recover(seq(2, 3, 4, 5, 6, 7), {5: 1})
     assert not isinstance(out, Infeasible)
     assert out.n0 == {2: 1, 3: 1, 4: 0}
     assert out.eps[5] == 0
@@ -52,16 +51,16 @@ def test_recover_ladder_sequence():
 
 
 def test_recover_all_zero_head():
-    out = recover(RecoveryInput(seq(0, 0, 0, 0), 0, {}))
+    out = recover(seq(0, 0, 0, 0), {})
     assert not isinstance(out, Infeasible)
     assert out.n0 == {2: 5, 3: 4, 4: 1}
     assert out.sigma == 10
 
 
 def test_recover_flags_violations_by_name():
-    bad = recover(RecoveryInput(seq(2, 3, 4, 5, 6, 8), 1, {5: 1}))
+    bad = recover(seq(2, 3, 4, 5, 6, 8), {5: 1})
     assert isinstance(bad, Infeasible) and bad.violated == "eps_6 = 0"
-    neg = recover(RecoveryInput(seq(0, 0, 0, 2, 0), 0, {}))
+    neg = recover(seq(0, 0, 0, 2, 0), {})
     assert isinstance(neg, Infeasible) and neg.violated == "eps_5 >= 0"
 
 
@@ -71,7 +70,7 @@ def test_feasible_tails_examples():
 
     unique = feasible_tails(seq(2, 3, 4, 5, 6, 7))
     assert [t.tail for t in unique] == [{5: 1}]
-    assert unique[0] == recover(RecoveryInput(seq(2, 3, 4, 5, 6, 7), 1, {5: 1}))
+    assert unique[0] == recover(seq(2, 3, 4, 5, 6, 7), {5: 1})
 
     assert feasible_tails(seq(0, 0, 0, 2, 0)) == []
 
@@ -79,14 +78,13 @@ def test_feasible_tails_examples():
 def _round_trip(wb: WeightedBasket) -> None:
     basket = wb.basket
     p = wb.plurigenera(8)
-    s5, tail = structural_tail(basket)
-    out = recover(RecoveryInput(p, s5, tail))
+    out = recover(p, structural_tail(basket))
     assert not isinstance(out, Infeasible), (wb.text(), out)
     b0 = unpack(basket, 0)
     assert out.basket0() == b0
     assert out.basket5() == unpack(basket, 5)
     assert out.sigma == basket.sigma() == 10 - 5 * p[1] + p[2]
-    assert out.delta3 == basket.delta(3)
+    assert out.n0[2] == basket.delta(3)
     assert out.delta4 == basket.delta(4)
     assert out.eps[5] == epsilon_n(basket, 5)
     assert out.eps[6] == 0 == epsilon_n(basket, 6)
@@ -111,8 +109,20 @@ def test_round_trip_random_sample():
         done += 1
 
 
+def test_recover_rejects_malformed_tails():
+    with pytest.raises(ValueError, match="r >= 5"):
+        recover(seq(1, 1, 1, 1, 2), {4: 1})
+    with pytest.raises(ValueError, match="non-negative"):
+        recover(seq(1, 1, 1, 1, 2), {5: 2, 6: -1})
+
+
+def test_stage0_head_needs_four_terms():
+    with pytest.raises(ValueError, match="recovery needs"):
+        stage0_head(seq(1, 1, 1), 0)
+
+
 def test_short_sequences_leave_late_eps_unknown():
-    out = recover(RecoveryInput(seq(1, 1, 1, 1, 2), 1, {5: 1}))
+    out = recover(seq(1, 1, 1, 1, 2), {5: 1})
     assert not isinstance(out, Infeasible)
     assert out.eps[6] is None and out.eps[7] is None and out.eps[8] is None
 
@@ -179,7 +189,7 @@ def _exhaustive_feasible(p: PlurigenusSequence) -> list:
     for k in range(6):
         combos = FIVE_POINT_TAILS if k == 5 else combinations_with_replacement(range(5, 25), k)
         for combo in combos:
-            data = recover(RecoveryInput(p, k, dict(Counter(combo))))
+            data = recover(p, dict(Counter(combo)))
             if not isinstance(data, Infeasible) and data.basket0().gamma() >= 0:
                 out.append(data)
     return out
@@ -209,9 +219,8 @@ def test_feasible_tails_equal_exhaustive_recovery_on_random_baskets():
         p = WeightedBasket(basket, rng.randint(0, 3)).plurigenera(8)
         picks = feasible_tails(p)
         assert picks == _exhaustive_feasible(p), basket.text()
-        s5, tail = structural_tail(basket)
         if basket.gamma() >= 0:
             # a packing only lowers gamma: the true tail is always kept
-            assert recover(RecoveryInput(p, s5, tail)) in picks, basket.text()
+            assert recover(p, structural_tail(basket)) in picks, basket.text()
             hits += 1
     assert hits >= 10

@@ -102,9 +102,9 @@ def test_fit_basket_recovers_only_budgeted_tails(monkeypatch):
 
     calls = []
 
-    def counted(inp):
-        calls.append(inp)
-        return recover(inp)
+    def counted(p, tail):
+        calls.append(tail)
+        return recover(p, tail)
 
     monkeypatch.setattr(recovery, "recover", counted)
     fits = fit_basket(anti_plurigenera_from_hilbert(X66, 40))
