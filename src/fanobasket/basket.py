@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class IntegralityFault(ArithmeticError):
@@ -89,10 +89,11 @@ class Basket:
     Instances are immutable.
     """
 
-    __slots__ = ("_runs",)
+    __slots__ = ("_runs", "_sums")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         self._runs = _normalize_runs((pair, 1) for pair in pairs)
+        self._sums: Sequence[int] = ()  # see `keep_residue_sums`
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
@@ -225,9 +226,16 @@ class Basket:
             for (b, r), k in self._runs
         )
 
-    def _residue_sums(self, big_l: int, upto: int) -> list[int]:
-        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
-        L = big_l a multiple of every r_i."""
+    def keep_residue_sums(self, upto: int) -> None:
+        """Build the residue sums to degree upto once and keep them, so that
+        `plurigenera` up to there reads them for every weight of this basket."""
+        self._sums = self._residue_sums(self.gorenstein_index(), upto)
+
+    def _residue_sums(self, big_l: int, upto: int) -> Sequence[int]:
+        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto at least,
+        for L = big_l = `gorenstein_index()`; the kept sums when they reach upto."""
+        if len(self._sums) > upto:
+            return self._sums
         by_r: dict[int, list[int]] = {}
         for (b, r), n in self._runs:
             scale = n * (big_l // r)

@@ -397,13 +397,17 @@ def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
 def _dead_index(report: ReplayReport, index: int, rmax: int, example: str, branch: str) -> None:
     """No p1 = 0 basket of Gorenstein index `index` and largest local index
     rmax has -K^3 > 0 (without an index-2 point, -K^3 <= 0 by
-    `_no_two_forces_nonpositive_volume`); `example` stands for them among
-    the eliminated rows."""
+    `_no_two_forces_nonpositive_volume`); `example`, one such basket with
+    p1 = 0 and -K^3 <= 0, stands for them among the eliminated rows."""
+    wb = WeightedBasket(Basket.parse(example), 0)
+    r_x, r_max, vol = wb.gorenstein_index(), wb.basket.r_max(), wb.volume()
+    require((r_x, r_max) == (index, rmax) and vol <= 0,
+            f"Weak97 IV: example {example} needs rX = {index}, rmax = {rmax}, -K^3 <= 0;"
+            f" it has rX = {r_x}, rmax = {r_max}, -K^3 = {vol}")
     require(not _zero_p1_baskets(index, rmax),
             f"Weak97 IV: no index-{index} basket with P_-1 = 0 has -K^3 > 0")
     report.eliminated.append(EliminatedRow(
-        WeightedBasket(Basket.parse(example), 0),
-        f"every index-{index} candidate with P_-1 = 0 has -K^3 <= 0", branch=branch,
+        wb, f"every index-{index} candidate with P_-1 = 0 has -K^3 <= 0", branch=branch,
     ))
 
 
@@ -532,6 +536,7 @@ def _index_840_sweep() -> int:
     """
     count = 0
     for basket in _residue_baskets(INDEX_840_SETS):
+        basket.keep_residue_sums(L840_HORIZON)  # one build for p1 = 0..10
         for p1 in range(0, 11):
             wb = WeightedBasket(basket, p1)
             vol = wb.volume()

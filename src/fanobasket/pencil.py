@@ -226,12 +226,13 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     lift = scale // (12 * 840)
     slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
     offset = L840_OFFSET.numerator * (scale // L840_OFFSET.denominator)
-    seq = wb.plurigenera(L840_HORIZON)
+    values = wb.plurigenera(L840_HORIZON).values
     for m in range(71, L840_HORIZON + 1):
-        if seq[m] <= bounds[m]:
+        p_m = values[m - 1]
+        if p_m <= bounds[m]:
             return False
         # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
-        l_840 = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - seq[m])
+        l_840 = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - p_m)
         if l_840 * lift > slope * m + offset:
             return False
     return True

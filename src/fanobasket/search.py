@@ -12,6 +12,7 @@ replays are built on top of the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Optional
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket
@@ -239,10 +240,14 @@ UPGRADES = (
 )
 
 
+@cache
 def replay_delta1(family: str) -> ReplayReport:
     """Machine replay of the image-dimension bounds, by first-plurigenus family.
 
-    Families: 'P1_ge_3', 'P1_eq_2', 'P1_eq_1', 'P1_eq_0'.
+    Families: 'P1_ge_3', 'P1_eq_2', 'P1_eq_1', 'P1_eq_0'.  Each family is
+    replayed once per process and every caller gets the same report, so no
+    caller may mutate it; a failing step raises on every call, since `cache`
+    stores no exception.
     """
     if family == "P1_ge_3":
         report = ReplayReport(

@@ -6,11 +6,13 @@ import pytest
 
 from fanobasket.birational import (
     BirationalityInputs,
+    _dead_index,
     _zero_p1_baskets,
     a_of_m0,
     replay_birationality,
     thm_main_threshold,
 )
+from fanobasket.reports import ReplayContradiction, ReplayReport
 from fanobasket.search import ConstraintSet, enumerate_geometric
 from fanobasket.wci import X6D_PAIRS
 
@@ -151,3 +153,17 @@ def test_weak97_residue_claims_match_the_enumeration():
         enumerated = [wb.basket.text() for wb in survivors if wb.gorenstein_index() == index]
         residues = [wb.basket.text() for wb in _zero_p1_baskets(index, rmax)]
         assert enumerated == residues == expected, (index, rmax)
+
+
+def test_dead_index_refuses_a_volume_positive_example():
+    report = ReplayReport(case="Weak97", constraints="")
+    _dead_index(report, 660, 11, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
+    assert [e.certificate for e in report.eliminated] == [
+        "every index-660 candidate with P_-1 = 0 has -K^3 <= 0"
+    ]
+    # same index and rmax, but a second (1,2) makes -K^3 = 227/660 > 0
+    with pytest.raises(ReplayContradiction, match=r"-K\^3 = 227/660$"):
+        _dead_index(report, 660, 11, "2x(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
+    with pytest.raises(ReplayContradiction, match="it has rX = 660, rmax = 11,"):
+        _dead_index(report, 840, 8, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax<=8")
+    assert len(report.eliminated) == 1

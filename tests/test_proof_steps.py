@@ -51,6 +51,18 @@ FAULTS = {
         "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
         "\n",
     ),
+    # the first call that reaches the P_-1 = 0 replay is QFano39's
+    "row No.7 m1 through QFano39": (
+        "import dataclasses\n"
+        "import fanobasket.search as search\n"
+        "search.P1_P2_ZERO_TABLE = tuple(\n"
+        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    for row in search.P1_P2_ZERO_TABLE\n"
+        ")\n",
+        ("replay", "birat1"),
+        "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
+        "\n",
+    ),
     "row No.7 volume": (
         "import dataclasses\n"
         "from fractions import Fraction\n"

@@ -119,6 +119,16 @@ def test_plurigenera_match_the_delta_recursion_on_the_840_sweep():
         assert list(wb.plurigenera(200).values) == plurigenera_reference(wb, 200), wb.text()
 
 
+def test_kept_residue_sums_serve_every_weight_and_degree():
+    # what the 840 sweep does: keep the sums to 150 once, read them per p1
+    for basket in (Basket.parse("(1,3),(2,5),(3,7),(3,8)"), Basket.parse("4x(1,2),(2,9)")):
+        basket.keep_residue_sums(150)
+        for p1 in (0, 3, 10):
+            wb = WeightedBasket(basket, p1)
+            for upto in (1, 12, 150, 200):  # 200 is past the kept sums
+                assert list(wb.plurigenera(upto).values) == plurigenera_reference(wb, upto)
+
+
 def test_short_and_empty_sequences():
     wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 3)
     assert wb.plurigenera(0).values == ()

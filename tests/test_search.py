@@ -1,10 +1,12 @@
 """Geometric enumeration and the image-dimension replays."""
 
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 
 from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
 from fanobasket.recovery import feasible_tails
 from fanobasket.search import (
@@ -20,6 +22,7 @@ from fanobasket.search import (
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
 
 B = Basket.parse
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def test_is_geometric_candidate_examples():
@@ -262,7 +265,26 @@ def test_report_serialization_round_trip():
 
 
 def test_reports_are_run_to_run_deterministic():
-    assert replay_delta1("P1_eq_1").json_text() == replay_delta1("P1_eq_1").json_text()
+    first = replay_delta1("P1_eq_1")
+    replay_delta1.cache_clear()  # a second, independent computation
+    second = replay_delta1("P1_eq_1")
+    assert second is not first and second.json_text() == first.json_text()
+
+
+@pytest.mark.parametrize("delta1_first", [True, False], ids=["delta1-first", "qfano39-first"])
+def test_qfano39_leaves_the_shared_delta1_reports_unmutated(delta1_first):
+    # QFano39 reads the same report objects that `replay_delta1` hands out
+    replay_delta1.cache_clear()
+    golden = {family: (GOLDEN_DIR / f"replay_{case}.json").read_text()
+              for family, case in (("P1_eq_0", "p0"), ("P1_eq_1", "p1"))}
+    before = {family: replay_delta1(family).json_text() + "\n" for family in golden}
+    if not delta1_first:
+        replay_delta1.cache_clear()
+    birat1 = replay_birationality("QFano39").json_text() + "\n"
+    after = {family: replay_delta1(family).json_text() + "\n" for family in golden}
+    assert before == after == golden
+    assert birat1 == (GOLDEN_DIR / "replay_birat1.json").read_text()
+    assert replay_delta1.cache_info().misses == 4  # one computation per family
 
 
 def _bruteforce_survivors(cs: ConstraintSet, r_cap: int, size_cap: int):
