@@ -9,14 +9,15 @@ are exactly the 23 tabulated baskets.
 
 from fanobasket.basket import PlurigenusSequence
 from fanobasket.cli import render_enumeration, _sorted_like_table
-from fanobasket.recovery import feasible_tails
+from fanobasket.recovery import feasible_tails, structural_tail
 from fanobasket.search import ConstraintSet, enumerate_geometric
 
 ladder = PlurigenusSequence((2, 3, 4, 5, 6, 7))
 print("P_-1..P_-6 = 2..7: the feasible tails are")
 for data in feasible_tails(ladder):
-    print(f"  sigma5={sum(data.tail.values())} tail={tuple(sorted(data.tail.items()))}:"
-          f" stage-0 basket {data.basket0().text()}")
+    tail = structural_tail(data.basket0)
+    print(f"  sigma5={sum(tail.values())} tail={tuple(sorted(tail.items()))}:"
+          f" stage-0 basket {data.basket0.text()}")
 
 print("\nenumerating all geometric baskets with P_-1 = P_-2 = 0:")
 survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))

@@ -32,6 +32,7 @@ from .indexbound import (
     max_index_given_rmax,
 )
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
+from .recovery import BUDGET, cost
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .search import ConstraintSet, enumerate_geometric_full, is_geometric_candidate, replay_delta1
 from .tables import P1_P2_ZERO_TABLE
@@ -147,9 +148,16 @@ def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
 def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
     """All weighted baskets with p1 = 0 and Gorenstein index `index` that pass
     the weak geometric constraints, on the admissible index sets with largest
-    entry rmax, each with the forced index 2 once or twice."""
+    entry rmax, each with the forced index 2 once or twice.  That is all of
+    them: the search first requires that beside each set the 24-budget has
+    room for no second point of any index but 2, and for at most one of 2."""
     cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
     sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
+    for rset in sets:
+        left = BUDGET - sum(map(cost, rset))
+        require(2 * cost(2) > left and all(cost(r) > left for r in rset if r != 2),
+                f"Weak97 IV: beside {rset} only index 2 repeats within the 24-budget,"
+                " and only once")
     found = (WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets]))
     return sorted((wb for wb in found if is_geometric_candidate(wb, cs)[0]),
                   key=lambda w: w.basket)
@@ -446,6 +454,9 @@ def _replay_weak_97() -> ReplayReport:
                  [AX_CC_P8, AX_RX_VOL_INT])
 
     # case III: rmax < 14 and P_-1 > 0 (nu0 = 1)
+    above_660 = {v for r in range(2, 13) for v in attainable_indices(r) if v > 660}
+    require(above_660 <= {840},
+            f"Weak97 III: with rmax <= 12, rX is 840 or <= 660, not {sorted(above_660 - {840})}")
     _growth_leaf(leaf, "III: rmax<=12, rX<=660", (660, F(1, 330), 12), 15, 65, 8, "iii",
                  ["t = 15"], [AX_CC_P8, AX_CC_VOL], nu0=1)
     cap13 = max_index_given_rmax(13)

@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import ceil, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from .basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
-
-F = Fraction
+from .basket import Basket, PlurigenusSequence, WeightedBasket, _residues, f_periodic
 
 
 def g_min(b: int, r: int, m: int) -> Fraction:
@@ -35,18 +33,19 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     G is periodic piecewise quadratic with negative leading coefficients,
     so the minimum sits on the end-point set {nr - jb}; it suffices to
     scan x = -jb for j = 0..(m mod r).  Scaled by 2r, G(-jb) slides a window
-    of w_i = u(r - u), u = ib mod r, from i = 0..l to -j..l-j; w_{-i} = w_i.
+    of the residue table w_i = u(r - u), u = ib mod r, from i = 0..l to
+    -j..l-j; w_{-i} = w_i.
     """
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
     l = m % r
-    w = [u * (r - u) for u in (i * b % r for i in range(l + 1))]
+    w = _residues(b, r)
     best = val = 0
     for j in range(1, l + 1):
         val += w[j] - w[l + 1 - j]
         if val < best:
             best = val
-    return F(best, 2 * r)
+    return Fraction(best, 2 * r)
 
 
 def g_min_bruteforce(b: int, r: int, m: int) -> Fraction:
@@ -161,21 +160,6 @@ def non_pencil_threshold(wb: WeightedBasket, horizon: int) -> PencilScan:
     return PencilScan(verdicts, first, seq, bounds)
 
 
-def _ceil_sqrt(q: Fraction) -> int:
-    """Least integer s with s*s >= q, by exact integer arithmetic."""
-    if q <= 0:
-        return 0
-    num, den = q.numerator, q.denominator
-    s = isqrt(num // den)
-    while s * s * den < num:
-        s += 1
-    return s
-
-
-def _ceil_fraction(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
 def thm1_threshold(wb: WeightedBasket, t: Fraction) -> int:
     """Least m with m >= 37, m >= r_max t / 3 and m^2 >= 6 r_X + 12/(t (-K^3)).
 
@@ -190,21 +174,27 @@ def thm1_threshold(wb: WeightedBasket, t: Fraction) -> int:
 def thm1_threshold_from_bounds(
     r_x: int, vol_lower: Fraction, r_max: int, t: Fraction
 ) -> int:
-    """`thm1_threshold` evaluated on case-wide caps instead of one basket."""
+    """`thm1_threshold` evaluated on case-wide caps instead of one basket.
+
+    With q = 6 r_X + 12/(t (-K^3)), m^2 >= q holds iff m^2 >= ceil(q), so the
+    least such m is isqrt(ceil(q) - 1) + 1; that needs q > 0, hence r_X >= 1.
+    """
     t = Fraction(t)
     if not 0 < t <= 37:
         raise ValueError(f"t must lie in (0, 37], got {t}")
     if vol_lower <= 0:
         raise ValueError("need a positive volume lower bound")
+    if r_x < 1:
+        raise ValueError(f"r_X must be >= 1, got {r_x}")
     return max(
         37,
-        _ceil_fraction(Fraction(r_max) * t / 3),
-        _ceil_sqrt(6 * r_x + 12 / (t * vol_lower)),
+        ceil(r_max * t / 3),
+        isqrt(ceil(6 * r_x + 12 / (t * vol_lower)) - 1) + 1,
     )
 
 
-L840_SLOPE = F(19907, 10080)
-L840_OFFSET = F(295, 72)
+L840_SLOPE = Fraction(19907, 10080)
+L840_OFFSET = Fraction(295, 72)
 L840_HORIZON = 150  # the last degree of the index-840 check
 
 
@@ -244,5 +234,5 @@ def l_upper_bound_general(b: int, r: int, n: int) -> bool:
     if r <= 2:
         raise ValueError("the envelope needs r > 2")
     lhs = Basket([(b, r)]).l_neg(n)
-    rhs = F(r * r - 1, 12 * r) * (n + F(r, 3))
+    rhs = Fraction(r * r - 1, 12 * r) * (n + Fraction(r, 3))
     return lhs <= rhs

@@ -98,23 +98,9 @@ class Infeasible:
 
 @dataclass(frozen=True)
 class RecoveredData:
-    sigma: int
-    delta4: int
-    n0: dict[int, int]          # r in {2, 3, 4}
-    tail: dict[int, int]        # r >= 5, shared by stages 0 and 5
-    n5: dict[tuple[int, int], int]
+    basket0: Basket
+    basket5: Optional[Basket]      # None when P_{-5} is not given
     eps: dict[int, Optional[int]]  # eps_5, eps_6 (=0), eps_7, eps_8
-
-    def basket0(self) -> Basket:
-        return Basket.from_counts(
-            [((1, r), self.n0[r]) for r in (2, 3, 4)]
-            + [((1, r), c) for r, c in self.tail.items()]
-        )
-
-    def basket5(self) -> Basket:
-        return Basket.from_counts(
-            [*self.n5.items()] + [((1, r), c) for r, c in self.tail.items()]
-        )
 
 
 def stage0_head(p: PlurigenusSequence, sigma5: int) -> tuple[int, int, int]:
@@ -128,7 +114,8 @@ def stage0_head(p: PlurigenusSequence, sigma5: int) -> tuple[int, int, int]:
 
 def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData, Infeasible]:
     """Evaluate the recovery formulas on P_{-1}.. and the tail counts
-    {r: n_{1,r}}, r >= 5; first violated identity wins."""
+    {r: n_{1,r}}, r >= 5; first violated identity wins.  The stage-5 basket
+    is recovered only when P_{-5} is given."""
     if any(r < 5 for r in tail):
         raise ValueError("tail counts are indexed by r >= 5")
     if any(c < 0 for c in tail.values()):
@@ -182,12 +169,10 @@ def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData,
         if eps8 < 0:
             return Infeasible("eps_8 >= 0", eps8)
 
+    tail_runs = [((1, r), c) for r, c in tail.items()]
     return RecoveredData(
-        sigma=sigma,
-        delta4=14 - 14 * p1 + 6 * p2 + p3 - p4,
-        n0={2: n12, 3: n13, 4: n14},
-        tail={r: c for r, c in tail.items() if c},
-        n5=n5,
+        basket0=Basket.from_counts([((1, 2), n12), ((1, 3), n13), ((1, 4), n14), *tail_runs]),
+        basket5=None if p5 is None else Basket.from_counts([*n5.items(), *tail_runs]),
         eps={5: eps5, 6: eps6, 7: eps7, 8: eps8},
     )
 

@@ -102,7 +102,7 @@ def candidates(p: PlurigenusSequence, prune: Callable[[Basket], bool]) -> Iterat
     stage-0 baskets, so the closures are disjoint: no basket comes twice.
     """
     for data in feasible_tails(p):
-        yield from dominated_baskets(data.basket0(), prune=prune)
+        yield from dominated_baskets(data.basket0, prune=prune)
 
 
 def _values(cs: ConstraintSet, m: int, lo: int, hi: int):

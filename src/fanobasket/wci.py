@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
+from math import prod
 
 from .basket import PlurigenusSequence, WeightedBasket
 from .recovery import within_budget
 from .search import SearchBudgetExceeded, candidates
-
-F = Fraction
 
 MAX_FIT_CANDIDATES = 200_000
 
@@ -40,11 +39,7 @@ class WeightedCI:
 
     def hypersurface_volume(self) -> Fraction:
         """prod(d) iota^3 / prod(a), the general-member anti-canonical degree."""
-        iota = self.fano_index
-        return F(
-            reduce(lambda x, y: x * y, self.degrees, 1) * iota**3,
-            reduce(lambda x, y: x * y, self.weights, 1),
-        )
+        return Fraction(prod(self.degrees) * self.fano_index**3, prod(self.weights))
 
 
 def hilbert_coeffs(wci: WeightedCI, upto: int) -> list[int]:

@@ -263,8 +263,8 @@ def _recovery_round_trips(count: int, seed: int) -> int:
         wb = WeightedBasket(basket, rng.randint(0, 5))
         p = wb.plurigenera(8)
         data = recover(p, structural_tail(basket))
-        assert data.basket0() == unpack(basket, 0)
-        assert data.basket5() == unpack(basket, 5)
+        assert data.basket0 == unpack(basket, 0)
+        assert data.basket5 == unpack(basket, 5)
         assert data.eps[5] == epsilon_n(basket, 5)
         assert data.eps[6] == 0
         assert data.eps[7] == epsilon_n(basket, 7)

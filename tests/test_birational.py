@@ -1,5 +1,6 @@
 """Birationality thresholds and the two full case-tree replays."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -167,3 +168,16 @@ def test_dead_index_refuses_a_volume_positive_example():
     with pytest.raises(ReplayContradiction, match="it has rX = 660, rmax = 11,"):
         _dead_index(report, 840, 8, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax<=8")
     assert len(report.eliminated) == 1
+
+
+# (2, 3, 7) has room for a second (b, 7) point, (2, 7, 11) for a third (1, 2)
+# and (2, 3, 17) for a second (1, 3) but not a second (1, 2): each is a
+# basket the one-point-per-entry search would never try
+@pytest.mark.parametrize("rset", [(2, 3, 7), (2, 7, 11), (2, 3, 17)])
+def test_zero_p1_baskets_refuses_a_set_with_room_for_a_repeat(monkeypatch, rset):
+    import fanobasket.birational as birational
+
+    monkeypatch.setattr(birational, "admissible_index_sets_with_lcm",
+                        lambda *args, **kwargs: [rset])
+    with pytest.raises(ReplayContradiction, match=re.escape(f"beside {rset} only")):
+        _zero_p1_baskets(42, 7)

@@ -145,6 +145,24 @@ def test_thm1_soundness_on_admissible_sample():
             assert seq[m] >= r_x * vol * m + 2, (text, m)
 
 
+def test_thm1_threshold_from_bounds_matches_a_direct_scan():
+    # oracle: the least m >= 37 with 3m >= rmax t and m^2 >= 6 r_X + 12/(t vol)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        r_x, vol = rng.randint(1, 840), F(1, rng.randint(1, 330))
+        r_max, t = rng.randint(2, 24), F(rng.randint(1, 3700), 100)
+        m = 37
+        while 3 * m < r_max * t or m * m < 6 * r_x + 12 / (t * vol):
+            m += 1
+        assert thm1_threshold_from_bounds(r_x, vol, r_max, t) == m, (r_x, vol, r_max, t)
+
+
+def test_thm1_threshold_from_bounds_refuses_a_nonpositive_index():
+    for r_x in (0, -1):
+        with pytest.raises(ValueError, match="r_X must be >= 1"):
+            thm1_threshold_from_bounds(r_x, F(1, 330), 12, F(8))
+
+
 def test_thm1_threshold_at_most_67_in_the_small_index_regime():
     # r_X <= 660 and volume >= 1/330 always land at or below 67 with t = 8
     for r_x in (24, 84, 330, 546, 660):

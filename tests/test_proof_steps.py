@@ -33,6 +33,15 @@ FAULTS = {
         "contradiction: Weak97 leaf I: P2=0: growth threshold 39 != 38",
         "\n",
     ),
+    # an index above 660 other than 840 would leave the rX <= 660 leaf uncapped
+    "Weak97 index cap 660": (
+        "import fanobasket.birational as birational\n"
+        "indices = birational.attainable_indices\n"
+        "birational.attainable_indices = lambda *a, **k: {**indices(*a, **k), 700: ()}\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 III: with rmax <= 12, rX is 840 or <= 660, not [700]",
+        "\n",
+    ),
     "index-840 sets": (
         "import fanobasket.birational as birational\n"
         "birational.INDEX_840_SETS = birational.INDEX_840_SETS[:1]\n",

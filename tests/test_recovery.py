@@ -43,18 +43,17 @@ def seq(*values: int) -> PlurigenusSequence:
 def test_recover_ladder_sequence():
     out = recover(seq(2, 3, 4, 5, 6, 7), {5: 1})
     assert not isinstance(out, Infeasible)
-    assert out.n0 == {2: 1, 3: 1, 4: 0}
     assert out.eps[5] == 0
     assert out.eps[6] == 0
-    assert out.basket0() == B("(1,2),(1,3),(1,5)")
-    assert out.basket5() == out.basket0()
+    assert out.basket0 == B("(1,2),(1,3),(1,5)")
+    assert out.basket5 == out.basket0
 
 
 def test_recover_all_zero_head():
     out = recover(seq(0, 0, 0, 0), {})
     assert not isinstance(out, Infeasible)
-    assert out.n0 == {2: 5, 3: 4, 4: 1}
-    assert out.sigma == 10
+    assert out.basket0 == B("5x(1,2),4x(1,3),(1,4)")
+    assert out.basket0.sigma() == 10
 
 
 def test_recover_flags_violations_by_name():
@@ -66,10 +65,10 @@ def test_recover_flags_violations_by_name():
 
 def test_feasible_tails_examples():
     picks = feasible_tails(seq(1, 1, 1, 1, 2, 2, 2))
-    assert [t.tail for t in picks] == [{6: 1}, {5: 2}]
+    assert [structural_tail(t.basket0) for t in picks] == [{6: 1}, {5: 2}]
 
     unique = feasible_tails(seq(2, 3, 4, 5, 6, 7))
-    assert [t.tail for t in unique] == [{5: 1}]
+    assert [structural_tail(t.basket0) for t in unique] == [{5: 1}]
     assert unique[0] == recover(seq(2, 3, 4, 5, 6, 7), {5: 1})
 
     assert feasible_tails(seq(0, 0, 0, 2, 0)) == []
@@ -81,11 +80,10 @@ def _round_trip(wb: WeightedBasket) -> None:
     out = recover(p, structural_tail(basket))
     assert not isinstance(out, Infeasible), (wb.text(), out)
     b0 = unpack(basket, 0)
-    assert out.basket0() == b0
-    assert out.basket5() == unpack(basket, 5)
-    assert out.sigma == basket.sigma() == 10 - 5 * p[1] + p[2]
-    assert out.n0[2] == basket.delta(3)
-    assert out.delta4 == basket.delta(4)
+    assert out.basket0 == b0
+    assert out.basket5 == unpack(basket, 5)
+    assert out.basket0.sigma() == basket.sigma() == 10 - 5 * p[1] + p[2]
+    assert dict(b0.counts()).get((1, 2), 0) == basket.delta(3)
     assert out.eps[5] == epsilon_n(basket, 5)
     assert out.eps[6] == 0 == epsilon_n(basket, 6)
     assert out.eps[7] == epsilon_n(basket, 7)
@@ -125,6 +123,11 @@ def test_short_sequences_leave_late_eps_unknown():
     out = recover(seq(1, 1, 1, 1, 2), {5: 1})
     assert not isinstance(out, Infeasible)
     assert out.eps[6] is None and out.eps[7] is None and out.eps[8] is None
+    assert out.basket5 == B("2x(2,5),(1,4),(1,5)")
+    four = recover(seq(1, 1, 1, 1), {5: 1})
+    assert not isinstance(four, Infeasible)
+    assert four.basket5 is None and four.eps[5] is None
+    assert four.basket0 == B("2x(1,2),2x(1,3),(1,4),(1,5)")
 
 
 def test_cost_unit_is_exact_up_to_the_cap():
@@ -190,7 +193,7 @@ def _exhaustive_feasible(p: PlurigenusSequence) -> list:
         combos = FIVE_POINT_TAILS if k == 5 else combinations_with_replacement(range(5, 25), k)
         for combo in combos:
             data = recover(p, dict(Counter(combo)))
-            if not isinstance(data, Infeasible) and data.basket0().gamma() >= 0:
+            if not isinstance(data, Infeasible) and data.basket0.gamma() >= 0:
                 out.append(data)
     return out
 
@@ -205,7 +208,7 @@ def test_feasible_tails_equal_exhaustive_recovery_on_fixtures():
     fixtures.append(five)
     for p in fixtures:
         assert feasible_tails(p) == _exhaustive_feasible(p), p.values
-    assert feasible_tails(five)[-1].tail == {5: 5}
+    assert structural_tail(feasible_tails(five)[-1].basket0) == {5: 5}
 
 
 def test_feasible_tails_equal_exhaustive_recovery_on_random_baskets():

@@ -131,7 +131,7 @@ def test_candidate_closures_are_disjoint():
         listed = []
         for head in _heads(weak):
             cands = list(candidates(head, weak.gamma_ok))
-            seeds = [d.basket0() for d in feasible_tails(head) if d.basket0().gamma() >= 0]
+            seeds = [d.basket0 for d in feasible_tails(head) if d.basket0.gamma() >= 0]
             assert [seed for seed, _ in groupby(unpack(c, 0) for c in cands)] == seeds
             listed += cands
         strict = ConstraintSet(p_exact={1: p1})
