@@ -8,9 +8,8 @@ are exactly the 23 tabulated baskets.
 """
 
 from fanobasket.basket import PlurigenusSequence
-from fanobasket.cli import render_enumeration, _sorted_like_table
+from fanobasket.cli import render_enumeration, table_rows
 from fanobasket.recovery import feasible_tails, structural_tail
-from fanobasket.search import ConstraintSet, enumerate_geometric
 
 ladder = PlurigenusSequence((2, 3, 4, 5, 6, 7))
 print("P_-1..P_-6 = 2..7: the feasible tails are")
@@ -20,6 +19,6 @@ for data in feasible_tails(ladder):
           f" stage-0 basket {data.basket0.text()}")
 
 print("\nenumerating all geometric baskets with P_-1 = P_-2 = 0:")
-survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
-print(render_enumeration(_sorted_like_table(survivors)))
+survivors = table_rows()  # the P_-1 = 0 replay enumerates them and checks each row
+print(render_enumeration(survivors))
 print(f"({len(survivors)} baskets)")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class IntegralityFault(ArithmeticError):
@@ -89,11 +89,10 @@ class Basket:
     Instances are immutable.
     """
 
-    __slots__ = ("_runs", "_sums")
+    __slots__ = ("_runs",)
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         self._runs = _normalize_runs((pair, 1) for pair in pairs)
-        self._sums: Sequence[int] = ()  # see `keep_residue_sums`
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
@@ -226,26 +225,10 @@ class Basket:
             for (b, r), k in self._runs
         )
 
-    def keep_residue_sums(self, upto: int) -> None:
-        """Build the residue sums to degree upto once and keep them, so that
-        `plurigenera` up to there reads them for every weight of this basket."""
-        self._sums = self._residue_sums(self.gorenstein_index(), upto)
-
-    def _residue_sums(self, big_l: int, upto: int) -> Sequence[int]:
-        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto at least,
-        for L = big_l = `gorenstein_index()`; the kept sums when they reach upto."""
-        if len(self._sums) > upto:
-            return self._sums
-        by_r: dict[int, list[int]] = {}
-        for (b, r), n in self._runs:
-            scale = n * (big_l // r)
-            acc = by_r.setdefault(r, [0] * r)
-            for j, w in enumerate(_residues(b, r)):
-                acc[j] += scale * w
-        sums = [0] * (upto + 1)
-        for r, acc in by_r.items():  # tile each period-r table over 0..upto
-            sums = list(map(add, sums, acc * (upto // r + 1)))
-        return sums
+    def _residue_sums(self, big_l: int, upto: int) -> tuple[int, ...]:
+        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
+        L = big_l = `gorenstein_index()`."""
+        return _summed_residues(self._runs, big_l, upto)
 
     def gorenstein_index(self) -> int:
         """lcm of the local indices r_i (1 for the empty basket)."""
@@ -293,6 +276,22 @@ def _residues(b: int, r: int) -> tuple[int, ...]:
 def _l_point_table(b: int, r: int) -> tuple[int, ...]:
     # prefix[k] = w_0 + ... + w_k = 2r * sum_{j=1..k} F(jb), exact integers
     return tuple(accumulate(_residues(b, r)))
+
+
+@lru_cache(maxsize=1)
+def _summed_residues(runs: tuple[Run, ...], big_l: int, upto: int) -> tuple[int, ...]:
+    # one entry: the weights of one basket read to one degree in a row, as in
+    # the 840 sweep (p1 = 0..10), build the summed table once
+    by_r: dict[int, list[int]] = {}
+    for (b, r), n in runs:
+        scale = n * (big_l // r)
+        acc = by_r.setdefault(r, [0] * r)
+        for j, w in enumerate(_residues(b, r)):
+            acc[j] += scale * w
+    sums = [0] * (upto + 1)
+    for r, acc in by_r.items():  # tile each period-r table over 0..upto
+        sums = list(map(add, sums, acc * (upto // r + 1)))
+    return tuple(sums)
 
 
 def f_periodic(x: int, r: int) -> Fraction:

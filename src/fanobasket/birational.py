@@ -26,18 +26,12 @@ from math import floor, gcd
 from typing import Iterator, Optional
 
 from .basket import Basket, WeightedBasket
-from .indexbound import (
-    admissible_index_sets_with_lcm,
-    attainable_indices,
-    max_index_given_rmax,
-)
+from .indexbound import admissible_index_sets_with_lcm, attainable_indices
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
-from .recovery import BUDGET, cost
+from .recovery import BUDGET, cost, within_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .search import ConstraintSet, enumerate_geometric_full, is_geometric_candidate, replay_delta1
 from .tables import P1_P2_ZERO_TABLE
-
-F = Fraction
 
 INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
 
@@ -69,7 +63,7 @@ def a_of_m0(m0: int) -> int:
 
 def thm_main_threshold(inp: BirationalityInputs, variant: str) -> int:
     """Exact integer threshold for the requested variant."""
-    mu0 = F(inp.mu0_upper)
+    mu0 = Fraction(inp.mu0_upper)
     base = inp.m0 + inp.m1 + a_of_m0(inp.m0)
     if variant == "i":
         return max(base, floor(3 * mu0) + 3 * inp.m1)
@@ -78,7 +72,7 @@ def thm_main_threshold(inp: BirationalityInputs, variant: str) -> int:
             raise ValueError("variant ii needs rmax")
         return max(
             base,
-            floor(F(5, 3) * mu0 + F(5, 3) * inp.m1),
+            floor(Fraction(5, 3) * mu0 + Fraction(5, 3) * inp.m1),
             floor(mu0) + inp.m1 + 2 * inp.rmax,
         )
     if variant == "iii":
@@ -145,22 +139,27 @@ def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
             yield Basket(list(zip(bs, rset)))
 
 
-def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
-    """All weighted baskets with p1 = 0 and Gorenstein index `index` that pass
-    the weak geometric constraints, on the admissible index sets with largest
-    entry rmax, each with the forced index 2 once or twice.  That is all of
-    them: the search first requires that beside each set the 24-budget has
-    room for no second point of any index but 2, and for at most one of 2."""
-    cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
+def _zero_p1_residue_baskets(index: int, rmax: int) -> Iterator[WeightedBasket]:
+    """Every p1 = 0 weighted basket with one point per entry of an admissible
+    index set of lcm `index` and largest entry rmax, the forced index 2 once
+    or twice.  Up to the 24-budget that is every such basket: it first
+    requires that beside each set the budget has room for no second point of
+    any index but 2, and for at most one of 2."""
     sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
     for rset in sets:
         left = BUDGET - sum(map(cost, rset))
         require(2 * cost(2) > left and all(cost(r) > left for r in rset if r != 2),
                 f"Weak97 IV: beside {rset} only index 2 repeats within the 24-budget,"
                 " and only once")
-    found = (WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets]))
-    return sorted((wb for wb in found if is_geometric_candidate(wb, cs)[0]),
-                  key=lambda w: w.basket)
+    return (WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets]))
+
+
+def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
+    """The baskets of `_zero_p1_residue_baskets(index, rmax)` that pass the
+    weak geometric constraints."""
+    cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
+    return sorted((wb for wb in _zero_p1_residue_baskets(index, rmax)
+                   if is_geometric_candidate(wb, cs)[0]), key=lambda w: w.basket)
 
 
 def replay_birationality(target_name: str) -> ReplayReport:
@@ -198,36 +197,20 @@ def _replay_qfano_39() -> ReplayReport:
     d3 = replay_delta1("P1_ge_3")
     require(d2.conclusion == "delta_1 <= 6" and d3.conclusion == "delta_1 <= 1",
             "QFano39 P1>=2: the ladder replays give delta_1 <= 6 and <= 1")
-    leaf(
-        "P1>=2",
-        BirationalityInputs(1, 6, F(1)),
-        "i",
-        ["m1 <= 6 from the P_-1 = 2 ladder replay (and <= 1 when P_-1 >= 3)"],
-        [],
-    )
+    leaf("P1>=2", BirationalityInputs(1, 6, Fraction(1)), "i",
+         ["m1 <= 6 from the P_-1 = 2 ladder replay (and <= 1 when P_-1 >= 3)"], [])
 
     # case 2: P_-1 = 1, by the doubling degree n0 (n0 <= 8)
     d1 = replay_delta1("P1_eq_1")
     require(d1.conclusion == "delta_1 <= 9", "QFano39 P1=1: the ladder replay gives delta_1 <= 9")
-    leaf(
-        "P1=1, n0<=5",
-        BirationalityInputs(5, 7, F(5)),
-        "i",
-        ["n0 = 2, 3, 4 branches contradict past degree 6; n0 = 5 past 7"],
-        [AX_CC_P8],
-    )
-    leaf(
-        "P1=1, n0=6, escape at 7",
-        BirationalityInputs(6, 7, F(6)),
-        "i",
-        [],
-        [],
-    )
+    leaf("P1=1, n0<=5", BirationalityInputs(5, 7, Fraction(5)), "i",
+         ["n0 = 2, 3, 4 branches contradict past degree 6; n0 = 5 past 7"], [AX_CC_P8])
+    leaf("P1=1, n0=6, escape at 7", BirationalityInputs(6, 7, Fraction(6)), "i", [], [])
     # n0 = 6 with the escape exactly at 8: the surviving family pins rmax
     _, rmax6 = _family(report, "P1=1, n0=6, escape at 8",
                        ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2}),
                        *(f"2x(1,2),2x(1,3),(1,5),(1,{r})" for r in (8, 9, 10)))
-    leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, 8, F(6), rmax=rmax6), "ii",
+    leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, 8, Fraction(6), rmax=rmax6), "ii",
          [f"survivor family rmax = {rmax6}"], [])
     # n0 in {7, 8}: the single family with tail 9..11 and escape at 9
     fam78, rmax78 = _family(report, "P1=1, n0>=7",
@@ -237,7 +220,7 @@ def _replay_qfano_39() -> ReplayReport:
     # escape degree 9 is arithmetic
     require(all(wb.plurigenera(9)[9] == 3 for wb in fam78),
             "QFano39 P1=1, n0>=7: P_-9 = 3 on every survivor")
-    leaf("P1=1, n0>=7", BirationalityInputs(8, 9, F(8), rmax=rmax78), "ii",
+    leaf("P1=1, n0>=7", BirationalityInputs(8, 9, Fraction(8), rmax=rmax78), "ii",
          [f"survivor family rmax = {rmax78}", "P_-9 = 3 on every survivor"], [AX_CC_P8])
 
     # case 3: P_-1 = P_-2 = 0, on the 23 tabulated rows; each row group is
@@ -261,7 +244,8 @@ def _replay_qfano_39() -> ReplayReport:
             m0, m1, holds, claim = 6, 6, seq[6] >= 3 and row.m1 == 6, "P_-6 >= 3 and m1 = 6"
             checks, axioms = [], []
         require(holds, f"QFano39 No.{row.no}: {claim}")
-        leaf(f"P1=P2=0 No.{row.no}", BirationalityInputs(m0, m1, F(m0), rmax=wb.basket.r_max()),
+        leaf(f"P1=P2=0 No.{row.no}",
+             BirationalityInputs(m0, m1, Fraction(m0), rmax=wb.basket.r_max()),
              "i" if m0 == m1 else "ii", checks, axioms)
 
     # case 4: P_-1 = 0 < P_-2, from the replayed survivor list
@@ -287,29 +271,15 @@ def _replay_qfano_39() -> ReplayReport:
             rmax_78 = max(rmax_78, s.wb.basket.r_max())
     require(special is not None and rmax_78 <= 11,
             "QFano39 P1=0<P2: No.D survives and rmax <= 11 where m1 is 7 or 8")
-    leaf(
-        "P1=0<P2, m1<=6",
-        BirationalityInputs(6, 6, F(6)),
-        "i",
-        [f"{buckets['<=6']} survivors"],
-        [AX_CC_P6, AX_DELTA1],
-    )
-    leaf(
-        "P1=0<P2, m1 in {7,8}",
-        BirationalityInputs(6, 8, F(6), rmax=rmax_78),
-        "ii",
-        [f"{buckets['7-8']} survivors, rmax <= {rmax_78}"],
-        [AX_CC_P6, AX_DELTA1],
-    )
+    leaf("P1=0<P2, m1<=6", BirationalityInputs(6, 6, Fraction(6)), "i",
+         [f"{buckets['<=6']} survivors"], [AX_CC_P6, AX_DELTA1])
+    leaf("P1=0<P2, m1 in {7,8}", BirationalityInputs(6, 8, Fraction(6), rmax=rmax_78), "ii",
+         [f"{buckets['7-8']} survivors, rmax <= {rmax_78}"], [AX_CC_P6, AX_DELTA1])
     seq_d = special.plurigenera(7)
     require(tuple(seq_d.values) == (0, 1, 0, 1, 1, 2, 2), "QFano39 No.D: P_-1..P_-7 as tabulated")
-    leaf(
-        "P1=0<P2, No.D",
-        BirationalityInputs(6, 7, F(6)),
-        "i",
-        ["degrees 6 and 7 carry different pencils on the No.D basket"],
-        [AX_CC_P6, AX_PENCIL_DIFF],
-    )
+    leaf("P1=0<P2, No.D", BirationalityInputs(6, 7, Fraction(6)), "i",
+         ["degrees 6 and 7 carry different pencils on the No.D basket"],
+         [AX_CC_P6, AX_PENCIL_DIFF])
 
     report.coverage = [
         "P_-1 >= 2 | = 1 | = 0 partitions the family; the P_-1 = 1 branches"
@@ -332,7 +302,7 @@ def _no_two_forces_nonpositive_volume() -> bool:
         for b in range(1, r // 2 + 1):
             if gcd(b, r) != 1:
                 continue  # b = r/2 would violate the bound but is never coprime
-            if F(b * (r - b), 2 * r) > F(r * r - 1, 8 * r):
+            if Fraction(b * (r - b), 2 * r) > Fraction(r * r - 1, 8 * r):
                 return False
     return True
 
@@ -345,28 +315,43 @@ def _growth_leaf(
     (r_X, -K^3 floor, rmax) the growth threshold must be the paper's m1,
     which the leaf escapes to from the pencil of degree m0 (mu0 = m0)."""
     r_x, vol_floor, rmax = bounds
-    m1 = thm1_threshold_from_bounds(r_x, vol_floor, rmax, F(t))
+    m1 = thm1_threshold_from_bounds(r_x, vol_floor, rmax, Fraction(t))
     require(m1 == expected_m1, f"Weak97 leaf {name}: growth threshold {m1} != {expected_m1}")
-    leaf(name, BirationalityInputs(m0, m1, F(m0), rmax=rmax, nu0=nu0), variant, checks, axioms)
+    inputs = BirationalityInputs(m0, m1, Fraction(m0), rmax=rmax, nu0=nu0)
+    leaf(name, inputs, variant, checks, axioms)
 
 
-def _require_index_split(rmax: int, low: int, isolated: tuple[int, ...] = ()) -> None:
-    """With largest local index rmax beside a forced index 2, r_X is at most
-    `low` or one of the isolated values, and the largest of these is attained."""
-    values = attainable_indices(rmax, must_contain=(2,))
-    options = "".join(f"{v} or " for v in isolated)
-    require(max(values) == max(isolated, default=low)
-            and all(v <= low or v in isolated for v in values),
-            f"Weak97 IV: with rmax = {rmax}, rX is {options}<= {low} (max {max(values)})")
+def _capped_leaf(
+    leaf: partial, name: str, rmaxes: range, cap: int, t: int, m1: int, m0: int,
+    variant: str, checks: list[str], axioms: list[str], nu0: Optional[int] = None,
+    forced: tuple[int, ...] = (), isolated: tuple[int, ...] = (),
+) -> None:
+    """A growth leaf whose r_X is capped by the 24-budget: with largest local
+    index r in `rmaxes` (beside the `forced` indices when r is not one of
+    them), every attainable r_X is at most `cap` or one of the `isolated`
+    indices, which other leaves take, and the largest of these is attained.
+    The -K^3 floor is 1/cap, as r_X(-K^3) is a positive integer, or 1/330
+    when that is larger."""
+    values = {v for r in rmaxes
+              for v in attainable_indices(r, must_contain=() if r in forced else forced)}
+    extra = sorted(v for v in values if v > cap and v not in isolated)
+    top = max((cap, *isolated))
+    require(not extra and max(values) == top,
+            f"Weak97 {name}: rX is at most {cap} or one of {list(isolated)}, not {extra}"
+            f"; largest {max(values)}, expected {top}")
+    vol_floor, axiom = (
+        (Fraction(1, cap), AX_RX_VOL_INT) if cap < 330 else (Fraction(1, 330), AX_CC_VOL))
+    _growth_leaf(leaf, name, (cap, vol_floor, rmaxes[-1]), t, m1, m0, variant, checks,
+                 [*axioms, axiom], nu0)
 
 
 # the explicit p1 = 0 baskets of Weak97 case IV, by Gorenstein index:
 # (basket, -K^3, pinned P_-m, escape degree k or None, variant of the growth
 # leaf); the last pinned degree is the growth degree m1
 EXPLICIT_BASKETS = {
-    630: ("2x(1,2),(2,5),(3,7),(4,9)", F(43, 315), {3: 1, 4: 2, 7: 10, 61: 5294}, 7, "iii"),
-    462: ("2x(1,2),(1,3),(3,7),(5,11)", F(50, 462), {52: 2612}, None, "ii"),
-    546: ("(1,2),(1,3),(3,7),(6,13)", F(61, 546), {4: 2, 6: 5, 10: 21, 57: 3540}, 10, "ii"),
+    630: ("2x(1,2),(2,5),(3,7),(4,9)", Fraction(43, 315), {3: 1, 4: 2, 7: 10, 61: 5294}, 7, "iii"),
+    462: ("2x(1,2),(1,3),(3,7),(5,11)", Fraction(50, 462), {52: 2612}, None, "ii"),
+    546: ("(1,2),(1,3),(3,7),(6,13)", Fraction(61, 546), {4: 2, 6: 5, 10: 21, 57: 3540}, 10, "ii"),
 }
 
 
@@ -391,11 +376,11 @@ def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
             + ", ".join(f"P_-{m} = {v}" for m, v in pins.items()) + f" > {bound}")
     inputs = partial(BirationalityInputs, m0, rmax=rmax, nu0=2)
     if k is None:
-        leaf(name, inputs(m1, F(m0)), variant, [f"P_-{m1} = {seq[m1]} > {bound}"], [])
+        leaf(name, inputs(m1, Fraction(m0)), variant, [f"P_-{m1} = {seq[m1]} > {bound}"], [])
         return
-    mu0 = F(k, seq[k] - 1)
+    mu0 = Fraction(k, seq[k] - 1)
     cited = ", ".join(f"P_-{m} = {seq[m]}" for m in dict.fromkeys((k, *pins)) if m not in (m0, m1))
-    leaf(f"{name}, degree-{k} escape", inputs(k, F(m0)), "ii", [f"P_-{k} = {seq[k]}"], [])
+    leaf(f"{name}, degree-{k} escape", inputs(k, Fraction(m0)), "ii", [f"P_-{k} = {seq[k]}"], [])
     leaf(f"{name}, pencil persists",
          inputs(m1, mu0, mu0_provenance=f"mu0 <= {k}/iota({k}) = {mu0}; {cited}"),
          variant, [f"P_-{m1} = {seq[m1]} > {index} ({volume}) {m1} + 1 = {bound}"],
@@ -404,16 +389,18 @@ def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
 
 def _dead_index(report: ReplayReport, index: int, rmax: int, example: str, branch: str) -> None:
     """No p1 = 0 basket of Gorenstein index `index` and largest local index
-    rmax has -K^3 > 0 (without an index-2 point, -K^3 <= 0 by
-    `_no_two_forces_nonpositive_volume`); `example`, one such basket with
-    p1 = 0 and -K^3 <= 0, stands for them among the eliminated rows."""
+    rmax within the 24-budget has -K^3 > 0 (without an index-2 point,
+    -K^3 <= 0 by `_no_two_forces_nonpositive_volume`); `example`, one such
+    basket with p1 = 0 and -K^3 <= 0, stands for them among the eliminated rows."""
     wb = WeightedBasket(Basket.parse(example), 0)
     r_x, r_max, vol = wb.gorenstein_index(), wb.basket.r_max(), wb.volume()
     require((r_x, r_max) == (index, rmax) and vol <= 0,
             f"Weak97 IV: example {example} needs rX = {index}, rmax = {rmax}, -K^3 <= 0;"
             f" it has rX = {r_x}, rmax = {r_max}, -K^3 = {vol}")
-    require(not _zero_p1_baskets(index, rmax),
-            f"Weak97 IV: no index-{index} basket with P_-1 = 0 has -K^3 > 0")
+    positive = [w.basket.text() for w in _zero_p1_residue_baskets(index, rmax)
+                if within_budget(w.basket, strict=False) and w.volume() > 0]
+    require(not positive, f"Weak97 IV: index-{index} baskets with P_-1 = 0 within the"
+            f" 24-budget have -K^3 <= 0, not {positive}")
     report.eliminated.append(EliminatedRow(
         wb, f"every index-{index} candidate with P_-1 = 0 has -K^3 <= 0", branch=branch,
     ))
@@ -430,52 +417,43 @@ def _replay_weak_97() -> ReplayReport:
     require(_no_two_forces_nonpositive_volume(),
             "Weak97: without an index-2 point, P_-1 = 0 forces -K^3 <= 0")
 
-    # case I: P_-2 = 0 -> the 23 rows pin everything
-    rows = [WeightedBasket(Basket.parse(row.basket), 0) for row in P1_P2_ZERO_TABLE]
+    # case I: P_-2 = 0 -> the weak family is the 23 rows, which pin everything
+    rows = enumerate_geometric_full(
+        ConstraintSet(p_exact={1: 0, 2: 0}, fano_strict=False)
+    ).survivors
+    found, table = {wb.basket.text() for wb in rows}, {row.basket for row in P1_P2_ZERO_TABLE}
+    require(found == table, "Weak97 I: the weak P_-1 = P_-2 = 0 family is the table's"
+            f" {len(table)} rows, not {len(found)} baskets; they differ on {sorted(found ^ table)}")
     r_x = max(wb.gorenstein_index() for wb in rows)
     vol_min = min(wb.volume() for wb in rows)
     rmax = max(wb.basket.r_max() for wb in rows)
-    require((r_x, vol_min, rmax) == (210, F(1, 84), 14), "Weak97 I: rX 210, -K^3 1/84, rmax 14")
+    require((r_x, vol_min, rmax) == (210, Fraction(1, 84), 14),
+            "Weak97 I: rX 210, -K^3 1/84, rmax 14")
     require(all(wb.plurigenera(8)[8] >= 2 for wb in rows), "Weak97 I: P_-8 >= 2 on every row")
     _growth_leaf(leaf, "I: P2=0", (r_x, vol_min, rmax), 8, 38, 8, "ii",
                  [f"23 rows: rX <= {r_x}, -K^3 >= {vol_min}, rmax <= {rmax}, t = 8"],
                  [AX_CC_P8])
 
     # case II: rmax >= 14
-    cap_14_22 = max(max_index_given_rmax(r) for r in range(14, 23))
-    require(cap_14_22 == 240, f"Weak97 II: rX <= {cap_14_22}, not 240, for 14 <= rmax <= 22")
-    _growth_leaf(leaf, "II: 14<=rmax<=22", (240, F(1, 240), 22), 6, 44, 8, "ii",
-                 [f"brute-force rX <= {cap_14_22}; -K^3 >= 1/240; t = 6"],
-                 [AX_CC_P8, AX_RX_VOL_INT])
-    cap_23_24 = max(max_index_given_rmax(23), max_index_given_rmax(24))
-    require(cap_23_24 == 24, f"Weak97 II: rX <= {cap_23_24}, not 24, for rmax 23 or 24")
-    _growth_leaf(leaf, "II: rmax in {23,24}", (24, F(1, 24), 24), 2, 37, 8, "ii",
-                 [f"brute-force rX <= {cap_23_24}; -K^3 >= 1/24; t = 2"],
-                 [AX_CC_P8, AX_RX_VOL_INT])
+    _capped_leaf(leaf, "II: 14<=rmax<=22", range(14, 23), 240, 6, 44, 8, "ii",
+                 ["brute-force rX <= 240; -K^3 >= 1/240; t = 6"], [AX_CC_P8])
+    _capped_leaf(leaf, "II: rmax in {23,24}", range(23, 25), 24, 2, 37, 8, "ii",
+                 ["brute-force rX <= 24; -K^3 >= 1/24; t = 2"], [AX_CC_P8])
 
     # case III: rmax < 14 and P_-1 > 0 (nu0 = 1)
-    above_660 = {v for r in range(2, 13) for v in attainable_indices(r) if v > 660}
-    require(above_660 <= {840},
-            f"Weak97 III: with rmax <= 12, rX is 840 or <= 660, not {sorted(above_660 - {840})}")
-    _growth_leaf(leaf, "III: rmax<=12, rX<=660", (660, F(1, 330), 12), 15, 65, 8, "iii",
-                 ["t = 15"], [AX_CC_P8, AX_CC_VOL], nu0=1)
-    cap13 = max_index_given_rmax(13)
-    require(cap13 == 546, f"Weak97 III: rX <= {cap13}, not 546, for rmax 13")
-    _growth_leaf(leaf, "III: rmax=13", (546, F(1, 330), 13), 10, 61, 8, "iii",
-                 [f"brute-force rX <= {cap13}; t = 10"], [AX_CC_P8, AX_CC_VOL], nu0=1)
+    _capped_leaf(leaf, "III: rmax<=12, rX<=660", range(2, 13), 660, 15, 65, 8, "iii",
+                 ["t = 15"], [AX_CC_P8], nu0=1, isolated=(840,))
+    _capped_leaf(leaf, "III: rmax=13", range(13, 14), 546, 10, 61, 8, "iii",
+                 ["brute-force rX <= 546; t = 10"], [AX_CC_P8], nu0=1)
     # rX = 840 forces rmax = 8 and the sharp growth regime applies from 71
     sets840 = [s for r in range(2, 25) for s in admissible_index_sets_with_lcm(840, r)]
     require(sets840 == sorted(INDEX_840_SETS) and {s[-1] for s in sets840} == {8},
             f"Weak97 III: index-840 sets {sets840}, not {sorted(INDEX_840_SETS)} with rmax 8")
     sweep = _index_840_sweep()
     require(sweep > 0, "Weak97 III: the 840 sweep must be non-empty")
-    leaf(
-        "III: rX=840",
-        BirationalityInputs(8, 71, F(8), rmax=8, nu0=1),
-        "iii",
-        [f"growth regime verified on {sweep} volume-positive baskets, m in 71..{L840_HORIZON}"],
-        [AX_CC_P8, AX_CC_VOL],
-    )
+    leaf("III: rX=840", BirationalityInputs(8, 71, Fraction(8), rmax=8, nu0=1), "iii",
+         [f"growth regime verified on {sweep} volume-positive baskets, m in 71..{L840_HORIZON}"],
+         [AX_CC_P8, AX_CC_VOL])
 
     # case IV: rmax < 14, P_-1 = 0 < P_-2 (nu0 = 2, m0 = 6)
     nine = enumerate_geometric_full(
@@ -486,43 +464,35 @@ def _replay_weak_97() -> ReplayReport:
     nine_rmax = max(wb.basket.r_max() for wb in nine)
     require(nine_rx == 130 and nine_rmax == 13, "Weak97 IV: the nine have rX <= 130, rmax 13")
     require(all(wb.plurigenera(6)[6] >= 2 for wb in nine), "Weak97 IV: P_-6 >= 2 on the nine")
-    _growth_leaf(leaf, "IV: P4=1", (nine_rx, F(1, nine_rx), nine_rmax), 7, 37, 6, "iii",
+    _growth_leaf(leaf, "IV: P4=1", (nine_rx, Fraction(1, nine_rx), nine_rmax), 7, 37, 6, "iii",
                  [f"nine baskets; rX <= {nine_rx}; t = 7"], [AX_CC_P6, AX_RX_VOL_INT], nu0=2)
 
-    # from here on P_-4 >= 2, so m0 = 4 is pure arithmetic
+    # from here on P_-4 >= 2, so m0 = 4 is pure arithmetic, and a p1 = 0
+    # basket has an index-2 point
+    capped = partial(_capped_leaf, leaf, m0=4, axioms=[], nu0=2, forced=(2,))
     # rmax <= 8: rX | 840; the 840 option has no volume-positive basket
-    for r in range(2, 9):
-        values = attainable_indices(r, must_contain=(2,) if r != 2 else ())
-        require(all(840 % v == 0 and (v <= 420 or v == 840) for v in values),
-                f"Weak97 IV: with rmax = {r}, rX divides 840 and is 840 or <= 420")
+    require(all(840 % v == 0 for r in range(2, 9)
+                for v in attainable_indices(r, must_contain=(2,) if r != 2 else ())),
+            "Weak97 IV: with rmax <= 8, rX divides 840")
     _dead_index(report, 840, 8, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
-    _growth_leaf(leaf, "IV: rmax<=8, rX<=420", (420, F(1, 330), 8), 20, 54, 4, "iii",
-                 ["rX | 840 and rX < 840; t = 20"], [AX_CC_VOL], nu0=2)
+    capped("IV: rmax<=8, rX<=420", range(2, 9), 420, 20, 54, variant="iii",
+           checks=["rX | 840 and rX < 840; t = 20"], isolated=(840,))
 
-    _require_index_split(9, 360, (630,))
-    _growth_leaf(leaf, "IV: rmax=9, rX<=360", (360, F(1, 330), 9), 12, 50, 4, "iii",
-                 ["t = 12"], [AX_CC_VOL], nu0=2)
+    capped("IV: rmax=9, rX<=360", range(9, 10), 360, 12, 50, variant="iii",
+           checks=["t = 12"], isolated=(630,))
     _explicit_basket(report, leaf, 630)
 
-    _require_index_split(10, 210)
-    _growth_leaf(leaf, "IV: rmax=10", (210, F(1, 210), 10), 10, 39, 4, "ii",
-                 ["t = 10"], [AX_RX_VOL_INT], nu0=2)
+    capped("IV: rmax=10", range(10, 11), 210, 10, 39, variant="ii", checks=["t = 10"])
 
-    _require_index_split(11, 330, (660, 462))
-    _growth_leaf(leaf, "IV: rmax=11, rX<=330", (330, F(1, 330), 11), 13, 48, 4, "ii",
-                 ["t = 13"], [AX_CC_VOL], nu0=2)
+    capped("IV: rmax=11, rX<=330", range(11, 12), 330, 13, 48, variant="ii",
+           checks=["t = 13"], isolated=(660, 462))
     _dead_index(report, 660, 11, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
     _explicit_basket(report, leaf, 462)
 
-    _require_index_split(12, 84)
-    _growth_leaf(leaf, "IV: rmax=12", (84, F(1, 84), 12), 5, 37, 4, "ii",
-                 ["t = 5"], [AX_RX_VOL_INT], nu0=2)
+    capped("IV: rmax=12", range(12, 13), 84, 5, 37, variant="ii", checks=["t = 5"])
 
-    _require_index_split(13, 390, (546,))
-    _growth_leaf(leaf, "IV: rmax=13, rX<=390", (390, F(1, 330), 13), 12, 52, 4, "ii",
-                 ["t = 12"], [AX_CC_VOL], nu0=2)
-    sets546 = admissible_index_sets_with_lcm(546, 13, must_contain=(2,))
-    require(sets546 == [(2, 3, 7, 13)], f"Weak97 IV: index-546 sets {sets546}, not {{2,3,7,13}}")
+    capped("IV: rmax=13, rX<=390", range(13, 14), 390, 12, 52, variant="ii",
+           checks=["t = 12"], isolated=(546,))
     _explicit_basket(report, leaf, 546)
 
     report.coverage = [
@@ -543,18 +513,18 @@ def _index_840_sweep() -> int:
 
     Sweeps both admissible index sets, all residue choices, and weights
     p1 = 0..10; counts the volume-positive cases, each checked on degrees
-    71..L840_HORIZON together with the linear envelope for l(-n).
+    71..L840_HORIZON together with the linear envelope for l(-n).  The weights
+    of a basket follow one another, so they share one summed residue table.
     """
     count = 0
     for basket in _residue_baskets(INDEX_840_SETS):
-        basket.keep_residue_sums(L840_HORIZON)  # one build for p1 = 0..10
         for p1 in range(0, 11):
             wb = WeightedBasket(basket, p1)
             vol = wb.volume()
             if vol <= 0:
                 continue
             where = f"Weak97 840 sweep, {basket.text()} with p1 = {p1}"
-            require(vol >= F(1, 330), f"{where}: -K^3 = {vol} < 1/330")
+            require(vol >= Fraction(1, 330), f"{where}: -K^3 = {vol} < 1/330")
             require(thm2_check_840(wb), f"{where}: growth regime fails on 71..{L840_HORIZON}")
             count += 1
     return count

@@ -19,6 +19,7 @@ from math import gcd
 from typing import Callable, Optional
 
 from .basket import Basket
+from .reports import ReplayContradiction
 
 
 def _valid_level(n: int) -> None:
@@ -31,7 +32,7 @@ class FractionSet:
     """A finite truncation of S^(n), sorted in decreasing order.
 
     Adjacent members q_i/p_i > q_{i+1}/p_{i+1} always satisfy
-    q_i p_{i+1} - p_i q_{i+1} = 1; construction asserts it.  The tests'
+    q_i p_{i+1} - p_i q_{i+1} = 1; construction checks it.  The tests'
     reference S^(n): `unpack` finds neighbours from integers alone.
     """
 
@@ -42,9 +43,7 @@ class FractionSet:
         for hi, lo in zip(self.fractions, self.fractions[1:]):
             det = hi.numerator * lo.denominator - hi.denominator * lo.numerator
             if det != 1:
-                raise AssertionError(
-                    f"neighbour determinant {det} != 1 between {hi} and {lo}"
-                )
+                raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
 
     def neighbours(self, frac: Fraction) -> tuple[Fraction, Fraction]:
         """(upper, lower) adjacent members around a non-member fraction."""
@@ -100,7 +99,7 @@ def _neighbours(b: int, r: int, n: int) -> Optional[tuple[tuple[int, int], ...]]
         k = r // b
         lq, lp, hq, hp = 1, k + 1, 1, k
     if hq * lp - hp * lq != 1:
-        raise AssertionError(f"neighbour determinant != 1: {hq}/{hp}, {lq}/{lp}")
+        raise ReplayContradiction(f"unpack: neighbour determinant != 1: {hq}/{hp}, {lq}/{lp}")
     return (hq, hp), (lq, lp)
 
 
@@ -118,7 +117,8 @@ def unpack(basket: Basket, n: int) -> Basket:
         (qh, ph), (ql, pl) = near
         count_low = r * qh - b * ph
         count_high = -r * ql + b * pl
-        assert count_low > 0 and count_high > 0
+        if count_low <= 0 or count_high <= 0:
+            raise ReplayContradiction(f"unpack: ({b},{r}) splits into a non-positive count")
         runs.append(((ql, pl), count_low * count))
         runs.append(((qh, ph), count_high * count))
     return Basket.from_counts(runs)
@@ -134,7 +134,8 @@ def epsilon_n(basket: Basket, n: int) -> int:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
     prev = unpack(basket, n - 1 if n > 5 else 0)
     eps = prev.delta(n) - basket.delta(n)
-    assert eps >= 0
+    if eps < 0:
+        raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
     return eps
 
 
@@ -157,9 +158,11 @@ def canonical_chain(basket: Basket) -> CanonicalChain:
     for n in range(5, basket.r_max() + 1):
         # eps_n = Delta^n(B^(n-1)) - Delta^n(B), read off the stage just built
         eps = stages[-1].basket.delta(n) - basket.delta(n)
-        assert eps >= 0
+        if eps < 0:
+            raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
         stages.append(ChainStage(n, unpack(basket, n), eps))
-    assert stages[-1].basket == basket
+    if stages[-1].basket != basket:
+        raise ReplayContradiction(f"canonical chain ends at {stages[-1].basket.text()}")
     return CanonicalChain(basket, tuple(stages))
 
 

@@ -121,13 +121,11 @@ def render_enumeration(survivors, horizon: int = 8) -> str:
     return "\n".join(lines)
 
 
-def _sorted_like_table(survivors):
-    from .tables import P1_P2_ZERO_TABLE
-
-    order = {row.basket: row.no for row in P1_P2_ZERO_TABLE}
-    return sorted(
-        survivors, key=lambda wb: order.get(wb.basket.text(), 99),
-    )
+def table_rows() -> list[WeightedBasket]:
+    """The P_-2 = 0 survivors of the P_-1 = 0 replay, which checked each
+    against the 23-row table, in table order."""
+    rows = [s for s in replay_delta1("P1_eq_0").survivors if s.notes["branch"] == "P2=0"]
+    return [s.wb for s in sorted(rows, key=lambda s: s.notes["no"])]
 
 
 def cmd_enumerate(args) -> int:
@@ -146,8 +144,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_replay(args) -> int:
     if args.case == "list":
-        survivors = enumerate_geometric(ConstraintSet(p_exact={1: 0, 2: 0}))
-        _emit(args, render_enumeration(_sorted_like_table(survivors)))
+        _emit(args, render_enumeration(table_rows()))
         return 0
     if args.case in ("p2", "p1", "p0"):
         family = {"p2": "P1_eq_2", "p1": "P1_eq_1", "p0": "P1_eq_0"}[args.case]

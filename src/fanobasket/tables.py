@@ -24,32 +24,30 @@ class TableRow:
     m1: int
 
 
-F = Fraction
-
 P1_P2_ZERO_TABLE: tuple[TableRow, ...] = (
-    TableRow(1, "2x(1,2),(1,3),(1,4),3x(2,5)", F(1, 60), (0, 0, 1, 1, 1, 2), 5, 10),
-    TableRow(2, "5x(1,2),2x(1,3),(1,4),(2,7)", F(1, 84), (0, 1, 0, 1, 1, 2), 11, 11),
-    TableRow(3, "5x(1,2),2x(1,3),(3,11)", F(1, 66), (0, 1, 0, 1, 1, 2), 10, 10),
-    TableRow(4, "5x(1,2),(1,3),(1,4),(3,10)", F(1, 60), (0, 1, 0, 1, 1, 2), 11, 11),
-    TableRow(5, "5x(1,2),(1,3),2x(2,7)", F(1, 42), (0, 1, 0, 1, 2, 3), 8, 8),
-    TableRow(6, "4x(1,2),2x(1,3),2x(1,4),(2,5)", F(1, 30), (0, 1, 1, 2, 2, 4), 8, 8),
-    TableRow(7, "3x(1,2),5x(1,3),(2,5)", F(1, 30), (1, 1, 1, 3, 3, 4), 3, 6),
-    TableRow(8, "2x(1,2),5x(1,3),(3,7)", F(1, 21), (1, 1, 1, 3, 4, 5), 3, 6),
-    TableRow(9, "(1,2),5x(1,3),(4,9)", F(1, 18), (1, 1, 1, 3, 4, 5), 3, 6),
-    TableRow(10, "3x(1,2),4x(1,3),(3,8)", F(1, 24), (1, 1, 1, 3, 3, 5), 3, 6),
-    TableRow(11, "3x(1,2),3x(1,3),(4,11)", F(1, 22), (1, 1, 1, 3, 3, 5), 3, 6),
-    TableRow(12, "3x(1,2),2x(1,3),(5,14)", F(1, 21), (1, 1, 1, 3, 3, 5), 3, 6),
-    TableRow(13, "2x(1,2),4x(1,3),2x(2,5)", F(1, 15), (1, 1, 2, 4, 5, 7), 3, 6),
-    TableRow(14, "(1,2),4x(1,3),(2,5),(3,7)", F(17, 210), (1, 1, 2, 4, 6, 8), 3, 6),
-    TableRow(15, "2x(1,2),3x(1,3),(2,5),(3,8)", F(3, 40), (1, 1, 2, 4, 5, 8), 3, 6),
-    TableRow(16, "2x(1,2),3x(1,3),(5,13)", F(1, 13), (1, 1, 2, 4, 5, 8), 3, 6),
-    TableRow(17, "(1,2),3x(1,3),3x(2,5)", F(1, 10), (1, 1, 3, 5, 7, 10), 3, 6),
-    TableRow(18, "4x(1,2),5x(1,3),(1,4)", F(1, 12), (1, 2, 2, 5, 6, 9), 3, 6),
-    TableRow(19, "4x(1,2),4x(1,3),(2,7)", F(2, 21), (1, 2, 2, 5, 7, 10), 3, 6),
-    TableRow(20, "4x(1,2),3x(1,3),(3,10)", F(1, 10), (1, 2, 2, 5, 7, 10), 3, 6),
-    TableRow(21, "3x(1,2),4x(1,3),(1,4),(2,5)", F(7, 60), (1, 2, 3, 6, 8, 12), 3, 6),
-    TableRow(22, "3x(1,2),7x(1,3)", F(1, 6), (2, 3, 4, 9, 12, 17), 3, 6),
-    TableRow(23, "2x(1,2),6x(1,3),(2,5)", F(1, 5), (2, 3, 5, 10, 14, 20), 3, 6),
+    TableRow(1, "2x(1,2),(1,3),(1,4),3x(2,5)", Fraction(1, 60), (0, 0, 1, 1, 1, 2), 5, 10),
+    TableRow(2, "5x(1,2),2x(1,3),(1,4),(2,7)", Fraction(1, 84), (0, 1, 0, 1, 1, 2), 11, 11),
+    TableRow(3, "5x(1,2),2x(1,3),(3,11)", Fraction(1, 66), (0, 1, 0, 1, 1, 2), 10, 10),
+    TableRow(4, "5x(1,2),(1,3),(1,4),(3,10)", Fraction(1, 60), (0, 1, 0, 1, 1, 2), 11, 11),
+    TableRow(5, "5x(1,2),(1,3),2x(2,7)", Fraction(1, 42), (0, 1, 0, 1, 2, 3), 8, 8),
+    TableRow(6, "4x(1,2),2x(1,3),2x(1,4),(2,5)", Fraction(1, 30), (0, 1, 1, 2, 2, 4), 8, 8),
+    TableRow(7, "3x(1,2),5x(1,3),(2,5)", Fraction(1, 30), (1, 1, 1, 3, 3, 4), 3, 6),
+    TableRow(8, "2x(1,2),5x(1,3),(3,7)", Fraction(1, 21), (1, 1, 1, 3, 4, 5), 3, 6),
+    TableRow(9, "(1,2),5x(1,3),(4,9)", Fraction(1, 18), (1, 1, 1, 3, 4, 5), 3, 6),
+    TableRow(10, "3x(1,2),4x(1,3),(3,8)", Fraction(1, 24), (1, 1, 1, 3, 3, 5), 3, 6),
+    TableRow(11, "3x(1,2),3x(1,3),(4,11)", Fraction(1, 22), (1, 1, 1, 3, 3, 5), 3, 6),
+    TableRow(12, "3x(1,2),2x(1,3),(5,14)", Fraction(1, 21), (1, 1, 1, 3, 3, 5), 3, 6),
+    TableRow(13, "2x(1,2),4x(1,3),2x(2,5)", Fraction(1, 15), (1, 1, 2, 4, 5, 7), 3, 6),
+    TableRow(14, "(1,2),4x(1,3),(2,5),(3,7)", Fraction(17, 210), (1, 1, 2, 4, 6, 8), 3, 6),
+    TableRow(15, "2x(1,2),3x(1,3),(2,5),(3,8)", Fraction(3, 40), (1, 1, 2, 4, 5, 8), 3, 6),
+    TableRow(16, "2x(1,2),3x(1,3),(5,13)", Fraction(1, 13), (1, 1, 2, 4, 5, 8), 3, 6),
+    TableRow(17, "(1,2),3x(1,3),3x(2,5)", Fraction(1, 10), (1, 1, 3, 5, 7, 10), 3, 6),
+    TableRow(18, "4x(1,2),5x(1,3),(1,4)", Fraction(1, 12), (1, 2, 2, 5, 6, 9), 3, 6),
+    TableRow(19, "4x(1,2),4x(1,3),(2,7)", Fraction(2, 21), (1, 2, 2, 5, 7, 10), 3, 6),
+    TableRow(20, "4x(1,2),3x(1,3),(3,10)", Fraction(1, 10), (1, 2, 2, 5, 7, 10), 3, 6),
+    TableRow(21, "3x(1,2),4x(1,3),(1,4),(2,5)", Fraction(7, 60), (1, 2, 3, 6, 8, 12), 3, 6),
+    TableRow(22, "3x(1,2),7x(1,3)", Fraction(1, 6), (2, 3, 4, 9, 12, 17), 3, 6),
+    TableRow(23, "2x(1,2),6x(1,3),(2,5)", Fraction(1, 5), (2, 3, 5, 10, 14, 20), 3, 6),
 )
 
 # the four open types plus the six upgraded ones; degrees 10/10/10/10, 8x4, <=6 x2

@@ -2,12 +2,18 @@
 
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from fanobasket.birational import (
+    AX_CC_P8,
+    AX_CC_VOL,
+    AX_RX_VOL_INT,
     BirationalityInputs,
+    _capped_leaf,
     _dead_index,
+    _leaf,
     _zero_p1_baskets,
     a_of_m0,
     replay_birationality,
@@ -181,3 +187,33 @@ def test_zero_p1_baskets_refuses_a_set_with_room_for_a_repeat(monkeypatch, rset)
                         lambda *args, **kwargs: [rset])
     with pytest.raises(ReplayContradiction, match=re.escape(f"beside {rset} only")):
         _zero_p1_baskets(42, 7)
+
+
+def test_dead_index_checks_every_basket_in_budget_not_only_candidates(monkeypatch):
+    import fanobasket.birational as birational
+
+    # with the weak constraints made to reject everything, no index-630 basket
+    # is a candidate, yet 2x(1,2),(2,5),(3,7),(4,9) is within the 24-budget
+    # with -K^3 = 43/315 > 0: the certificate "-K^3 <= 0" must still fail
+    monkeypatch.setattr(birational, "is_geometric_candidate", lambda wb, cs: (False, "off"))
+    assert birational._zero_p1_baskets(630, 9) == []
+    report = ReplayReport(case="Weak97", constraints="")
+    with pytest.raises(ReplayContradiction, match=re.escape("(2,5),(3,7),(4,9)'")):
+        _dead_index(report, 630, 9, "(1,2),(1,5),(1,7),(1,9)", "IV: rmax=9")
+    assert report.eliminated == []
+
+
+def test_capped_leaf_requires_an_attained_cap_and_derives_the_volume_floor():
+    report = ReplayReport(case="Weak97", constraints="")
+    leaf = partial(_leaf, report, 97)
+    # for 14 <= rmax <= 22 the largest attainable rX is 240, so a cap of 250
+    # is refused although nothing exceeds it
+    with pytest.raises(ReplayContradiction, match=r"^Weak97 II: .*largest 240, expected 250$"):
+        _capped_leaf(leaf, "II: 14<=rmax<=22", range(14, 23), 250, 6, 44, 8, "ii", [], [])
+    assert report.leaves == []
+    # below 330 the floor is 1/cap, from rX(-K^3) in Z; from 330 on it is 1/330
+    _capped_leaf(leaf, "II: 14<=rmax<=22", range(14, 23), 240, 6, 44, 8, "ii", [], [AX_CC_P8])
+    _capped_leaf(leaf, "IV: rmax=11, rX<=330", range(11, 12), 330, 13, 48, 4, "ii", [], [],
+                 nu0=2, forced=(2,), isolated=(660, 462))
+    assert [node["threshold"] for node in report.leaves] == [96, 86]
+    assert report.axioms == [AX_CC_P8, AX_RX_VOL_INT, AX_CC_VOL]

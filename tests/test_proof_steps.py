@@ -37,10 +37,31 @@ FAULTS = {
     "Weak97 index cap 660": (
         "import fanobasket.birational as birational\n"
         "indices = birational.attainable_indices\n"
-        "birational.attainable_indices = lambda *a, **k: {**indices(*a, **k), 700: ()}\n",
+        "birational.attainable_indices = lambda r, **k: (\n"
+        "    {**indices(r, **k), 700: ()} if r <= 12 else indices(r, **k))\n",
         ("replay", "birat2"),
-        "contradiction: Weak97 III: with rmax <= 12, rX is 840 or <= 660, not [700]",
-        "\n",
+        "contradiction: Weak97 III: rmax<=12, rX<=660: rX is at most 660 or one of [840],"
+        " not [700]",
+        "; largest 840, expected 840\n",
+    ),
+    # the same cap rule at a leaf with no isolated index
+    "Weak97 index cap 210": (
+        "import fanobasket.birational as birational\n"
+        "indices = birational.attainable_indices\n"
+        "birational.attainable_indices = lambda r, **k: (\n"
+        "    {**indices(r, **k), 300: ()} if r == 10 else indices(r, **k))\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 IV: rmax=10: rX is at most 210 or one of [], not [300]",
+        "; largest 300, expected 210\n",
+    ),
+    # case I reads its bounds off the weak P_-1 = P_-2 = 0 family, which must
+    # be the table's rows
+    "Weak97 I weak family": (
+        "import fanobasket.birational as birational\n"
+        "birational.P1_P2_ZERO_TABLE = birational.P1_P2_ZERO_TABLE[:-1]\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 I: the weak P_-1 = P_-2 = 0 family is the table's 22 rows,",
+        " not 23 baskets; they differ on ['2x(1,2),6x(1,3),(2,5)']\n",
     ),
     "index-840 sets": (
         "import fanobasket.birational as birational\n"
@@ -57,6 +78,18 @@ FAULTS = {
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "p0"),
+        "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
+        "\n",
+    ),
+    # `replay list` prints the rows the P_-1 = 0 replay checked
+    "row No.7 m1 through replay list": (
+        "import dataclasses\n"
+        "import fanobasket.search as search\n"
+        "search.P1_P2_ZERO_TABLE = tuple(\n"
+        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    for row in search.P1_P2_ZERO_TABLE\n"
+        ")\n",
+        ("replay", "list"),
         "contradiction: P1_eq_0 No.7: m1 = 6, the table says 99",
         "\n",
     ),
@@ -187,9 +220,9 @@ def _tree(module: str) -> ast.AST:
 def test_replay_modules_state_proof_steps_only_through_require():
     # pencil holds the 840 growth check, basket the kernels it rests on,
     # indexbound the index caps Weak97 reads, recovery the stage-0 tails
-    # the P_-1 = 0 replay reads
+    # the P_-1 = 0 replay reads and canonical the unpacking they rest on
     modules = ("search.py", "birational.py", "pencil.py", "basket.py", "indexbound.py",
-               "recovery.py")
+               "recovery.py", "canonical.py")
     for module in modules:
         for node in ast.walk(_tree(module)):
             assert not isinstance(node, ast.Assert), f"{module}:{node.lineno} assert"

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
 from fanobasket.basket import Basket, WeightedBasket, local_correction_unreduced
 from fanobasket.birational import INDEX_840_SETS, _residue_baskets
@@ -120,13 +121,23 @@ def test_plurigenera_match_the_delta_recursion_on_the_840_sweep():
 
 
 def test_kept_residue_sums_serve_every_weight_and_degree():
-    # what the 840 sweep does: keep the sums to 150 once, read them per p1
+    # what the 840 sweep does: the weights of one basket, read to one degree
+    # in a row, build the summed residue table once and hit it after that
+    memo = basket_module._summed_residues
     for basket in (Basket.parse("(1,3),(2,5),(3,7),(3,8)"), Basket.parse("4x(1,2),(2,9)")):
-        basket.keep_residue_sums(150)
-        for p1 in (0, 3, 10):
-            wb = WeightedBasket(basket, p1)
-            for upto in (1, 12, 150, 200):  # 200 is past the kept sums
+        for upto in (1, 12, 150, 200):
+            memo.cache_clear()
+            for p1 in (0, 3, 10):
+                wb = WeightedBasket(basket, p1)
                 assert list(wb.plurigenera(upto).values) == plurigenera_reference(wb, upto)
+            assert memo.cache_info()[:2] == (2, 1), (basket.text(), upto)
+    # another basket or another degree replaces the one entry
+    one, other = Basket.parse("4x(1,2),(2,9)"), Basket.parse("(1,2),(2,5)")
+    memo.cache_clear()
+    for basket, upto in ((one, 12), (other, 12), (one, 12), (one, 13)):
+        wb = WeightedBasket(basket, 1)
+        assert list(wb.plurigenera(upto).values) == plurigenera_reference(wb, upto)
+    assert memo.cache_info()[:2] == (0, 4)
 
 
 def test_short_and_empty_sequences():
