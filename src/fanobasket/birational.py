@@ -28,9 +28,8 @@ from typing import Iterator, Optional
 from .basket import Basket, WeightedBasket
 from .indexbound import admissible_index_sets_with_lcm, attainable_indices
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
-from .recovery import BUDGET, cost, within_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
-from .search import ConstraintSet, enumerate_geometric_full, is_geometric_candidate, replay_delta1
+from .search import ConstraintSet, enumerate_geometric_full, p1_zero_family, replay_delta1
 from .tables import P1_P2_ZERO_TABLE
 
 INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
@@ -137,29 +136,6 @@ def _residue_baskets(index_sets: list[tuple[int, ...]]) -> Iterator[Basket]:
         choices = [[b for b in range(1, r // 2 + 1) if gcd(b, r) == 1] for r in rset]
         for bs in product(*choices):
             yield Basket(list(zip(bs, rset)))
-
-
-def _zero_p1_residue_baskets(index: int, rmax: int) -> Iterator[WeightedBasket]:
-    """Every p1 = 0 weighted basket with one point per entry of an admissible
-    index set of lcm `index` and largest entry rmax, the forced index 2 once
-    or twice.  Up to the 24-budget that is every such basket: it first
-    requires that beside each set the budget has room for no second point of
-    any index but 2, and for at most one of 2."""
-    sets = admissible_index_sets_with_lcm(index, rmax, must_contain=(2,))
-    for rset in sets:
-        left = BUDGET - sum(map(cost, rset))
-        require(2 * cost(2) > left and all(cost(r) > left for r in rset if r != 2),
-                f"Weak97 IV: beside {rset} only index 2 repeats within the 24-budget,"
-                " and only once")
-    return (WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets]))
-
-
-def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
-    """The baskets of `_zero_p1_residue_baskets(index, rmax)` that pass the
-    weak geometric constraints."""
-    cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
-    return sorted((wb for wb in _zero_p1_residue_baskets(index, rmax)
-                   if is_geometric_candidate(wb, cs)[0]), key=lambda w: w.basket)
 
 
 def replay_birationality(target_name: str) -> ReplayReport:
@@ -356,15 +332,16 @@ EXPLICIT_BASKETS = {
 
 
 def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
-    """The one basket `_zero_p1_baskets` finds at Gorenstein index `index`
-    and the rmax of the pinned basket, recorded as the survivor of leaf
-    "IV: rX=<index>"; its -K^3 and P_-m are the pinned ones, and the growth
-    criterion holds at m1.  The pencil of degree m0 = 4 escapes at m1; with
-    an escape degree k it also escapes at k, and the growth leaf then takes
-    mu0 = k/iota(k), iota(k) = P_-k - 1."""
+    """The one survivor of the weak P_-1 = 0 family with Gorenstein index
+    `index`, P_-2 >= 1 and P_-4 >= 2 is the pinned basket, recorded as the
+    survivor of leaf "IV: rX=<index>"; its -K^3 and P_-m are the pinned ones,
+    and the growth criterion holds at m1.  The pencil of degree m0 = 4
+    escapes at m1; with an escape degree k it also escapes at k, and the
+    growth leaf then takes mu0 = k/iota(k), iota(k) = P_-k - 1."""
     text, volume, pins, k, variant = EXPLICIT_BASKETS[index]
     name, rmax, m0, m1 = f"IV: rX={index}", Basket.parse(text).r_max(), 4, max(pins)
-    found = _zero_p1_baskets(index, rmax)
+    found = [row.wb for row in p1_zero_family() if row.wb.gorenstein_index() == index
+             and row.cert is None and row.p[2] >= 1 and row.p[4] >= 2]
     require([wb.basket.text() for wb in found] == [text],
             f"Weak97 IV: {text} is the only index-{index} basket")
     wb = found[0]
@@ -388,19 +365,19 @@ def _explicit_basket(report: ReplayReport, leaf: partial, index: int) -> None:
 
 
 def _dead_index(report: ReplayReport, index: int, rmax: int, example: str, branch: str) -> None:
-    """No p1 = 0 basket of Gorenstein index `index` and largest local index
-    rmax within the 24-budget has -K^3 > 0 (without an index-2 point,
-    -K^3 <= 0 by `_no_two_forces_nonpositive_volume`); `example`, one such
-    basket with p1 = 0 and -K^3 <= 0, stands for them among the eliminated rows."""
+    """No candidate of the weak P_-1 = 0 family with Gorenstein index `index`,
+    survivor or eliminated row, has -K^3 > 0, so the check does not rest on
+    the survivor filter; `example`, a basket with p1 = 0, that index, largest
+    local index rmax and -K^3 <= 0, stands for them among the eliminated rows."""
     wb = WeightedBasket(Basket.parse(example), 0)
     r_x, r_max, vol = wb.gorenstein_index(), wb.basket.r_max(), wb.volume()
     require((r_x, r_max) == (index, rmax) and vol <= 0,
             f"Weak97 IV: example {example} needs rX = {index}, rmax = {rmax}, -K^3 <= 0;"
             f" it has rX = {r_x}, rmax = {r_max}, -K^3 = {vol}")
-    positive = [w.basket.text() for w in _zero_p1_residue_baskets(index, rmax)
-                if within_budget(w.basket, strict=False) and w.volume() > 0]
-    require(not positive, f"Weak97 IV: index-{index} baskets with P_-1 = 0 within the"
-            f" 24-budget have -K^3 <= 0, not {positive}")
+    positive = [row.wb.basket.text() for row in p1_zero_family()
+                if row.wb.gorenstein_index() == index and row.wb.volume() > 0]
+    require(not positive, f"Weak97 IV: index-{index} candidates with P_-1 = 0"
+            f" have -K^3 <= 0, not {positive}")
     report.eliminated.append(EliminatedRow(
         wb, f"every index-{index} candidate with P_-1 = 0 has -K^3 <= 0", branch=branch,
     ))
@@ -418,9 +395,8 @@ def _replay_weak_97() -> ReplayReport:
             "Weak97: without an index-2 point, P_-1 = 0 forces -K^3 <= 0")
 
     # case I: P_-2 = 0 -> the weak family is the 23 rows, which pin everything
-    rows = enumerate_geometric_full(
-        ConstraintSet(p_exact={1: 0, 2: 0}, fano_strict=False)
-    ).survivors
+    survivors = [row for row in p1_zero_family() if row.cert is None]
+    rows = [row.wb for row in survivors if row.p[2] == 0]
     found, table = {wb.basket.text() for wb in rows}, {row.basket for row in P1_P2_ZERO_TABLE}
     require(found == table, "Weak97 I: the weak P_-1 = P_-2 = 0 family is the table's"
             f" {len(table)} rows, not {len(found)} baskets; they differ on {sorted(found ^ table)}")
@@ -456,9 +432,7 @@ def _replay_weak_97() -> ReplayReport:
          [AX_CC_P8, AX_CC_VOL])
 
     # case IV: rmax < 14, P_-1 = 0 < P_-2 (nu0 = 2, m0 = 6)
-    nine = enumerate_geometric_full(
-        ConstraintSet(p_exact={1: 0, 3: 0, 4: 1}, p_min={2: 1}, fano_strict=False)
-    ).survivors
+    nine = [row.wb for row in survivors if row.p[2] >= 1 and row.p[3] == 0 and row.p[4] == 1]
     require(len(nine) == 9, f"Weak97 IV: {len(nine)} baskets with P_-4 = 1, not nine")
     nine_rx = max(wb.gorenstein_index() for wb in nine)
     nine_rmax = max(wb.basket.r_max() for wb in nine)
@@ -503,7 +477,7 @@ def _replay_weak_97() -> ReplayReport:
         " or rX = 840 (the only index above 660)",
         "within P_-1 = 0 < P_-2: P_-4 = 1 (nine baskets) vs P_-4 >= 2 split"
         " over rmax = 2..13, with the isolated indices 630, 462, 546 and the"
-        " dead 840/660 options handled by explicit residue enumeration",
+        " dead 840/660 options read off the weak P_-1 = 0 enumeration",
     ]
     return _conclude(report, target)
 

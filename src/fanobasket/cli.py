@@ -144,7 +144,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_replay(args) -> int:
     if args.case == "list":
-        _emit(args, render_enumeration(table_rows()))
+        rows = table_rows()
+        if args.json:
+            _emit(args, json.dumps([wb.to_json() for wb in rows], indent=2))
+        else:
+            _emit(args, render_enumeration(rows))
         return 0
     if args.case in ("p2", "p1", "p0"):
         family = {"p2": "P1_eq_2", "p1": "P1_eq_1", "p0": "P1_eq_0"}[args.case]

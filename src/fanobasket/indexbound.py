@@ -125,13 +125,9 @@ def attainable_indices(
     return dict(sorted(out.items()))
 
 
-def admissible_index_sets_with_lcm(
-    target: int, r_max: int, must_contain: tuple[int, ...] = ()
-) -> list[tuple[int, ...]]:
+def admissible_index_sets_with_lcm(target: int, r_max: int) -> list[tuple[int, ...]]:
     """All admissible distinct-value index sets with the given lcm."""
-    return sorted(
-        s for s in _raw_subsets(r_max, must_contain) if lcm(*s) == target
-    )
+    return sorted(s for s in _raw_subsets(r_max) if lcm(*s) == target)
 
 
 def coprime_split_inequality(a: int, b: int) -> bool:

@@ -300,6 +300,28 @@ def _replay_ladders(
     return report
 
 
+@dataclass(frozen=True)
+class FamilyRow:
+    """A candidate of the weak P_-1 = 0 family with its certificate (None for
+    a survivor), P_-1..P_-4 and whether gamma > 0, each read once."""
+
+    wb: WeightedBasket
+    cert: Optional[str]
+    p: PlurigenusSequence
+    fano: bool
+
+
+@cache
+def p1_zero_family() -> tuple[FamilyRow, ...]:
+    """The weak (gamma >= 0) P_-1 = 0 family, enumerated once per process:
+    survivors, then eliminated rows, each in basket order.  Its gamma > 0 rows
+    are the Q-Fano family, so the P1_eq_0 replay and Weak97 both read it."""
+    result = enumerate_geometric_full(ConstraintSet(p_exact={1: 0}, fano_strict=False))
+    rows = [(wb, None) for wb in result.survivors] + result.eliminated
+    return tuple(FamilyRow(wb, cert, wb.plurigenera(4), within_budget(wb.basket, strict=True))
+                 for wb, cert in rows)
+
+
 def _replay_p1_zero() -> ReplayReport:
     report = ReplayReport(
         case="P1_eq_0",
@@ -307,17 +329,21 @@ def _replay_p1_zero() -> ReplayReport:
         axioms=[AXIOM_LOCAL_CRITERION, AXIOM_DOUBLING],
     )
     exceptional: dict[str, tuple[WeightedBasket, dict]] = {}
+    # the gamma > 0 rows of the shared family, split on P_-2 = 0 vs P_-2 > 0
+    fano = [row for row in p1_zero_family() if row.fano]
+    split = {"P2=0": [row for row in fano if row.p[2] == 0],
+             "P2>0": [row for row in fano if row.p[2] > 0]}
+    for label, rows in split.items():
+        report.eliminated.extend(EliminatedRow(row.wb, row.cert, branch=label)
+                                 for row in rows if row.cert is not None)
+    survivors0, survivors2 = ([row.wb for row in rows if row.cert is None]
+                              for rows in split.values())
 
     # branch one: P_-2 = 0, the tabulated 23 baskets
-    cs0 = ConstraintSet(p_exact={1: 0, 2: 0})
-    res0 = enumerate_geometric_full(cs0)
-    report.eliminated.extend(
-        EliminatedRow(wb, cert, branch="P2=0") for wb, cert in res0.eliminated
-    )
     table = {row.basket: row for row in P1_P2_ZERO_TABLE}
-    found = {wb.basket.text() for wb in res0.survivors}
+    found = {wb.basket.text() for wb in survivors0}
     require(found == set(table), f"P1_eq_0, P2=0: {len(found)} survivors, not the 23 rows")
-    for wb in res0.survivors:
+    for wb in survivors0:
         row = table[wb.basket.text()]
         vol, p3_to_p8 = wb.volume(), wb.plurigenera(8).values[2:]
         require((vol, p3_to_p8) == (row.volume, row.p3_to_p8),
@@ -331,12 +357,7 @@ def _replay_p1_zero() -> ReplayReport:
             exceptional[wb.basket.text()] = wb, notes
 
     # branch two: P_-2 > 0
-    cs2 = ConstraintSet(p_exact={1: 0}, p_min={2: 1})
-    res2 = enumerate_geometric_full(cs2)
-    report.eliminated.extend(
-        EliminatedRow(wb, cert, branch="P2>0") for wb, cert in res2.eliminated
-    )
-    for wb in res2.survivors:
+    for wb in survivors2:
         text = wb.basket.text()
         if not structural_tail(wb.basket):
             m = 3

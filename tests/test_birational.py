@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from fanobasket.basket import WeightedBasket
 from fanobasket.birational import (
     AX_CC_P8,
     AX_CC_VOL,
@@ -13,17 +14,51 @@ from fanobasket.birational import (
     BirationalityInputs,
     _capped_leaf,
     _dead_index,
+    _explicit_basket,
     _leaf,
-    _zero_p1_baskets,
+    _residue_baskets,
     a_of_m0,
     replay_birationality,
     thm_main_threshold,
 )
-from fanobasket.reports import ReplayContradiction, ReplayReport
-from fanobasket.search import ConstraintSet, enumerate_geometric
+from fanobasket.indexbound import admissible_index_sets_with_lcm
+from fanobasket.recovery import BUDGET, cost, within_budget
+from fanobasket.reports import ReplayContradiction, ReplayReport, require
+from fanobasket.search import (
+    ConstraintSet,
+    enumerate_geometric,
+    is_geometric_candidate,
+    p1_zero_family,
+)
 from fanobasket.wci import X6D_PAIRS
 
 F = Fraction
+
+
+# --- the residue oracle for Weak97's named indices ----------------------------
+
+
+def _zero_p1_residue_baskets(index: int, rmax: int) -> list[WeightedBasket]:
+    """Every p1 = 0 weighted basket with one point per entry of an admissible
+    index set of lcm `index` and largest entry rmax, the forced index 2 once
+    or twice.  Up to the 24-budget that is every such basket: it first
+    requires that beside each set the budget has room for no second point of
+    any index but 2, and for at most one of 2."""
+    sets = [s for s in admissible_index_sets_with_lcm(index, rmax) if 2 in s]
+    for rset in sets:
+        left = BUDGET - sum(map(cost, rset))
+        require(2 * cost(2) > left and all(cost(r) > left for r in rset if r != 2),
+                f"Weak97 IV: beside {rset} only index 2 repeats within the 24-budget,"
+                " and only once")
+    return [WeightedBasket(b, 0) for b in _residue_baskets(sets + [(2,) + s for s in sets])]
+
+
+def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
+    """The baskets of `_zero_p1_residue_baskets(index, rmax)` that pass the
+    weak geometric constraints with P_-2 >= 1 and P_-4 >= 2."""
+    cs = ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
+    return sorted((wb for wb in _zero_p1_residue_baskets(index, rmax)
+                   if is_geometric_candidate(wb, cs)[0]), key=lambda w: w.basket)
 
 
 def test_a_of_m0():
@@ -142,12 +177,15 @@ def test_replays_carry_a_coverage_audit():
 
 
 def test_weak97_residue_claims_match_the_enumeration():
-    # oracle for the residue loops: the complete weak P_-1 = 0, P_-2 >= 1,
-    # P_-4 >= 2 enumeration, filtered by Gorenstein index
+    # the residue oracle against the complete weak P_-1 = 0, P_-2 >= 1,
+    # P_-4 >= 2 enumeration, filtered by Gorenstein index; Weak97 reads the
+    # same survivors off the shared weak P_-1 = 0 family
     survivors = enumerate_geometric(
         ConstraintSet(p_exact={1: 0}, p_min={2: 1, 4: 2}, fano_strict=False)
     )
     assert len(survivors) == 261
+    assert survivors == [row.wb for row in p1_zero_family()
+                         if row.cert is None and row.p[2] >= 1 and row.p[4] >= 2]
 
     claims = {
         (630, 9): ["2x(1,2),(2,5),(3,7),(4,9)"],
@@ -160,6 +198,18 @@ def test_weak97_residue_claims_match_the_enumeration():
         enumerated = [wb.basket.text() for wb in survivors if wb.gorenstein_index() == index]
         residues = [wb.basket.text() for wb in _zero_p1_baskets(index, rmax)]
         assert enumerated == residues == expected, (index, rmax)
+
+
+def test_dead_indices_have_no_volume_positive_basket_in_budget():
+    # every p1 = 0 basket of index 840 (rmax 8) or 660 (rmax 11) within the
+    # 24-budget has -K^3 <= 0, and the shared family has no candidate of
+    # either index at all
+    for index, rmax in ((840, 8), (660, 11)):
+        baskets = _zero_p1_residue_baskets(index, rmax)
+        assert baskets, index
+        assert [wb.basket.text() for wb in baskets
+                if within_budget(wb.basket, strict=False) and wb.volume() > 0] == []
+        assert [row for row in p1_zero_family() if row.wb.gorenstein_index() == index] == []
 
 
 def test_dead_index_refuses_a_volume_positive_example():
@@ -181,26 +231,33 @@ def test_dead_index_refuses_a_volume_positive_example():
 # basket the one-point-per-entry search would never try
 @pytest.mark.parametrize("rset", [(2, 3, 7), (2, 7, 11), (2, 3, 17)])
 def test_zero_p1_baskets_refuses_a_set_with_room_for_a_repeat(monkeypatch, rset):
-    import fanobasket.birational as birational
-
-    monkeypatch.setattr(birational, "admissible_index_sets_with_lcm",
-                        lambda *args, **kwargs: [rset])
+    monkeypatch.setitem(globals(), "admissible_index_sets_with_lcm", lambda *args: [rset])
     with pytest.raises(ReplayContradiction, match=re.escape(f"beside {rset} only")):
         _zero_p1_baskets(42, 7)
 
 
 def test_dead_index_checks_every_basket_in_budget_not_only_candidates(monkeypatch):
-    import fanobasket.birational as birational
+    import fanobasket.search as search
 
-    # with the weak constraints made to reject everything, no index-630 basket
-    # is a candidate, yet 2x(1,2),(2,5),(3,7),(4,9) is within the 24-budget
-    # with -K^3 = 43/315 > 0: the certificate "-K^3 <= 0" must still fail
-    monkeypatch.setattr(birational, "is_geometric_candidate", lambda wb, cs: (False, "off"))
-    assert birational._zero_p1_baskets(630, 9) == []
-    report = ReplayReport(case="Weak97", constraints="")
-    with pytest.raises(ReplayContradiction, match=re.escape("(2,5),(3,7),(4,9)'")):
-        _dead_index(report, 630, 9, "(1,2),(1,5),(1,7),(1,9)", "IV: rmax=9")
-    assert report.eliminated == []
+    # with the weak constraints made to reject everything, the family has no
+    # survivor, yet its eliminated row 2x(1,2),(2,5),(3,7),(4,9) has
+    # -K^3 = 43/315 > 0: the certificate "-K^3 <= 0" must still fail
+    monkeypatch.setattr(search, "is_geometric_candidate", lambda wb, cs: (False, "off"))
+    p1_zero_family.cache_clear()
+    try:
+        rows = p1_zero_family()
+        assert rows and all(row.cert == "off" for row in rows)
+        report = ReplayReport(case="Weak97", constraints="")
+        with pytest.raises(ReplayContradiction, match=re.escape("(2,5),(3,7),(4,9)'")):
+            _dead_index(report, 630, 9, "(1,2),(1,5),(1,7),(1,9)", "IV: rmax=9")
+        assert report.eliminated == []
+        # while the explicit baskets are read off the survivors alone
+        leaf = partial(_leaf, report, 97)
+        with pytest.raises(ReplayContradiction, match="is the only index-630 basket$"):
+            _explicit_basket(report, leaf, 630)
+        assert report.survivors == [] and report.leaves == []
+    finally:
+        p1_zero_family.cache_clear()
 
 
 def test_capped_leaf_requires_an_attained_cap_and_derives_the_volume_floor():

@@ -14,6 +14,7 @@ import fanobasket.cli as cli
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.cli import main
 from fanobasket.search import SearchBudgetExceeded
+from fanobasket.tables import P1_P2_ZERO_TABLE
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "p1_p2_zero_table.txt"
@@ -117,6 +118,16 @@ def test_replay_list_matches_golden_bytes(capsys):
     code, out = run(capsys, "replay", "list")
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+def test_replay_list_json_is_the_table_rows_in_order(capsys):
+    code, out = run(capsys, "replay", "list", "--json")
+    assert code == 0
+    rows = [WeightedBasket.from_json(data) for data in json.loads(out)]
+    assert rows == cli.table_rows()
+    assert [wb.basket.text() for wb in rows] == [
+        row.basket for row in sorted(P1_P2_ZERO_TABLE, key=lambda row: row.no)
+    ]
 
 
 @pytest.mark.parametrize(

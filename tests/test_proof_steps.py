@@ -63,6 +63,16 @@ FAULTS = {
         "contradiction: Weak97 I: the weak P_-1 = P_-2 = 0 family is the table's 22 rows,",
         " not 23 baskets; they differ on ['2x(1,2),6x(1,3),(2,5)']\n",
     ),
+    # Weak97 reads its explicit baskets off the shared weak P_-1 = 0 family
+    "Weak97 IV family without the 630 basket": (
+        "import fanobasket.birational as birational\n"
+        "family = birational.p1_zero_family\n"
+        "birational.p1_zero_family = lambda: tuple(\n"
+        "    row for row in family() if row.wb.basket.text() != '2x(1,2),(2,5),(3,7),(4,9)')\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 IV: 2x(1,2),(2,5),(3,7),(4,9) is the only index-630 basket",
+        "\n",
+    ),
     "index-840 sets": (
         "import fanobasket.birational as birational\n"
         "birational.INDEX_840_SETS = birational.INDEX_840_SETS[:1]\n",

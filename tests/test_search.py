@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fanobasket.search as search_module
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
@@ -17,6 +18,7 @@ from fanobasket.search import (
     enumerate_geometric_full,
     forced_ladder,
     is_geometric_candidate,
+    p1_zero_family,
     replay_delta1,
 )
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
@@ -285,6 +287,55 @@ def test_qfano39_leaves_the_shared_delta1_reports_unmutated(delta1_first):
     assert before == after == golden
     assert birat1 == (GOLDEN_DIR / "replay_birat1.json").read_text()
     assert replay_delta1.cache_info().misses == 4  # one computation per family
+
+
+def test_fano_rows_of_the_weak_p1_zero_family_are_the_strict_branches():
+    # gamma > 0 is all that separates Q-Fano from weak, so the shared weak
+    # family restricted to it is each strict enumeration: same survivors,
+    # eliminated rows, certificates and order
+    family = p1_zero_family()
+    for label, keep, cs in (
+        ("P2=0", lambda p2: p2 == 0, ConstraintSet(p_exact={1: 0, 2: 0})),
+        ("P2>0", lambda p2: p2 >= 1, ConstraintSet(p_exact={1: 0}, p_min={2: 1})),
+    ):
+        rows = [row for row in family if row.fano and keep(row.p[2])]
+        strict = enumerate_geometric_full(cs)
+        assert [row.wb for row in rows if row.cert is None] == strict.survivors, label
+        assert [(row.wb, row.cert) for row in rows if row.cert is not None] == strict.eliminated
+    # the rows carry the P_-1..P_-4 and gamma status they were read with
+    for row in family:
+        assert row.p.values == row.wb.plurigenera(4).values
+        assert row.fano == (row.wb.basket.gamma() > 0)
+
+
+def test_a_replays_pass_enumerates_the_p1_zero_family_once(capsys, monkeypatch):
+    import fanobasket.birational as birational
+    from fanobasket.cli import main
+
+    calls = []
+    full = enumerate_geometric_full
+
+    def counted(cs):
+        calls.append(cs)
+        return full(cs)
+
+    for module in (search_module, birational):
+        monkeypatch.setattr(module, "enumerate_geometric_full", counted)
+    replay_delta1.cache_clear()
+    p1_zero_family.cache_clear()
+    assert main(["replay", "list"]) == 0
+    capsys.readouterr()
+    for family in ("P1_ge_3", "P1_eq_2", "P1_eq_1", "P1_eq_0"):
+        replay_delta1(family)
+    for target in ("QFano39", "Weak97"):
+        replay_birationality(target)
+    # the P1_eq_2 ladder, six P1_eq_1 branches, two QFano39 families and the
+    # one P_-1 = 0 family
+    assert len(calls) == 10
+    assert [cs for cs in calls if cs.p_exact[1] == 0] == [
+        ConstraintSet(p_exact={1: 0}, fano_strict=False)
+    ]
+    assert p1_zero_family.cache_info().misses == 1
 
 
 def _bruteforce_survivors(cs: ConstraintSet, r_cap: int, size_cap: int):
