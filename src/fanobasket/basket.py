@@ -180,10 +180,6 @@ class Basket:
         """sigma(B) = sum of the b_i."""
         return sum(b * n for (b, _), n in self._runs)
 
-    def sigma_prime(self) -> Fraction:
-        """sigma'(B) = sum of b_i^2 / r_i, exact."""
-        return sum((Fraction(n * b * b, r) for (b, r), n in self._runs), Fraction(0))
-
     def delta(self, m: int) -> int:
         """Delta^m(B): the defect between reduced and unreduced local sums.
 
@@ -314,24 +310,6 @@ def local_correction(b: int, r: int, i: int) -> Fraction:
         raise ValueError(f"local index {i} out of range [0, {r})")
     total = -Fraction(i * (r * r - 1), 12 * r)
     for j in range(i):
-        total += f_periodic(j * b, r)
-    return total
-
-
-def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:
-    """The t-fold variant of `local_correction` for t >= 0.
-
-    Agrees exactly with local_correction(b, r, t mod r): each full period
-    contributes (r^2-1)/12 to the sum and the same amount to the linear term.
-    """
-    if gcd(b, r) != 1:
-        raise ValueError(f"b={b} and r={r} must be coprime")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    total = -Fraction(t * (r * r - 1), 12 * r)
-    whole, part = divmod(t, r)
-    total += whole * Fraction(r * r - 1, 12)
-    for j in range(part):
         total += f_periodic(j * b, r)
     return total
 

@@ -166,28 +166,22 @@ def canonical_chain(basket: Basket) -> CanonicalChain:
     return CanonicalChain(basket, tuple(stages))
 
 
-def _packings(basket: Basket, legal: Callable[[int, int, int, int], bool]) -> list[Basket]:
-    """Every one-step packing of two distinct points that `legal` allows.
+def prime_packings(basket: Basket) -> list[Basket]:
+    """All distinct one-step prime packings of `basket`.
 
-    A point never packs with a copy of itself (b r - b r = 0 and the sum
-    (2b, 2r) is not coprime), and two different pairs of distinct points
-    never pack to the same basket, so pairing distinct runs i < j yields
-    each packed basket once.
+    A point never packs with a copy of itself (b r - b r = 0), and two
+    different pairs of distinct points never pack to the same basket, so
+    pairing distinct runs i < j yields each packed basket once.
     """
     runs = basket.counts()
     out = []
     for i, ((b1, r1), _) in enumerate(runs):
         for j in range(i + 1, len(runs)):
             b2, r2 = runs[j][0]
-            if legal(b1, r1, b2, r2):
+            if abs(b1 * r2 - b2 * r1) == 1:
                 out.append(basket.replace_pair_with(i, j, (b1 + b2, r1 + r2)))
     out.sort()
     return out
-
-
-def prime_packings(basket: Basket) -> list[Basket]:
-    """All distinct one-step prime packings of `basket`."""
-    return _packings(basket, lambda b1, r1, b2, r2: abs(b1 * r2 - b2 * r1) == 1)
 
 
 def dominated_baskets(
@@ -218,14 +212,3 @@ def dominated_baskets(
 def minimal_baskets(basket: Basket) -> list[Basket]:
     """The dominated baskets admitting no further prime packing."""
     return [b for b in dominated_baskets(basket) if not prime_packings(b)]
-
-
-def general_packings(basket: Basket) -> list[Basket]:
-    """All one-step packings, prime or not.
-
-    A merge whose sum pair has gcd > 1 is only legal between two equal
-    points, where the multiple-of-coprime convention makes it a no-op;
-    those no-ops are omitted.  Everything else with a non-coprime sum is
-    not a packing move at all.
-    """
-    return _packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import ceil, gcd, isqrt, lcm
 from typing import Optional, Sequence
 
-from .basket import Basket, PlurigenusSequence, WeightedBasket, _residues, f_periodic
+from .basket import Basket, PlurigenusSequence, WeightedBasket, _residues
 
 
 def g_min(b: int, r: int, m: int) -> Fraction:
@@ -48,45 +48,10 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     return Fraction(best, 2 * r)
 
 
-def g_min_bruteforce(b: int, r: int, m: int) -> Fraction:
-    """Direct minimum of G over a full period; oracle for `g_min`."""
-    l = m % r
-    base = sum(f_periodic(j * b, r) for j in range(l + 1))
-    return min(
-        sum(f_periodic(x + k * b, r) for k in range(l + 1)) - base for x in range(r)
-    )
-
-
 def k1_condition(point: tuple[int, int], m: int) -> bool:
     """True iff the local criterion holds at this point for degree m."""
     b, r = point
     return g_min(b, r, m) >= 0
-
-
-def k1_condition_tabulated(point: tuple[int, int], m: int) -> Optional[bool]:
-    """The explicit residue conditions; None when no clause covers m mod r.
-
-    Clauses (any one suffices): m = 0, +-1 (mod r) always; m = -2 needs
-    b = floor(r/2); m = 2 needs 3b >= r; m = 3 needs 4b >= r; m = 4 needs
-    F(b) >= F(4b) and F(b) + F(2b) >= F(3b) + F(4b).
-    """
-    b, r = point
-    l = m % r
-    clauses = []
-    if l in (0, 1, (r - 1) % r):
-        clauses.append(True)
-    if l == (r - 2) % r:
-        clauses.append(b == r // 2)
-    if l == 2 % r:
-        clauses.append(3 * b >= r)
-    if l == 3 % r:
-        clauses.append(4 * b >= r)
-    if l == 4 % r:
-        fb, f2, f3, f4 = (f_periodic(k * b, r) for k in (1, 2, 3, 4))
-        clauses.append(fb >= f4 and fb + f2 >= f3 + f4)
-    if not clauses:
-        return None
-    return any(clauses)
 
 
 def k1_all_points(basket: Basket, m: int) -> bool:
@@ -226,13 +191,3 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
         if l_840 * lift > slope * m + offset:
             return False
     return True
-
-
-def l_upper_bound_general(b: int, r: int, n: int) -> bool:
-    """Whether sum_{j=1..n} F(jb) <= (r^2 - 1)/(12 r) (n + r/3), exactly;
-    for r > 2 the envelope holds for every n >= 0."""
-    if r <= 2:
-        raise ValueError("the envelope needs r > 2")
-    lhs = Basket([(b, r)]).l_neg(n)
-    rhs = Fraction(r * r - 1, 12 * r) * (n + Fraction(r, 3))
-    return lhs <= rhs

@@ -26,7 +26,7 @@ def require(cond: bool, msg: str) -> None:
 @dataclass(frozen=True)
 class SurvivorRow:
     wb: WeightedBasket
-    notes: dict = field(default_factory=dict)
+    notes: dict
 
     def to_json(self) -> dict:
         seq = self.wb.plurigenera(SURVIVOR_HORIZON)
@@ -45,17 +45,15 @@ class SurvivorRow:
 class EliminatedRow:
     wb: WeightedBasket
     certificate: str
-    branch: str = ""
+    branch: str
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "basket": self.wb.basket.text(),
             "p1": self.wb.p1,
             "certificate": self.certificate,
+            "branch": self.branch,
         }
-        if self.branch:
-            out["branch"] = self.branch
-        return out
 
 
 @dataclass
@@ -109,8 +107,7 @@ class ReplayReport:
             )
         lines.append(f"eliminated ({len(self.eliminated)}):")
         for e in self.eliminated:
-            tag = f"[{e.branch}] " if e.branch else ""
-            lines.append(f"  {tag}{e.wb.basket.text()}  p1={e.wb.p1}: {e.certificate}")
+            lines.append(f"  [{e.branch}] {e.wb.basket.text()}  p1={e.wb.p1}: {e.certificate}")
         if self.coverage:
             lines.append("coverage:")
             lines.extend(f"  {note}" for note in self.coverage)

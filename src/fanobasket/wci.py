@@ -57,34 +57,6 @@ def hilbert_coeffs(wci: WeightedCI, upto: int) -> list[int]:
     return coeffs
 
 
-def monomial_count_oracle(wci: WeightedCI, upto: int) -> list[int]:
-    """Brute-force coefficients by counting monomials and inclusion-exclusion.
-
-    Counts exponent tuples by explicit recursion; only meant for small
-    weights as an independent check on the series arithmetic.
-    """
-
-    def counts(weights: tuple[int, ...]) -> list[int]:
-        table = [0] * (upto + 1)
-        if not weights:
-            table[0] = 1
-            return table
-        head, *rest = weights
-        sub = counts(tuple(rest))
-        for total in range(upto + 1):
-            table[total] = sum(sub[total - k * head] for k in range(total // head + 1))
-        return table
-
-    base = counts(wci.weights)
-    out = list(base)
-    for mask in range(1, 1 << len(wci.degrees)):
-        shift = sum(d for i, d in enumerate(wci.degrees) if mask >> i & 1)
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        for k in range(shift, upto + 1):
-            out[k] += sign * base[k - shift]
-    return out
-
-
 def anti_plurigenera_from_hilbert(wci: WeightedCI, upto_m: int) -> PlurigenusSequence:
     """P_{-1}..P_{-upto_m}, read off at degrees m * iota."""
     iota = wci.fano_index

@@ -1,0 +1,143 @@
+"""Reference implementations that the tests hold the package against.
+
+Each is a direct, slow statement of something `fanobasket` computes another
+way; nothing in the package, the CLI, the demos or the benchmark calls them.
+Not a test module: pytest collects only `test_*.py`, and the test modules
+import this one from their own directory.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd
+from typing import Optional
+
+from fanobasket.basket import Basket, f_periodic
+from fanobasket.wci import WeightedCI
+
+
+def sigma_prime(basket: Basket) -> Fraction:
+    """sigma'(B) = sum of b_i^2 / r_i, exact."""
+    return sum((Fraction(n * b * b, r) for (b, r), n in basket.counts()), Fraction(0))
+
+
+def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:
+    """The t-fold variant of `local_correction` for t >= 0.
+
+    Agrees exactly with local_correction(b, r, t mod r): each full period
+    contributes (r^2-1)/12 to the sum and the same amount to the linear term.
+    """
+    if gcd(b, r) != 1:
+        raise ValueError(f"b={b} and r={r} must be coprime")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    total = -Fraction(t * (r * r - 1), 12 * r)
+    whole, part = divmod(t, r)
+    total += whole * Fraction(r * r - 1, 12)
+    for j in range(part):
+        total += f_periodic(j * b, r)
+    return total
+
+
+def g_min_bruteforce(b: int, r: int, m: int) -> Fraction:
+    """Direct minimum of G over a full period; oracle for `g_min`."""
+    l = m % r
+    base = sum(f_periodic(j * b, r) for j in range(l + 1))
+    return min(
+        sum(f_periodic(x + k * b, r) for k in range(l + 1)) - base for x in range(r)
+    )
+
+
+def k1_condition_tabulated(point: tuple[int, int], m: int) -> Optional[bool]:
+    """The explicit residue conditions; None when no clause covers m mod r.
+
+    Clauses (any one suffices): m = 0, +-1 (mod r) always; m = -2 needs
+    b = floor(r/2); m = 2 needs 3b >= r; m = 3 needs 4b >= r; m = 4 needs
+    F(b) >= F(4b) and F(b) + F(2b) >= F(3b) + F(4b).
+    """
+    b, r = point
+    l = m % r
+    clauses = []
+    if l in (0, 1, (r - 1) % r):
+        clauses.append(True)
+    if l == (r - 2) % r:
+        clauses.append(b == r // 2)
+    if l == 2 % r:
+        clauses.append(3 * b >= r)
+    if l == 3 % r:
+        clauses.append(4 * b >= r)
+    if l == 4 % r:
+        fb, f2, f3, f4 = (f_periodic(k * b, r) for k in (1, 2, 3, 4))
+        clauses.append(fb >= f4 and fb + f2 >= f3 + f4)
+    if not clauses:
+        return None
+    return any(clauses)
+
+
+def l_upper_bound_general(b: int, r: int, n: int) -> bool:
+    """Whether sum_{j=1..n} F(jb) <= (r^2 - 1)/(12 r) (n + r/3), exactly;
+    for r > 2 the envelope holds for every n >= 0."""
+    if r <= 2:
+        raise ValueError("the envelope needs r > 2")
+    lhs = Basket([(b, r)]).l_neg(n)
+    rhs = Fraction(r * r - 1, 12 * r) * (n + Fraction(r, 3))
+    return lhs <= rhs
+
+
+def monomial_count_oracle(wci: WeightedCI, upto: int) -> list[int]:
+    """Brute-force coefficients by counting monomials and inclusion-exclusion.
+
+    Counts exponent tuples by explicit recursion; only meant for small
+    weights as an independent check on the series arithmetic.
+    """
+
+    def counts(weights: tuple[int, ...]) -> list[int]:
+        table = [0] * (upto + 1)
+        if not weights:
+            table[0] = 1
+            return table
+        head, *rest = weights
+        sub = counts(tuple(rest))
+        for total in range(upto + 1):
+            table[total] = sum(sub[total - k * head] for k in range(total // head + 1))
+        return table
+
+    base = counts(wci.weights)
+    out = list(base)
+    for mask in range(1, 1 << len(wci.degrees)):
+        shift = sum(d for i, d in enumerate(wci.degrees) if mask >> i & 1)
+        sign = -1 if bin(mask).count("1") % 2 else 1
+        for k in range(shift, upto + 1):
+            out[k] += sign * base[k - shift]
+    return out
+
+
+def _brute_packings(basket, legal):
+    """One-step packings over every pair of expanded points, deduplicated and
+    ordered by the expanded point tuple."""
+    pts = list(basket)
+    found = set()
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        (b1, r1), (b2, r2) = pts[i], pts[j]
+        if legal(b1, r1, b2, r2):
+            rest = pts[:i] + pts[i + 1 : j] + pts[j + 1 :]
+            found.add(Basket(rest + [(b1 + b2, r1 + r2)]))
+    return sorted(found, key=tuple)
+
+
+def brute_prime_packings(basket, min_r=0):
+    return _brute_packings(
+        basket, lambda b1, r1, b2, r2: abs(b1 * r2 - b2 * r1) == 1 and r1 + r2 >= min_r
+    )
+
+
+def general_packings(basket):
+    """All one-step packings, prime or not.
+
+    A merge whose sum pair has gcd > 1 is only legal between two equal
+    points, where the multiple-of-coprime convention makes it a no-op;
+    those no-ops are omitted.  Everything else with a non-coprime sum is
+    not a packing move at all.
+    """
+    return _brute_packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)

@@ -13,13 +13,14 @@ from math import gcd
 
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.birational import replay_birationality, thm_main_threshold, BirationalityInputs
-from fanobasket.canonical import epsilon_n, general_packings, unpack
+from fanobasket.canonical import epsilon_n, unpack
 from fanobasket.indexbound import max_index_given_rmax, max_index_report
-from fanobasket.pencil import g_min, g_min_bruteforce
+from fanobasket.pencil import g_min
 from fanobasket.recovery import recover, structural_tail
 from fanobasket.search import ConstraintSet, enumerate_geometric, replay_delta1
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
 from fanobasket.wci import X24_30, X42, X66, X6D_PAIRS, anti_plurigenera_from_hilbert, fit_basket, x6d_member
+from oracles import g_min_bruteforce, general_packings, sigma_prime
 
 F = Fraction
 B = Basket.parse
@@ -198,9 +199,9 @@ def _packing_monotonicity_sweep(count: int, seed: int) -> int:
         p1 = rng.randint(0, 4)
         wb, wp = WeightedBasket(basket, p1), WeightedBasket(packed, p1)
         assert packed.sigma() == basket.sigma()
-        assert packed.sigma_prime() <= basket.sigma_prime()
+        assert sigma_prime(packed) <= sigma_prime(basket)
         assert wp.volume() >= wb.volume()
-        assert wp.volume() + packed.sigma_prime() == wb.volume() + basket.sigma_prime()
+        assert wp.volume() + sigma_prime(packed) == wb.volume() + sigma_prime(basket)
         assert packed.gamma() <= basket.gamma()
         seq, pseq = wb.plurigenera(100), wp.plurigenera(100)
         for m in range(2, 101):

@@ -13,12 +13,12 @@ from fanobasket.canonical import (
     canonical_chain,
     dominated_baskets,
     epsilon_n,
-    general_packings,
     minimal_baskets,
     prime_packings,
     s_set,
     unpack,
 )
+from oracles import brute_prime_packings, general_packings, sigma_prime
 
 F = Fraction
 B = Basket.parse
@@ -130,29 +130,6 @@ def test_chain_matches_unpack_and_epsilon_on_wide_baskets():
         assert chain.stages[-1].basket == basket
 
 
-def _brute_packings(basket, legal):
-    """One-step packings over every pair of expanded points, deduplicated and
-    ordered by the expanded point tuple."""
-    pts = list(basket)
-    found = set()
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        (b1, r1), (b2, r2) = pts[i], pts[j]
-        if legal(b1, r1, b2, r2):
-            rest = pts[:i] + pts[i + 1 : j] + pts[j + 1 :]
-            found.add(Basket(rest + [(b1 + b2, r1 + r2)]))
-    return sorted(found, key=tuple)
-
-
-def brute_prime_packings(basket, min_r=0):
-    return _brute_packings(
-        basket, lambda b1, r1, b2, r2: abs(b1 * r2 - b2 * r1) == 1 and r1 + r2 >= min_r
-    )
-
-
-def brute_general_packings(basket):
-    return _brute_packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)
-
-
 def test_run_packings_match_brute_force_over_points():
     pool = [(1, 2), (1, 3), (2, 5), (1, 4), (3, 7), (2, 7), (1, 5), (3, 8), (4, 9)]
     rng = random.Random(29)
@@ -162,7 +139,6 @@ def test_run_packings_match_brute_force_over_points():
         basket = Basket.from_counts(runs)
         repeated += any(n > 1 for _, n in runs)
         assert prime_packings(basket) == brute_prime_packings(basket)
-        assert general_packings(basket) == brute_general_packings(basket)
     assert repeated > 100
 
 
@@ -231,9 +207,9 @@ def test_packing_monotonicity_single_steps():
         for packed in general_packings(basket):
             wp = WeightedBasket(packed, p1)
             assert packed.sigma() == basket.sigma()
-            assert packed.sigma_prime() <= basket.sigma_prime()
+            assert sigma_prime(packed) <= sigma_prime(basket)
             assert wp.volume() >= wb.volume()
-            assert wp.volume() + packed.sigma_prime() == wb.volume() + basket.sigma_prime()
+            assert wp.volume() + sigma_prime(packed) == wb.volume() + sigma_prime(basket)
             assert packed.gamma() <= basket.gamma()
             pseq = wp.plurigenera(40)
             for m in range(2, 41):

@@ -12,16 +12,14 @@ from fanobasket.pencil import (
     NOT_PENCIL,
     POSSIBLY_PENCIL,
     g_min,
-    g_min_bruteforce,
     k1_condition,
-    k1_condition_tabulated,
     k2_thresholds,
-    l_upper_bound_general,
     non_pencil_threshold,
     thm1_threshold,
     thm1_threshold_from_bounds,
     thm2_check_840,
 )
+from oracles import g_min_bruteforce, k1_condition_tabulated, l_upper_bound_general
 
 F = Fraction
 B = Basket.parse

@@ -223,7 +223,8 @@ def _names(node) -> set[str]:
     return {node.id} if isinstance(node, ast.Name) else set()
 
 
-def _tree(module: str) -> ast.AST:
+def _tree(module: str | Path) -> ast.AST:
+    """Parse a module of the package, or any file by its absolute path."""
     return ast.parse((PACKAGE / module).read_text(), filename=module)
 
 
@@ -241,3 +242,46 @@ def test_replay_modules_state_proof_steps_only_through_require():
     for node in ast.walk(_tree("cli.py")):
         if isinstance(node, ast.ExceptHandler):
             assert "AssertionError" not in _names(node.type), f"cli.py:{node.lineno}"
+
+
+def _references(tree: ast.AST) -> list[tuple[str, ast.stmt]]:
+    """(name, top-level statement it sits in) for every Name, Attribute and
+    import alias; strings and docstrings are no references."""
+    out = []
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.append((node.id, stmt))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, stmt))
+            elif isinstance(node, ast.alias):
+                out.append((node.name, stmt))
+    return out
+
+
+def _unreferenced(defining: list[ast.AST], users: list[ast.AST]) -> list[str]:
+    """Top-level definitions of `defining` that nothing in `users` names
+    outside the definition's own body."""
+    refs = [ref for tree in users for ref in _references(tree)]
+    defs = (d for tree in defining for d in tree.body
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    return sorted(d.name for d in defs
+                  if not any(name == d.name and where is not d for name, where in refs))
+
+
+def test_src_holds_only_code_a_product_path_runs():
+    # the product paths are the package itself (the CLI and the `__init__`
+    # exports included), the demos and the benchmark; reference
+    # implementations that only tests call live in tests/oracles.py
+    package = [_tree(path) for path in sorted(PACKAGE.glob("*.py"))]
+    products = [_tree(path) for folder in ("demos", "perfbench")
+                for path in sorted((ROOT / folder).rglob("*.py"))]
+    unused = _unreferenced(package, package + products)
+    assert not unused, f"src/fanobasket defines what no product path runs: {unused}"
+    tests = Path(__file__).parent
+    oracles = _tree(tests / "oracles.py")
+    imported = [ast.Module(body=[node], type_ignores=[])
+                for path in sorted(tests.glob("test_*.py")) for node in ast.walk(_tree(path))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles"]
+    unused = _unreferenced([oracles], [oracles] + imported)
+    assert not unused, f"tests/oracles.py defines what no test imports: {unused}"

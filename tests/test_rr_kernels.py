@@ -1,9 +1,9 @@
 """The integer residue-table kernels against independent references.
 
 The references are the forms the kernels replaced: the Delta-based increment
-recursion for the plurigenera, sums of `local_correction_unreduced` for
-l(-n), gamma as a `Fraction`, and the index-840 growth check compared in
-`Fraction`s.
+recursion for the plurigenera, sums of `local_correction_unreduced` (in
+`tests/oracles.py`) for l(-n), gamma as a `Fraction`, and the index-840
+growth check compared in `Fraction`s.
 """
 
 import os
@@ -18,10 +18,11 @@ import pytest
 
 import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
-from fanobasket.basket import Basket, WeightedBasket, local_correction_unreduced
+from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.birational import INDEX_840_SETS, _residue_baskets
 from fanobasket.recovery import COST_UNIT, within_budget
 from fanobasket.search import ConstraintSet
+from oracles import local_correction_unreduced
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"

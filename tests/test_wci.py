@@ -15,9 +15,9 @@ from fanobasket.wci import (
     anti_plurigenera_from_hilbert,
     fit_basket,
     hilbert_coeffs,
-    monomial_count_oracle,
     x6d_member,
 )
+from oracles import monomial_count_oracle
 
 F = Fraction
 
