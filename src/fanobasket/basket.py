@@ -221,11 +221,6 @@ class Basket:
             for (b, r), k in self._runs
         )
 
-    def _residue_sums(self, big_l: int, upto: int) -> tuple[int, ...]:
-        """c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
-        L = big_l = `gorenstein_index()`."""
-        return _summed_residues(self._runs, big_l, upto)
-
     def gorenstein_index(self) -> int:
         """lcm of the local indices r_i (1 for the empty basket)."""
         return lcm(*(r for (_, r), _ in self._runs)) if self._runs else 1
@@ -274,10 +269,9 @@ def _l_point_table(b: int, r: int) -> tuple[int, ...]:
     return tuple(accumulate(_residues(b, r)))
 
 
-@lru_cache(maxsize=1)
 def _summed_residues(runs: tuple[Run, ...], big_l: int, upto: int) -> tuple[int, ...]:
-    # one entry: the weights of one basket read to one degree in a row, as in
-    # the 840 sweep (p1 = 0..10), build the summed table once
+    # c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
+    # L = big_l = lcm(r_i)
     by_r: dict[int, list[int]] = {}
     for (b, r), n in runs:
         scale = n * (big_l // r)
@@ -391,7 +385,7 @@ class WeightedBasket:
         """
         big_l = self.basket.gorenstein_index()
         vol = self._scaled_volume(big_l)
-        corr = self.basket._residue_sums(big_l, upto)
+        corr = _summed_residues(self.basket.counts(), big_l, upto)
         two_l, four_l = 2 * big_l, 4 * big_l
         values = [self.p1]
         current = self.p1

@@ -488,17 +488,16 @@ def _index_840_sweep() -> int:
     Sweeps both admissible index sets, all residue choices, and weights
     p1 = 0..10; counts the volume-positive cases, each checked on degrees
     71..L840_HORIZON together with the linear envelope for l(-n).  The weights
-    of a basket follow one another, so they share one summed residue table.
+    of a basket are checked in one call, from one table of P_{-m}.
     """
     count = 0
     for basket in _residue_baskets(INDEX_840_SETS):
-        for p1 in range(0, 11):
-            wb = WeightedBasket(basket, p1)
-            vol = wb.volume()
-            if vol <= 0:
-                continue
+        weighted = [(p1, vol) for p1 in range(0, 11)
+                    if (vol := WeightedBasket(basket, p1).volume()) > 0]
+        verdicts = thm2_check_840(basket, [p1 for p1, _ in weighted])
+        for (p1, vol), ok in zip(weighted, verdicts):
             where = f"Weak97 840 sweep, {basket.text()} with p1 = {p1}"
             require(vol >= Fraction(1, 330), f"{where}: -K^3 = {vol} < 1/330")
-            require(thm2_check_840(wb), f"{where}: growth regime fails on 71..{L840_HORIZON}")
+            require(ok, f"{where}: growth regime fails on 71..{L840_HORIZON}")
             count += 1
     return count

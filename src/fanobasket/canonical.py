@@ -45,22 +45,6 @@ class FractionSet:
             if det != 1:
                 raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
 
-    def neighbours(self, frac: Fraction) -> tuple[Fraction, Fraction]:
-        """(upper, lower) adjacent members around a non-member fraction."""
-        lo, hi = 0, len(self.fractions) - 1
-        fr = self.fractions
-        # descending list: find the last index with fr[i] > frac
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if fr[mid] > frac:
-                lo = mid
-            else:
-                hi = mid - 1
-        upper = fr[lo]
-        if lo + 1 >= len(fr):
-            raise ValueError(f"{frac} below the truncation tail of S^({self.level})")
-        return upper, fr[lo + 1]
-
 
 def s_set(n: int, cap: int) -> FractionSet:
     """The truncation of S^(n) with denominators up to `cap`.

@@ -163,8 +163,21 @@ L840_OFFSET = Fraction(295, 72)
 L840_HORIZON = 150  # the last degree of the index-840 check
 
 
-def thm2_check_840(wb: WeightedBasket) -> bool:
-    """Check the index-840 growth regime on an explicit weighted basket.
+def _plurigenera_by_weight(basket: Basket, weights: Sequence[int],
+                           upto: int) -> list[tuple[int, ...]]:
+    """P_{-1}..P_{-upto} of the basket weighted by each p1 in `weights`, all
+    read off one table at p1 = 0.
+
+    Riemann-Roch is linear in P̃_{-1}: -K^3 grows by 2 per unit of p1 and
+    nothing else depends on it, so P_{-m}(p1) = P_{-m}(0) + p1 m(m+1)(2m+1)/6.
+    """
+    base = WeightedBasket(basket, 0).plurigenera(upto).values
+    steps = [m * (m + 1) * (2 * m + 1) // 6 for m in range(1, upto + 1)]
+    return [tuple(p + p1 * step for p, step in zip(base, steps)) for p1 in weights]
+
+
+def thm2_check_840(basket: Basket, weights: Sequence[int]) -> list[bool]:
+    """Check the index-840 growth regime on a basket under each weight p1.
 
     Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= L840_HORIZON,
     both the growth criterion P_{-m} > `growth_bounds`[m], that is
@@ -172,22 +185,26 @@ def thm2_check_840(wb: WeightedBasket) -> bool:
     l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: the
     envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch
     and lifted to the common denominator of L840_SLOPE and L840_OFFSET.
+    l(-m) does not depend on p1, so the envelope is checked once, at p1 = 0.
+    Returns one verdict per weight, in order.
     """
-    if wb.gorenstein_index() != 840:
+    if basket.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
-    bounds = growth_bounds(wb, L840_HORIZON)
-    vol_840 = bounds[1] - 1  # 840 (-K^3)
+    degrees = range(71, L840_HORIZON + 1)
+    values = _plurigenera_by_weight(basket, [0, *weights], L840_HORIZON)
+    vol_840 = WeightedBasket(basket, 0)._scaled_volume(840)  # 840 (-K^3) at p1 = 0
     scale = lcm(12 * 840, L840_SLOPE.denominator, L840_OFFSET.denominator)
     lift = scale // (12 * 840)
     slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
     offset = L840_OFFSET.numerator * (scale // L840_OFFSET.denominator)
-    values = wb.plurigenera(L840_HORIZON).values
-    for m in range(71, L840_HORIZON + 1):
-        p_m = values[m - 1]
-        if p_m <= bounds[m]:
-            return False
-        # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
-        l_840 = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - p_m)
-        if l_840 * lift > slope * m + offset:
-            return False
-    return True
+    # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
+    envelope = all(
+        (m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - values[0][m - 1])) * lift
+        <= slope * m + offset
+        for m in degrees
+    )
+    verdicts = []
+    for p1, p in zip(weights, values[1:]):
+        bounds = growth_bounds(WeightedBasket(basket, p1), L840_HORIZON)
+        verdicts.append(envelope and all(p[m - 1] > bounds[m] for m in degrees))
+    return verdicts

@@ -12,13 +12,15 @@ replays are built on top of the same machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterator, Optional
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import BUDGET, cost, feasible_tails, structural_tail, within_budget
+from .recovery import (
+    BUDGET, cost, feasible_tails, stage0_head, structural_tail, tail_budget, within_budget,
+)
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -112,7 +114,13 @@ def _values(cs: ConstraintSet, m: int, lo: int, hi: int):
 
 def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
     """(P_-1, P_-2, P_-3, P_-4) over provably exhaustive ranges: count
-    non-negativity plus the 24-budget; P_{-1} must be pinned."""
+    non-negativity plus the 24-budget; P_{-1} must be pinned.
+
+    A head yields only if its stage-0 counts at sigma5 = 0 are non-negative
+    and fit the budget.  The prune is exact: each tail point lowers n_{1,4}
+    by one and costs at least cost(5) > cost(4), so a skipped head has no
+    feasible tail, and a kept head has at least the empty one.
+    """
     if 1 not in cs.p_exact:
         raise ValueError("the enumeration needs P_{-1} pinned")
     p1 = cs.p_exact[1]
@@ -126,7 +134,10 @@ def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
         for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
             p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
             for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
-                yield PlurigenusSequence((p1, p2, p3, p4))
+                head = PlurigenusSequence((p1, p2, p3, p4))
+                counts = stage0_head(head, 0)
+                if min(counts) >= 0 and tail_budget(*counts) >= 0:
+                    yield head
 
 
 @dataclass
@@ -135,17 +146,26 @@ class EnumerationResult:
     eliminated: list[tuple[WeightedBasket, str]]
 
 
+@cache
+def _candidate_pool(head: PlurigenusSequence, fano_strict: bool) -> tuple[WeightedBasket, ...]:
+    """`candidates` of one head under the gamma prune of `fano_strict`,
+    weighted by P_{-1}, in order; built once per process, since families
+    with different pins share heads."""
+    prune = partial(within_budget, strict=fano_strict)
+    return tuple(WeightedBasket(cand, head[1]) for cand in candidates(head, prune))
+
+
 def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
     """Complete, duplicate-free enumeration with per-candidate certificates.
 
-    Requires P_{-1} pinned.  `candidates` of every head supplies the tails
-    and the prime-packing closure, and every candidate is filtered exactly.
+    Requires P_{-1} pinned.  The candidate pool of every head supplies the
+    tails and the prime-packing closure, and every candidate is filtered
+    exactly.
     """
     survivors: list[WeightedBasket] = []
     eliminated: list[tuple[WeightedBasket, str]] = []
     for head in _heads(cs):
-        for cand in candidates(head, cs.gamma_ok):
-            wb = WeightedBasket(cand, head[1])
+        for wb in _candidate_pool(head, cs.fano_strict):
             ok, cert = is_geometric_candidate(wb, cs)
             if ok:
                 survivors.append(wb)

@@ -11,9 +11,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
-from fanobasket.basket import Basket, f_periodic
+from fanobasket.basket import Basket, PlurigenusSequence, f_periodic
+from fanobasket.canonical import FractionSet
+from fanobasket.recovery import BUDGET, cost
+from fanobasket.search import ConstraintSet, _values
 from fanobasket.wci import WeightedCI
 
 
@@ -141,3 +144,37 @@ def general_packings(basket):
     not a packing move at all.
     """
     return _brute_packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)
+
+
+def neighbours(sset: FractionSet, frac: Fraction) -> tuple[Fraction, Fraction]:
+    """(upper, lower) adjacent members of S^(n) around a non-member fraction,
+    by bisection of the decreasing list; oracle for `canonical._neighbours`."""
+    lo, hi = 0, len(sset.fractions) - 1
+    fr = sset.fractions
+    # descending list: find the last index with fr[i] > frac
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fr[mid] > frac:
+            lo = mid
+        else:
+            hi = mid - 1
+    upper = fr[lo]
+    if lo + 1 >= len(fr):
+        raise ValueError(f"{frac} below the truncation tail of S^({sset.level})")
+    return upper, fr[lo + 1]
+
+
+def unpruned_heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
+    """(P_-1, P_-2, P_-3, P_-4) over the ranges of `search._heads` without its
+    budget prune: count non-negativity and the 24-budget bound each of
+    sigma, n_{1,2} and n_{1,3} on its own."""
+    p1 = cs.p_exact[1]
+    n_max = BUDGET // cost(2)
+    p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
+    p2_hi = min(p2_hi, cs.p_max.get(2, p2_hi))
+    for p2 in _values(cs, 2, max(0, 5 * p1 - 10, cs.p_min.get(2, 0)), p2_hi):
+        p3_hi = 5 - 6 * p1 + 4 * p2  # n_{1,2} = p3_hi - P_-3
+        for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
+            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
+            for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
+                yield PlurigenusSequence((p1, p2, p3, p4))

@@ -20,7 +20,7 @@ PENCIL_630 = ["pencil", "--basket", "2x(1,2),(2,5),(3,7),(4,9)", "--p1", "0", "-
 FAULTS = {
     "840 growth check": (
         "import fanobasket.birational as birational\n"
-        "birational.thm2_check_840 = lambda wb: False\n",
+        "birational.thm2_check_840 = lambda basket, weights: [False] * len(weights)\n",
         ("replay", "birat2"),
         "contradiction: Weak97 840 sweep, ",
         ": growth regime fails on 71..150\n",

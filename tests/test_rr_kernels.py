@@ -11,12 +11,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 from pathlib import Path
 
 import pytest
 
-import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.birational import INDEX_840_SETS, _residue_baskets
@@ -96,15 +96,23 @@ def seeded_baskets(seed: int, count: int, r_cap: int = 24) -> list[WeightedBaske
     return out
 
 
-SWEEP_840 = [
-    wb
-    for wb in (WeightedBasket(b, p1) for b in _residue_baskets(INDEX_840_SETS) for p1 in range(11))
-    if wb.volume() > 0
-]
+BASKETS_840 = list(_residue_baskets(INDEX_840_SETS))
+WEIGHTS_840 = range(11)
+ALL_840 = [WeightedBasket(b, p1) for b in BASKETS_840 for p1 in WEIGHTS_840]
+SWEEP_840 = [wb for wb in ALL_840 if wb.volume() > 0]
+
+
+def thm2_check_840_per_basket(wbs: list[WeightedBasket]) -> list[bool]:
+    """`thm2_check_840` called once per basket on its weights in `wbs`, the
+    verdicts in the order of `wbs`, which lists each basket's weights together."""
+    verdicts = []
+    for basket, group in groupby(wbs, key=lambda wb: wb.basket):
+        verdicts += pencil.thm2_check_840(basket, [wb.p1 for wb in group])
+    return verdicts
 
 
 def test_the_840_sweep_has_its_236_baskets():
-    assert len(SWEEP_840) == 236
+    assert (len(BASKETS_840), len(ALL_840), len(SWEEP_840)) == (24, 264, 236)
     assert {wb.gorenstein_index() for wb in SWEEP_840} == {840}
 
 
@@ -122,23 +130,17 @@ def test_plurigenera_match_the_delta_recursion_on_the_840_sweep():
 
 
 def test_kept_residue_sums_serve_every_weight_and_degree():
-    # what the 840 sweep does: the weights of one basket, read to one degree
-    # in a row, build the summed residue table once and hit it after that
-    memo = basket_module._summed_residues
+    # the weights of one basket read to one degree in a row, as in the 840
+    # sweep, then another basket or another degree: every table agrees
     for basket in (Basket.parse("(1,3),(2,5),(3,7),(3,8)"), Basket.parse("4x(1,2),(2,9)")):
         for upto in (1, 12, 150, 200):
-            memo.cache_clear()
             for p1 in (0, 3, 10):
                 wb = WeightedBasket(basket, p1)
                 assert list(wb.plurigenera(upto).values) == plurigenera_reference(wb, upto)
-            assert memo.cache_info()[:2] == (2, 1), (basket.text(), upto)
-    # another basket or another degree replaces the one entry
     one, other = Basket.parse("4x(1,2),(2,9)"), Basket.parse("(1,2),(2,5)")
-    memo.cache_clear()
     for basket, upto in ((one, 12), (other, 12), (one, 12), (one, 13)):
         wb = WeightedBasket(basket, 1)
         assert list(wb.plurigenera(upto).values) == plurigenera_reference(wb, upto)
-    assert memo.cache_info()[:2] == (0, 4)
 
 
 def test_short_and_empty_sequences():
@@ -194,8 +196,26 @@ def test_a_corrupted_residue_table_faults_under_optimize():
 
 
 def test_integer_840_check_matches_the_fraction_check():
-    assert all(pencil.thm2_check_840(wb) for wb in SWEEP_840)
-    assert all(thm2_check_840_fraction(wb) for wb in SWEEP_840)
+    # every weight p1 = 0..10 of every basket: the 236 volume-positive ones
+    # pass and the others fail the growth criterion, in both checks and
+    # wherever a weight sits in the call (each rotation of the weight list)
+    fraction = {wb: thm2_check_840_fraction(wb) for wb in ALL_840}
+    assert list(fraction.values()) == [wb.volume() > 0 for wb in ALL_840]
+    weights = list(WEIGHTS_840)
+    for basket in BASKETS_840:
+        for k in range(len(weights)):
+            turned = weights[k:] + weights[:k]
+            assert pencil.thm2_check_840(basket, turned) == [
+                fraction[WeightedBasket(basket, p1)] for p1 in turned], (basket.text(), k)
+    assert all(thm2_check_840_per_basket(SWEEP_840))
+
+
+def test_weighted_tables_match_the_recursion_on_the_840_baskets():
+    # P_-m is linear in p1, so one table at p1 = 0 gives every weight's
+    for basket in BASKETS_840:
+        tables = pencil._plurigenera_by_weight(basket, WEIGHTS_840, pencil.L840_HORIZON)
+        assert tables == [WeightedBasket(basket, p1).plurigenera(pencil.L840_HORIZON).values
+                          for p1 in WEIGHTS_840], basket.text()
 
 
 @pytest.mark.parametrize("slope", [pencil.L840_SLOPE, F(1999, 1001)], ids=["slope", "slope_1001"])
@@ -208,7 +228,7 @@ def test_tight_840_constants_fail_the_same_baskets(monkeypatch, slope):
     )
     monkeypatch.setattr(pencil, "L840_SLOPE", slope)
     monkeypatch.setattr(pencil, "L840_OFFSET", worst[len(worst) // 2])
-    integer = [pencil.thm2_check_840(wb) for wb in SWEEP_840]
+    integer = thm2_check_840_per_basket(SWEEP_840)
     assert integer == [thm2_check_840_fraction(wb) for wb in SWEEP_840]
     assert 0 < integer.count(False) < len(integer)
 

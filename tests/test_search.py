@@ -6,12 +6,13 @@ from pathlib import Path
 import pytest
 
 import fanobasket.search as search_module
-from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
 from fanobasket.recovery import feasible_tails
 from fanobasket.search import (
     ConstraintSet,
+    _candidate_pool,
     _heads,
     candidates,
     enumerate_geometric,
@@ -22,6 +23,7 @@ from fanobasket.search import (
     replay_delta1,
 )
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
+from oracles import unpruned_heads
 
 B = Basket.parse
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -142,6 +144,27 @@ def test_candidate_closures_are_disjoint():
         # weak ones cut to gamma > 0
         assert strict_listed == [c for c in listed if c.gamma() > 0]
         assert len(set(listed)) == len(listed), p1
+
+
+def test_heads_are_the_unpruned_ranges_with_a_feasible_tail():
+    kept = {}
+    for p1 in range(4):
+        for fano_strict in (True, False):
+            cs = ConstraintSet(p_exact={1: p1}, fano_strict=fano_strict)
+            unpruned = list(unpruned_heads(cs))
+            heads = list(_heads(cs))
+            assert heads == [head for head in unpruned if feasible_tails(head)], (p1, fano_strict)
+            kept[p1] = len(unpruned), len(heads)
+    # at P_-1 = 0, 884 of the 928 heads fail the budget at sigma5 = 0
+    assert kept[0] == (928, 44)
+
+
+def test_enumeration_after_clearing_the_candidate_pool_is_unchanged():
+    for cs in (ConstraintSet(p_exact={1: 2}), ConstraintSet(p_exact={1: 1, 2: 1}, fano_strict=False)):
+        first = enumerate_geometric_full(cs)
+        assert enumerate_geometric_full(cs) == first
+        _candidate_pool.cache_clear()
+        assert enumerate_geometric_full(cs) == first
 
 
 def test_enumeration_needs_p1_and_honest_caps():
@@ -269,6 +292,7 @@ def test_report_serialization_round_trip():
 def test_reports_are_run_to_run_deterministic():
     first = replay_delta1("P1_eq_1")
     replay_delta1.cache_clear()  # a second, independent computation
+    _candidate_pool.cache_clear()
     second = replay_delta1("P1_eq_1")
     assert second is not first and second.json_text() == first.json_text()
 
@@ -277,11 +301,13 @@ def test_reports_are_run_to_run_deterministic():
 def test_qfano39_leaves_the_shared_delta1_reports_unmutated(delta1_first):
     # QFano39 reads the same report objects that `replay_delta1` hands out
     replay_delta1.cache_clear()
+    _candidate_pool.cache_clear()
     golden = {family: (GOLDEN_DIR / f"replay_{case}.json").read_text()
               for family, case in (("P1_eq_0", "p0"), ("P1_eq_1", "p1"))}
     before = {family: replay_delta1(family).json_text() + "\n" for family in golden}
     if not delta1_first:
         replay_delta1.cache_clear()
+        _candidate_pool.cache_clear()
     birat1 = replay_birationality("QFano39").json_text() + "\n"
     after = {family: replay_delta1(family).json_text() + "\n" for family in golden}
     assert before == after == golden
@@ -312,17 +338,23 @@ def test_a_replays_pass_enumerates_the_p1_zero_family_once(capsys, monkeypatch):
     import fanobasket.birational as birational
     from fanobasket.cli import main
 
-    calls = []
-    full = enumerate_geometric_full
+    calls, closures = [], []
+    full, closure = enumerate_geometric_full, search_module.candidates
 
     def counted(cs):
         calls.append(cs)
         return full(cs)
 
+    def built(head, prune):
+        closures.append(head)
+        return closure(head, prune)
+
     for module in (search_module, birational):
         monkeypatch.setattr(module, "enumerate_geometric_full", counted)
+    monkeypatch.setattr(search_module, "candidates", built)
     replay_delta1.cache_clear()
     p1_zero_family.cache_clear()
+    _candidate_pool.cache_clear()
     assert main(["replay", "list"]) == 0
     capsys.readouterr()
     for family in ("P1_ge_3", "P1_eq_2", "P1_eq_1", "P1_eq_0"):
@@ -336,6 +368,14 @@ def test_a_replays_pass_enumerates_the_p1_zero_family_once(capsys, monkeypatch):
         ConstraintSet(p_exact={1: 0}, fano_strict=False)
     ]
     assert p1_zero_family.cache_info().misses == 1
+    # the pool builds each head's closure once: (1,1,1,1) serves the ladders
+    # n0 = 5, 6, >=7 and both QFano39 families
+    pool = _candidate_pool.cache_info()
+    assert pool.misses == len(closures) == len(set(closures))
+    assert closures.count(PlurigenusSequence((1, 1, 1, 1))) == 1
+    heads = [head for cs in calls for head in _heads(cs)]
+    assert pool.hits + pool.misses == len(heads)
+    assert heads.count(PlurigenusSequence((1, 1, 1, 1))) == 5
 
 
 def _bruteforce_survivors(cs: ConstraintSet, r_cap: int, size_cap: int):
