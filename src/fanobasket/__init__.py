@@ -32,7 +32,6 @@ from .recovery import feasible_tails, recover
 from .reports import ReplayContradiction
 from .search import (
     ConstraintSet,
-    SearchBudgetExceeded,
     enumerate_geometric,
     is_geometric_candidate,
     replay_delta1,
@@ -52,7 +51,6 @@ __all__ = [
     "IntegralityFault",
     "PlurigenusSequence",
     "ReplayContradiction",
-    "SearchBudgetExceeded",
     "WeightedBasket",
     "WeightedCI",
     "anti_plurigenera_from_hilbert",

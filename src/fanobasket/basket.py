@@ -126,12 +126,6 @@ class Basket:
     def to_json(self) -> dict:
         return {"points": [{"b": b, "r": r, "count": n} for (b, r), n in self._runs]}
 
-    @staticmethod
-    def from_json(data: dict) -> "Basket":
-        return Basket.from_counts(
-            ((entry["b"], entry["r"]), entry.get("count", 1)) for entry in data["points"]
-        )
-
     # --- multiset plumbing -------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
@@ -408,8 +402,4 @@ class WeightedBasket:
         data = self.basket.to_json()
         data["p1"] = self.p1
         return data
-
-    @staticmethod
-    def from_json(data: dict) -> "WeightedBasket":
-        return WeightedBasket(Basket.from_json(data), data["p1"])
 

@@ -28,8 +28,12 @@ from typing import Iterator, Optional
 from .basket import Basket, WeightedBasket
 from .indexbound import admissible_index_sets_with_lcm, attainable_indices
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
+from .recovery import TAIL_R_CAP
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
-from .search import ConstraintSet, enumerate_geometric_full, p1_zero_family, replay_delta1
+from .search import (
+    ConstraintSet, enumerate_geometric_full, forced_ladder, late_ladder, p1_zero_family,
+    replay_delta1,
+)
 from .tables import P1_P2_ZERO_TABLE
 
 INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
@@ -184,14 +188,12 @@ def _replay_qfano_39() -> ReplayReport:
     leaf("P1=1, n0=6, escape at 7", BirationalityInputs(6, 7, Fraction(6)), "i", [], [])
     # n0 = 6 with the escape exactly at 8: the surviving family pins rmax
     _, rmax6 = _family(report, "P1=1, n0=6, escape at 8",
-                       ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2, 7: 2}),
+                       ConstraintSet(p_exact=forced_ladder(1, 6, 7)),
                        *(f"2x(1,2),2x(1,3),(1,5),(1,{r})" for r in (8, 9, 10)))
     leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, 8, Fraction(6), rmax=rmax6), "ii",
          [f"survivor family rmax = {rmax6}"], [])
     # n0 in {7, 8}: the single family with tail 9..11 and escape at 9
-    fam78, rmax78 = _family(report, "P1=1, n0>=7",
-                            ConstraintSet(p_exact={1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 8: 2},
-                                          p_min={7: 1, 9: 3}, p_max={7: 2}),
+    fam78, rmax78 = _family(report, "P1=1, n0>=7", late_ladder(8, p_min={9: 3}),
                             *(f"(1,2),(1,3),(1,4),(2,5),(1,{r})" for r in (9, 10, 11)))
     # escape degree 9 is arithmetic
     require(all(wb.plurigenera(9)[9] == 3 for wb in fam78),
@@ -274,7 +276,7 @@ def _no_two_forces_nonpositive_volume() -> bool:
     under the 24-budget, and the p1 = 0 volume 2(sum b(r-b)/(2r) - 3) cannot
     be positive.  The per-point inequality is checked exhaustively.
     """
-    for r in range(3, 25):
+    for r in range(3, TAIL_R_CAP + 1):
         for b in range(1, r // 2 + 1):
             if gcd(b, r) != 1:
                 continue  # b = r/2 would violate the bound but is never coprime
@@ -422,7 +424,8 @@ def _replay_weak_97() -> ReplayReport:
     _capped_leaf(leaf, "III: rmax=13", range(13, 14), 546, 10, 61, 8, "iii",
                  ["brute-force rX <= 546; t = 10"], [AX_CC_P8], nu0=1)
     # rX = 840 forces rmax = 8 and the sharp growth regime applies from 71
-    sets840 = [s for r in range(2, 25) for s in admissible_index_sets_with_lcm(840, r)]
+    sets840 = [s for r in range(2, TAIL_R_CAP + 1)
+               for s in admissible_index_sets_with_lcm(840, r)]
     require(sets840 == sorted(INDEX_840_SETS) and {s[-1] for s in sets840} == {8},
             f"Weak97 III: index-840 sets {sets840}, not {sorted(INDEX_840_SETS)} with rmax 8")
     sweep = _index_840_sweep()

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 a proof step failed (a replay or index-bound names
 the step on stderr, e.g. a maximum other than 840), 2 usage error, malformed
 or out-of-bounds input (degrees and horizons lie in 1..MAX_DEGREE, a Hilbert
 series has at most MAX_SERIES terms, a basket's distinct local indices sum to
-at most MAX_SERIES), a search cap that would truncate silently, or an --out
-file that cannot be written.  All tables print exact fractions, never decimals.
+at most MAX_SERIES), or an --out file that cannot be written.  All tables
+print exact fractions, never decimals.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ from .birational import BirationalityInputs, replay_birationality, thm_main_thre
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import non_pencil_threshold, thm1_threshold
 from .reports import ReplayContradiction, require
-from .search import (
-    ConstraintSet,
-    SearchBudgetExceeded,
-    enumerate_geometric,
-    replay_delta1,
-)
+from .search import ConstraintSet, enumerate_geometric, replay_delta1
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
 
@@ -334,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ReplayContradiction as exc:
         print(f"contradiction: {exc}", file=sys.stderr)
         return 1
-    except (BasketParseError, ValueError, SearchBudgetExceeded, OSError) as exc:
+    except (BasketParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
-from .recovery import BUDGET, cost
+from .recovery import BUDGET, TAIL_R_CAP, cost
 from .reports import require
 
 # prime powers s with s - 1/s <= 24 (25 = 5^2 already exceeds the budget)
@@ -70,7 +70,7 @@ def max_index_report() -> IndexReport:
     PRIME_POWERS with product r, and splitting off the first part does not
     raise the budget (`coprime_split_inequality`; the rest is a smaller r).
     """
-    for r in range(2, 25):
+    for r in range(2, TAIL_R_CAP + 1):
         parts = prime_power_parts(r)
         rest = r // parts[0]
         require(prod(parts) == r and set(parts) <= set(PRIME_POWERS)
@@ -108,8 +108,8 @@ def _raw_subsets(
 
 def max_index_given_rmax(r_max: int) -> int:
     """Max lcm over admissible raw index sets whose largest entry is r_max."""
-    if not 2 <= r_max <= 24:
-        raise ValueError("r_max must lie in [2, 24]")
+    if not 2 <= r_max <= TAIL_R_CAP:
+        raise ValueError(f"r_max must lie in [2, {TAIL_R_CAP}]")
     return max(lcm(*subset) for subset in _raw_subsets(r_max))
 
 

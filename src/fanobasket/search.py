@@ -25,10 +25,6 @@ from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """A cap would silently truncate the search; refusing to guess."""
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Exact constraints cutting out geometric weighted baskets."""
@@ -55,9 +51,6 @@ class ConstraintSet:
         bits += ["-K^3>0", "superadditive"]
         return ", ".join(bits)
 
-    def gamma_ok(self, basket: Basket) -> bool:
-        return within_budget(basket, self.fano_strict)
-
 
 def is_geometric_candidate(
     wb: WeightedBasket, cs: ConstraintSet
@@ -76,7 +69,7 @@ def is_geometric_candidate(
     vol = wb.volume()
     if vol <= 0:
         return False, f"-K^3 = {vol} <= 0"
-    if not cs.gamma_ok(wb.basket):
+    if not within_budget(wb.basket, cs.fano_strict):
         return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
     p = (None, *seq.values)  # p[m] = P_{-m}; plain indexing in the O(horizon^2) loop
     for m in range(1, cs.horizon + 1):
@@ -217,6 +210,15 @@ def forced_ladder(p1: int, n0: int, l: int) -> dict[int, int]:
     return forced
 
 
+def late_ladder(l: int, p_min: Optional[dict[int, int]] = None) -> ConstraintSet:
+    """The p1 = 1 branches n0 = 7 and n0 = 8 merged up to degree l: pin only
+    what both ladders force, with P_-7 free in {1, 2}; `p_min` adds lower
+    bounds."""
+    l7, l8 = forced_ladder(1, 7, l), forced_ladder(1, 8, l)
+    merged = {k: v for k, v in l7.items() if l8.get(k) == v}
+    return ConstraintSet(p_exact=merged, p_min={7: 1, **(p_min or {})}, p_max={7: 2})
+
+
 M1_HORIZON = 40  # the degrees whose multiples feed the doubling thresholds
 
 
@@ -287,11 +289,7 @@ def replay_delta1(family: str) -> ReplayReport:
             (f"n0={n0}", l, ConstraintSet(p_exact=forced_ladder(1, n0, l)))
             for n0, l in ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8))
         ]
-        # n0 in {7, 8} merged: pin only what both ladders force; P_-7 stays
-        # free in {1, 2}
-        l7, l8 = forced_ladder(1, 7, 9), forced_ladder(1, 8, 9)
-        merged = {k: v for k, v in l7.items() if l8.get(k) == v}
-        branches.append(("n0>=7", 9, ConstraintSet(p_exact=merged, p_min={7: 1}, p_max={7: 2})))
+        branches.append(("n0>=7", 9, late_ladder(9)))
         return _replay_ladders(family, "P_-1 = 1, branches over n0 = 2..8", branches)
 
     if family == "P1_eq_0":

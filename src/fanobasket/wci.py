@@ -17,9 +17,7 @@ from math import prod
 
 from .basket import PlurigenusSequence, WeightedBasket
 from .recovery import within_budget
-from .search import SearchBudgetExceeded, candidates
-
-MAX_FIT_CANDIDATES = 200_000
+from .search import candidates
 
 
 @dataclass(frozen=True)
@@ -67,20 +65,18 @@ def anti_plurigenera_from_hilbert(wci: WeightedCI, upto_m: int) -> PlurigenusSeq
 
 
 def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
-    """All weighted baskets whose Riemann-Roch output matches every entry of p.
+    """The weak (gamma >= 0) `candidates(p)` whose Riemann-Roch output is p,
+    sorted.
 
-    Recovery-first: the search's `candidates` (feasible tails, stage-0
-    basket, prime-packing closure under the weak gamma bound), kept on exact
-    full-sequence matches.  Sequences of length >= 8 are recommended; the
-    longer the sequence, the tighter the fit.
+    The candidates are the prime-packing closures of the feasible tails of
+    one head (P_{-1}..P_{-4}), so the 24-budget bounds the search.  Sequences
+    of length >= 8 are recommended; the longer the sequence, the tighter the
+    fit.
     """
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
     fits = []
-    weak_gamma = partial(within_budget, strict=False)  # gamma >= 0
-    for seen, cand in enumerate(candidates(p, weak_gamma), start=1):
-        if seen > MAX_FIT_CANDIDATES:
-            raise SearchBudgetExceeded(f"fit exceeded {MAX_FIT_CANDIDATES} candidates")
+    for cand in candidates(p, partial(within_budget, strict=False)):
         wb = WeightedBasket(cand, p[1])
         if wb.plurigenera(len(p)).values == p.values:
             fits.append(wb)

@@ -1,7 +1,8 @@
 """Reference implementations that the tests hold the package against.
 
 Each is a direct, slow statement of something `fanobasket` computes another
-way; nothing in the package, the CLI, the demos or the benchmark calls them.
+way, or, for `weighted_basket_from_json`, the inverse of a package output;
+nothing in the package, the CLI, the demos or the benchmark calls them.
 Not a test module: pytest collects only `test_*.py`, and the test modules
 import this one from their own directory.
 """
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from fanobasket.basket import Basket, PlurigenusSequence, f_periodic
+from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
 from fanobasket.canonical import FractionSet
 from fanobasket.recovery import BUDGET, cost
 from fanobasket.search import ConstraintSet, _values
@@ -23,6 +24,12 @@ from fanobasket.wci import WeightedCI
 def sigma_prime(basket: Basket) -> Fraction:
     """sigma'(B) = sum of b_i^2 / r_i, exact."""
     return sum((Fraction(n * b * b, r) for (b, r), n in basket.counts()), Fraction(0))
+
+
+def weighted_basket_from_json(data: dict) -> WeightedBasket:
+    """The weighted basket whose `to_json` is data."""
+    runs = (((entry["b"], entry["r"]), entry.get("count", 1)) for entry in data["points"])
+    return WeightedBasket(Basket.from_counts(runs), data["p1"])
 
 
 def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:

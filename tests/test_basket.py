@@ -14,7 +14,7 @@ from fanobasket.basket import (
     f_periodic,
     local_correction,
 )
-from oracles import local_correction_unreduced, sigma_prime
+from oracles import local_correction_unreduced, sigma_prime, weighted_basket_from_json
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_order_is_that_of_the_expanded_points():
 
 def test_json_round_trip():
     wb = WB("2x(1,2),3x(2,5),(1,3),(1,4)", 0)
-    assert WeightedBasket.from_json(wb.to_json()) == wb
+    assert weighted_basket_from_json(wb.to_json()) == wb
 
 
 # --- sigma, sigma', delta, gamma ---------------------------------------------

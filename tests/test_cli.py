@@ -13,8 +13,8 @@ import pytest
 import fanobasket.cli as cli
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.cli import main
-from fanobasket.search import SearchBudgetExceeded
 from fanobasket.tables import P1_P2_ZERO_TABLE
+from oracles import weighted_basket_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "p1_p2_zero_table.txt"
@@ -44,7 +44,7 @@ def test_rr_json_round_trips_through_grammar(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    wb = WeightedBasket.from_json(payload)
+    wb = weighted_basket_from_json(payload)
     assert wb.basket == Basket.parse("5x(1,2),2x(1,3),(2,7),(1,4)")
     assert payload["P"]["-8"] == 2
 
@@ -123,7 +123,7 @@ def test_replay_list_matches_golden_bytes(capsys):
 def test_replay_list_json_is_the_table_rows_in_order(capsys):
     code, out = run(capsys, "replay", "list", "--json")
     assert code == 0
-    rows = [WeightedBasket.from_json(data) for data in json.loads(out)]
+    rows = [weighted_basket_from_json(data) for data in json.loads(out)]
     assert rows == cli.table_rows()
     assert [wb.basket.text() for wb in rows] == [
         row.basket for row in sorted(P1_P2_ZERO_TABLE, key=lambda row: row.no)
@@ -229,15 +229,6 @@ def test_rr_degree_range_must_be_ordered_and_positive(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_search_budget_exceeded_exits_2(capsys, monkeypatch):
-    def refuse(p):
-        raise SearchBudgetExceeded("fit exceeded 200000 candidates")
-
-    monkeypatch.setattr(cli, "fit_basket", refuse)
-    assert main(["wci", "--weights", "1,5,6,22,33", "--degrees", "66", "--fit"]) == 2
-    assert capsys.readouterr().err == "error: fit exceeded 200000 candidates\n"
-
-
 HUGE_RANGE = "1.." + "9" * 20
 BAD_INPUTS = {
     "--mu0": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1/0", "--variant", "i"],
@@ -264,6 +255,8 @@ BAD_INPUTS = {
                "error: --upto must lie in 1..1000, got 1001"),
     "series": (["wci", "--weights", "1,1,1,1,1000", "--upto", "1000"],
                "error: --upto times the Fano index exceeds 100000 series terms"),
+    "short fit": (["wci", "--weights", "1,5,6,22,33", "--degrees", "66", "--upto", "4", "--fit"],
+                  "error: need at least P_{-1}..P_{-5} to anchor a fit"),
     "unwritable --out": (["replay", "birat1", "--out", "/nonexistent/dir/x"],
                          "error: [Errno 2] No such file or directory: '/nonexistent/dir/x'"),
     "local index": (["rr", "--basket", "(99999999999,100000000000)", "--p1", "0"],

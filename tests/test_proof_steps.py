@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -244,29 +245,57 @@ def test_replay_modules_state_proof_steps_only_through_require():
             assert "AssertionError" not in _names(node.type), f"cli.py:{node.lineno}"
 
 
-def _references(tree: ast.AST) -> list[tuple[str, ast.stmt]]:
-    """(name, top-level statement it sits in) for every Name, Attribute and
-    import alias; strings and docstrings are no references."""
-    out = []
-    for stmt in tree.body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                out.append((node.id, stmt))
-            elif isinstance(node, ast.Attribute):
-                out.append((node.attr, stmt))
-            elif isinstance(node, ast.alias):
-                out.append((node.name, stmt))
+def _references(tree: ast.AST) -> dict[str, list[ast.AST]]:
+    """name -> every Name, Attribute and import alias node that names it;
+    strings and docstrings are no references."""
+    out: dict[str, list[ast.AST]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.setdefault(node.id, []).append(node)
+        elif isinstance(node, ast.Attribute):
+            out.setdefault(node.attr, []).append(node)
+        elif isinstance(node, ast.alias):
+            out.setdefault(node.name, []).append(node)
     return out
 
 
-def _unreferenced(defining: list[ast.AST], users: list[ast.AST]) -> list[str]:
-    """Top-level definitions of `defining` that nothing in `users` names
-    outside the definition's own body."""
-    refs = [ref for tree in users for ref in _references(tree)]
-    defs = (d for tree in defining for d in tree.body
-            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
-    return sorted(d.name for d in defs
-                  if not any(name == d.name and where is not d for name, where in refs))
+def _definitions(tree: ast.AST) -> Iterator[tuple[str, ast.AST]]:
+    """(qualified name, node) of every top-level function and class, and of
+    every method of a top-level class, dunders excepted."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for d in tree.body:
+        if isinstance(d, (*functions, ast.ClassDef)):
+            yield d.name, d
+        if isinstance(d, ast.ClassDef):
+            yield from ((f"{d.name}.{m.name}", m) for m in d.body if isinstance(m, functions)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def _unreferenced(defining: list[ast.AST], users: list[ast.AST],
+                  named: frozenset[str] = frozenset()) -> list[str]:
+    """Definitions of `defining` that nothing in `users` names outside the
+    definition's own body, and whose qualified name is not in `named`."""
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in users:
+        for name, nodes in _references(tree).items():
+            refs.setdefault(name, []).extend(nodes)
+    unused = []
+    for tree in defining:
+        for qualified, d in _definitions(tree):
+            own = {id(node) for node in ast.walk(d)}
+            if qualified not in named and all(id(node) in own for node in refs.get(d.name, ())):
+                unused.append(qualified)
+    return sorted(unused)
+
+
+def _traced_methods() -> frozenset[str]:
+    """The "Class.method" entry points of perfbench/tracer.py, which the
+    benchmark wraps by name."""
+    tracer = _tree(ROOT / "perfbench" / "tracer.py")
+    entries = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets))
+    return frozenset(target for _, _, target in entries if "." in target)
 
 
 def test_src_holds_only_code_a_product_path_runs():
@@ -276,7 +305,7 @@ def test_src_holds_only_code_a_product_path_runs():
     package = [_tree(path) for path in sorted(PACKAGE.glob("*.py"))]
     products = [_tree(path) for folder in ("demos", "perfbench")
                 for path in sorted((ROOT / folder).rglob("*.py"))]
-    unused = _unreferenced(package, package + products)
+    unused = _unreferenced(package, package + products, _traced_methods())
     assert not unused, f"src/fanobasket defines what no product path runs: {unused}"
     tests = Path(__file__).parent
     oracles = _tree(tests / "oracles.py")

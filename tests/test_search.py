@@ -1,5 +1,6 @@
 """Geometric enumeration and the image-dimension replays."""
 
+from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import fanobasket.search as search_module
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
-from fanobasket.recovery import feasible_tails
+from fanobasket.recovery import feasible_tails, within_budget
 from fanobasket.search import (
     ConstraintSet,
     _candidate_pool,
@@ -19,6 +20,7 @@ from fanobasket.search import (
     enumerate_geometric_full,
     forced_ladder,
     is_geometric_candidate,
+    late_ladder,
     p1_zero_family,
     replay_delta1,
 )
@@ -134,12 +136,13 @@ def test_candidate_closures_are_disjoint():
         weak = ConstraintSet(p_exact={1: p1}, fano_strict=False)
         listed = []
         for head in _heads(weak):
-            cands = list(candidates(head, weak.gamma_ok))
+            cands = list(candidates(head, partial(within_budget, strict=False)))
             seeds = [d.basket0 for d in feasible_tails(head) if d.basket0.gamma() >= 0]
             assert [seed for seed, _ in groupby(unpack(c, 0) for c in cands)] == seeds
             listed += cands
         strict = ConstraintSet(p_exact={1: p1})
-        strict_listed = [c for head in _heads(strict) for c in candidates(head, strict.gamma_ok)]
+        strict_listed = [c for head in _heads(strict)
+                         for c in candidates(head, partial(within_budget, strict=True))]
         # gamma only drops along a packing, so the strict closures are the
         # weak ones cut to gamma > 0
         assert strict_listed == [c for c in listed if c.gamma() > 0]
@@ -205,6 +208,14 @@ def test_forced_ladders():
     assert {k: v for k, v in l7.items() if k != 7} == {
         k: v for k, v in l8.items() if k != 7
     }
+    # the merged n0 >= 7 branch of the P1_eq_1 replay, and QFano39's families
+    # "n0=6, escape at 8" and "n0>=7"
+    ones = {m: 1 for m in range(1, 7)}
+    assert late_ladder(9) == ConstraintSet(
+        p_exact={**ones, 8: 2, 9: 2}, p_min={7: 1}, p_max={7: 2})
+    assert forced_ladder(1, 6, 7) == {**ones, 6: 2, 7: 2}
+    assert late_ladder(8, p_min={9: 3}) == ConstraintSet(
+        p_exact={**ones, 8: 2}, p_min={7: 1, 9: 3}, p_max={7: 2})
 
 
 def test_replay_p1_ge_3():
