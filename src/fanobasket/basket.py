@@ -86,13 +86,15 @@ class Basket:
 
     Equality and hashing are multiset equality; baskets order like their
     expanded point tuples; `text()` is the canonical serialization.
-    Instances are immutable.
+    Instances are immutable in value.  The memos of r_X and of one P_{-m} table
+    (`WeightedBasket.plurigenera`) take no part in comparison, hashing or text.
     """
 
-    __slots__ = ("_runs",)
+    __slots__ = ("_runs", "_r_x", "_table")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         self._runs = _normalize_runs((pair, 1) for pair in pairs)
+        self._r_x, self._table = None, (0, ())  # (p1, P_{-1}..) of the last recursion
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
@@ -217,7 +219,9 @@ class Basket:
 
     def gorenstein_index(self) -> int:
         """lcm of the local indices r_i (1 for the empty basket)."""
-        return lcm(*(r for (_, r), _ in self._runs)) if self._runs else 1
+        if self._r_x is None:
+            self._r_x = lcm(*(r for (_, r), _ in self._runs))
+        return self._r_x
 
     def r_max(self) -> int:
         return self._runs[-1][0][1] if self._runs else 1
@@ -305,7 +309,7 @@ def local_correction(b: int, r: int, i: int) -> Fraction:
 # --- weighted baskets and plurigenera ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlurigenusSequence:
     """Integer sequence P_{-1}, P_{-2}, ..."""
 
@@ -327,7 +331,7 @@ class PlurigenusSequence:
         return [self.values[k - 1] for k in range(m, len(self.values) + 1, m)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedBasket:
     """A basket weighted by the first anti-plurigenus P̃_{-1}."""
 
@@ -369,28 +373,35 @@ class WeightedBasket:
         return value
 
     def plurigenera(self, upto: int) -> PlurigenusSequence:
-        """P_{-1} .. P_{-upto} via the integer increment recursion.
+        """P_{-1} .. P_{-upto}, read off the one table the basket keeps.
 
-        The increment from k-1 to k satisfies
+        Riemann-Roch is linear in P̃_{-1}: -K^3 grows by 2 per unit of p1 and
+        nothing else depends on it, so a table at weight p0 gives this weight's
+        P_{-m} plus (p1 - p0) m(m+1)(2m+1)/6.  A table shorter than upto is
+        rebuilt at this weight by the integer increment recursion
         2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
-        w the residue table of each point; scaled by L = lcm(r_i) every term
-        is an integer, so each degree costs one lookup in the summed tables
-        and one division by 2L.
+        w the residue table of each point, every term an integer once scaled
+        by L = lcm(r_i).  A recursion that faults keeps nothing.
         """
-        big_l = self.basket.gorenstein_index()
-        vol = self._scaled_volume(big_l)
-        corr = _summed_residues(self.basket.counts(), big_l, upto)
-        two_l, four_l = 2 * big_l, 4 * big_l
-        values = [self.p1]
-        current = self.p1
-        for k in range(2, upto + 1):
-            num = k * k * vol + four_l - corr[k]
-            q, rem = divmod(num, two_l)
-            if rem:
-                raise IntegralityFault(f"non-integral increment at m={k} for {self}")
-            current += q
-            values.append(current)
-        return PlurigenusSequence(tuple(values[:upto]))
+        weight, values = self.basket._table
+        if upto > len(values):
+            big_l = self.basket.gorenstein_index()
+            vol = self._scaled_volume(big_l)
+            corr = _summed_residues(self.basket.counts(), big_l, upto)
+            two_l, four_l = 2 * big_l, 4 * big_l
+            values, current = [self.p1], self.p1
+            for k in range(2, upto + 1):
+                q, rem = divmod(k * k * vol + four_l - corr[k], two_l)
+                if rem:
+                    raise IntegralityFault(f"non-integral increment at m={k} for {self}")
+                current += q
+                values.append(current)
+            weight, values = self.basket._table = self.p1, tuple(values)
+        values, shift = values[:max(upto, 0)], self.p1 - weight
+        if shift:
+            values = tuple([p + shift * (m * (m + 1) * (2 * m + 1) // 6)
+                            for m, p in enumerate(values, start=1)])
+        return PlurigenusSequence(values)
 
     def gorenstein_index(self) -> int:
         return self.basket.gorenstein_index()

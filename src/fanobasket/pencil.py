@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, gcd, isqrt
 from typing import Optional, Sequence
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket, _residues
+from .reports import require
 
 
 def g_min(b: int, r: int, m: int) -> Fraction:
@@ -163,17 +164,9 @@ L840_OFFSET = Fraction(295, 72)
 L840_HORIZON = 150  # the last degree of the index-840 check
 
 
-def _plurigenera_by_weight(basket: Basket, weights: Sequence[int],
-                           upto: int) -> list[tuple[int, ...]]:
-    """P_{-1}..P_{-upto} of the basket weighted by each p1 in `weights`, all
-    read off one table at p1 = 0.
-
-    Riemann-Roch is linear in P̃_{-1}: -K^3 grows by 2 per unit of p1 and
-    nothing else depends on it, so P_{-m}(p1) = P_{-m}(0) + p1 m(m+1)(2m+1)/6.
-    """
-    base = WeightedBasket(basket, 0).plurigenera(upto).values
-    steps = [m * (m + 1) * (2 * m + 1) // 6 for m in range(1, upto + 1)]
-    return [tuple(p + p1 * step for p, step in zip(base, steps)) for p1 in weights]
+def _rise_840(m: int) -> int:
+    """What a unit of p1 adds to P_{-m} - 840 (-K^3) m at index 840."""
+    return m * (m + 1) * (2 * m + 1) // 6 - 1680 * m
 
 
 def thm2_check_840(basket: Basket, weights: Sequence[int]) -> list[bool]:
@@ -183,28 +176,25 @@ def thm2_check_840(basket: Basket, weights: Sequence[int]) -> list[bool]:
     both the growth criterion P_{-m} > `growth_bounds`[m], that is
     P_{-m} >= 840 (-K^3) m + 2, and the linear envelope
     l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: the
-    envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch
-    and lifted to the common denominator of L840_SLOPE and L840_OFFSET.
+    envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch,
+    with both sides times the denominators of L840_SLOPE and L840_OFFSET.
     l(-m) does not depend on p1, so the envelope is checked once, at p1 = 0.
-    Returns one verdict per weight, in order.
-    """
+    The growth margin rises with p1 (`_rise_840` > 0), so the weights that pass
+    are those from one least passing weight on.  One verdict per weight."""
     if basket.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
-    degrees = range(71, L840_HORIZON + 1)
-    values = _plurigenera_by_weight(basket, [0, *weights], L840_HORIZON)
-    vol_840 = WeightedBasket(basket, 0)._scaled_volume(840)  # 840 (-K^3) at p1 = 0
-    scale = lcm(12 * 840, L840_SLOPE.denominator, L840_OFFSET.denominator)
-    lift = scale // (12 * 840)
-    slope = L840_SLOPE.numerator * (scale // L840_SLOPE.denominator)
-    offset = L840_OFFSET.numerator * (scale // L840_OFFSET.denominator)
-    # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
-    envelope = all(
-        (m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - values[0][m - 1])) * lift
-        <= slope * m + offset
-        for m in degrees
-    )
-    verdicts = []
-    for p1, p in zip(weights, values[1:]):
-        bounds = growth_bounds(WeightedBasket(basket, p1), L840_HORIZON)
-        verdicts.append(envelope and all(p[m - 1] > bounds[m] for m in degrees))
-    return verdicts
+    if any(p1 < 0 for p1 in weights):
+        raise ValueError("p1 must be a non-negative integer")
+    at_zero = WeightedBasket(basket, 0)
+    p0, vol_840 = at_zero.plurigenera(L840_HORIZON).values, at_zero._scaled_volume(840)
+    (sn, sd), (on, od) = L840_SLOPE.as_integer_ratio(), L840_OFFSET.as_integer_ratio()
+    envelope, least = True, 0
+    for m in range(71, L840_HORIZON + 1):
+        require((rise := _rise_840(m)) > 0, f"840 check: margin falls with p1 at m = {m}")
+        # P_{-m} - (840 (-K^3) m + 1) at weight p1 is margin + p1 rise
+        margin = p0[m - 1] - (vol_840 * m + 1)
+        least = max(least, -margin // rise + 1)
+        # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
+        twelve_l = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - p0[m - 1])
+        envelope = envelope and twelve_l * sd * od <= 12 * 840 * (sn * m * od + on * sd)
+    return [envelope and p1 >= least for p1 in weights]

@@ -66,9 +66,8 @@ def is_geometric_candidate(
     for m, v in sorted(cs.p_max.items()):
         if seq[m] > v:
             return False, f"P_-{m} = {seq[m]} > {v}"
-    vol = wb.volume()
-    if vol <= 0:
-        return False, f"-K^3 = {vol} <= 0"
+    if wb._scaled_volume(wb.gorenstein_index()) <= 0:
+        return False, f"-K^3 = {wb.volume()} <= 0"
     if not within_budget(wb.basket, cs.fano_strict):
         return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
     p = (None, *seq.values)  # p[m] = P_{-m}; plain indexing in the O(horizon^2) loop

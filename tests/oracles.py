@@ -32,6 +32,14 @@ def weighted_basket_from_json(data: dict) -> WeightedBasket:
     return WeightedBasket(Basket.from_counts(runs), data["p1"])
 
 
+def plurigenera_closed_form(wb: WeightedBasket, upto: int) -> tuple[int, ...]:
+    """P_-1 .. P_-upto by the closed Riemann-Roch form, one degree at a time,
+    on a freshly built copy of the basket, so no table a basket keeps is read;
+    oracle for `WeightedBasket.plurigenera`."""
+    fresh = WeightedBasket(Basket.from_counts(wb.basket.counts()), wb.p1)
+    return tuple(fresh.anti_plurigenus(m) for m in range(1, upto + 1))
+
+
 def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:
     """The t-fold variant of `local_correction` for t >= 0.
 

@@ -3,7 +3,9 @@
 The references are the forms the kernels replaced: the Delta-based increment
 recursion for the plurigenera, sums of `local_correction_unreduced` (in
 `tests/oracles.py`) for l(-n), gamma as a `Fraction`, and the index-840
-growth check compared in `Fraction`s.
+growth check compared in `Fraction`s.  The P_-m table a basket keeps at
+p1 = 0 is held against the closed form on a fresh basket
+(`plurigenera_closed_form`, also in `tests/oracles.py`).
 """
 
 import os
@@ -17,11 +19,13 @@ from pathlib import Path
 
 import pytest
 
+import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
-from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.basket import Basket, IntegralityFault, WeightedBasket
 from fanobasket.birational import INDEX_840_SETS, _residue_baskets
 from fanobasket.recovery import COST_UNIT, within_budget
-from oracles import local_correction_unreduced
+from fanobasket.tables import P1_P2_ZERO_TABLE
+from oracles import local_correction_unreduced, plurigenera_closed_form
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -191,6 +195,54 @@ def test_a_corrupted_residue_table_faults_under_optimize():
     assert done.stdout == "1 IntegralityFault IntegralityFault\n"
 
 
+# --- the Riemann-Roch table a basket keeps ---------------------------------------
+
+
+def fresh(basket: Basket) -> Basket:
+    """An equal basket whose memo is still empty."""
+    return Basket.from_counts(basket.counts())
+
+
+def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
+    # a table is rebuilt at the weight asked when a horizon outgrows it, and
+    # serves shorter horizons and, shifted by linearity, every other weight
+    table_rows = [Basket.parse(row.basket) for row in P1_P2_ZERO_TABLE]
+    for basket in BASKETS_840 + table_rows:
+        shared = fresh(basket)
+        for p1 in (3, 0, 10, 7, 1, 5, 9, 2, 8, 4, 6):
+            expected = plurigenera_closed_form(WeightedBasket(basket, p1), pencil.L840_HORIZON)
+            for owner in (fresh(basket), shared):
+                wb = WeightedBasket(owner, p1)
+                for upto in (4, pencil.L840_HORIZON, 12, 40):
+                    assert wb.plurigenera(upto).values == expected[:upto], (basket.text(), p1, upto)
+
+
+def test_a_faulting_recursion_keeps_nothing(monkeypatch):
+    real = basket_module._residues
+    monkeypatch.setattr(basket_module, "_residues", lambda b, r: tuple(w + 1 for w in real(b, r)))
+    wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
+    for _ in range(2):
+        with pytest.raises(IntegralityFault):
+            wb.plurigenera(10)
+    monkeypatch.undo()
+    assert wb.plurigenera(10).values == plurigenera_closed_form(wb, 10)
+
+
+def test_the_memo_leaves_equality_hash_and_order_alone():
+    one, other = Basket.parse("(1,3),(2,5),(3,7),(3,8)"), Basket.parse("4x(1,2),(2,9)")
+    twin = fresh(one)
+
+    def seen():
+        return (hash(one), one == twin, twin == one, one < other, other < one,
+                one in {twin}, twin in {one}, repr(one), one.text())
+
+    before = seen()
+    WeightedBasket(one, 2).plurigenera(pencil.L840_HORIZON)
+    assert one.gorenstein_index() == 840
+    assert seen() == before
+    assert before[:3] == (hash(twin), True, True)
+
+
 # --- the integer index-840 check -------------------------------------------------
 
 
@@ -210,11 +262,30 @@ def test_integer_840_check_matches_the_fraction_check():
 
 
 def test_weighted_tables_match_the_recursion_on_the_840_baskets():
-    # P_-m is linear in p1, so one table at p1 = 0 gives every weight's
+    # P_-m is linear in p1, so every weight reads its P_-m off the basket's
+    # one table at p1 = 0; each must equal the closed form degree by degree
     for basket in BASKETS_840:
-        tables = pencil._plurigenera_by_weight(basket, WEIGHTS_840, pencil.L840_HORIZON)
-        assert tables == [WeightedBasket(basket, p1).plurigenera(pencil.L840_HORIZON).values
-                          for p1 in WEIGHTS_840], basket.text()
+        for p1 in WEIGHTS_840:
+            wb = WeightedBasket(basket, p1)
+            assert wb.plurigenera(pencil.L840_HORIZON).values == plurigenera_closed_form(
+                wb, pencil.L840_HORIZON), (basket.text(), p1)
+
+
+def test_the_840_degrees_start_where_the_margin_rises_with_p1():
+    # rise(m) = m(m+1)(2m+1)/6 - 1680 m is what a unit of p1 adds to the growth
+    # margin at index 840: negative up to degree 70, positive from 71 on
+    assert (pencil._rise_840(70), pencil._rise_840(71)) == (-805, 2556)
+    assert all(pencil._rise_840(m) > 0 for m in range(71, pencil.L840_HORIZON + 1))
+
+
+def test_least_passing_weight_matches_the_fraction_check_to_weight_30():
+    weights = list(range(31))
+    for basket in BASKETS_840:
+        assert pencil.thm2_check_840(basket, weights) == [
+            thm2_check_840_fraction(WeightedBasket(basket, p1)) for p1 in weights
+        ], basket.text()
+        with pytest.raises(ValueError):
+            pencil.thm2_check_840(basket, [3, -1])
 
 
 @pytest.mark.parametrize("slope", [pencil.L840_SLOPE, F(1999, 1001)], ids=["slope", "slope_1001"])
