@@ -375,16 +375,14 @@ class WeightedBasket:
     def plurigenera(self, upto: int) -> PlurigenusSequence:
         """P_{-1} .. P_{-upto}, read off the one table the basket keeps.
 
-        Riemann-Roch is linear in P̃_{-1}: -K^3 grows by 2 per unit of p1 and
-        nothing else depends on it, so a table at weight p0 gives this weight's
-        P_{-m} plus (p1 - p0) m(m+1)(2m+1)/6.  A table shorter than upto is
-        rebuilt at this weight by the integer increment recursion
-        2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
+        The table holds P_{-1}.. at one weight p1.  Asked at another weight or
+        past its length, it is rebuilt at this weight by the integer increment
+        recursion 2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
         w the residue table of each point, every term an integer once scaled
         by L = lcm(r_i).  A recursion that faults keeps nothing.
         """
         weight, values = self.basket._table
-        if upto > len(values):
+        if weight != self.p1 or upto > len(values):
             big_l = self.basket.gorenstein_index()
             vol = self._scaled_volume(big_l)
             corr = _summed_residues(self.basket.counts(), big_l, upto)
@@ -396,12 +394,9 @@ class WeightedBasket:
                     raise IntegralityFault(f"non-integral increment at m={k} for {self}")
                 current += q
                 values.append(current)
-            weight, values = self.basket._table = self.p1, tuple(values)
-        values, shift = values[:max(upto, 0)], self.p1 - weight
-        if shift:
-            values = tuple([p + shift * (m * (m + 1) * (2 * m + 1) // 6)
-                            for m, p in enumerate(values, start=1)])
-        return PlurigenusSequence(values)
+            values = tuple(values)
+            self.basket._table = self.p1, values
+        return PlurigenusSequence(values[:max(upto, 0)])
 
     def gorenstein_index(self) -> int:
         return self.basket.gorenstein_index()

@@ -35,7 +35,9 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     so the minimum sits on the end-point set {nr - jb}; it suffices to
     scan x = -jb for j = 0..(m mod r).  Scaled by 2r, G(-jb) slides a window
     of the residue table w_i = u(r - u), u = ib mod r, from i = 0..l to
-    -j..l-j; w_{-i} = w_i.
+    -j..l-j; w_{-i} = w_i.  The first call per (b, r) caches the whole
+    r-entry table, O(r) time and memory even for a small l; this package
+    calls it only on enumerated baskets, where r <= 24.
     """
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
@@ -169,32 +171,29 @@ def _rise_840(m: int) -> int:
     return m * (m + 1) * (2 * m + 1) // 6 - 1680 * m
 
 
-def thm2_check_840(basket: Basket, weights: Sequence[int]) -> list[bool]:
-    """Check the index-840 growth regime on a basket under each weight p1.
+def thm2_check_840(basket: Basket) -> Optional[int]:
+    """The least weight p1 under which a basket meets the index-840 growth
+    regime on degrees 71..L840_HORIZON, or None when its l(-m) envelope fails.
 
-    Requires Gorenstein index exactly 840.  Verifies, for 71 <= m <= L840_HORIZON,
-    both the growth criterion P_{-m} > `growth_bounds`[m], that is
-    P_{-m} >= 840 (-K^3) m + 2, and the linear envelope
-    l(-m) <= 19907 m / 10080 + 295/72, all exactly and in integers: the
-    envelope is compared on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch,
-    with both sides times the denominators of L840_SLOPE and L840_OFFSET.
-    l(-m) does not depend on p1, so the envelope is checked once, at p1 = 0.
-    The growth margin rises with p1 (`_rise_840` > 0), so the weights that pass
-    are those from one least passing weight on.  One verdict per weight."""
+    Requires Gorenstein index exactly 840.  The regime is the growth criterion
+    P_{-m} > `growth_bounds`[m] and the envelope l(-m) <= 19907 m / 10080 + 295/72,
+    compared exactly on 12 * 840 l(-m), read off P_{-m} by Riemann-Roch, times
+    the denominators of L840_SLOPE and L840_OFFSET.  Both are read at p1 = 0:
+    l(-m) does not depend on p1, and the growth margin rises by `_rise_840` > 0
+    per unit of p1, so the regime holds exactly from the least weight on."""
     if basket.gorenstein_index() != 840:
         raise ValueError("this regime is specific to Gorenstein index 840")
-    if any(p1 < 0 for p1 in weights):
-        raise ValueError("p1 must be a non-negative integer")
     at_zero = WeightedBasket(basket, 0)
-    p0, vol_840 = at_zero.plurigenera(L840_HORIZON).values, at_zero._scaled_volume(840)
+    p0, bounds = at_zero.plurigenera(L840_HORIZON).values, growth_bounds(at_zero, L840_HORIZON)
+    vol_840 = at_zero._scaled_volume(840)
     (sn, sd), (on, od) = L840_SLOPE.as_integer_ratio(), L840_OFFSET.as_integer_ratio()
-    envelope, least = True, 0
+    least = 0
     for m in range(71, L840_HORIZON + 1):
         require((rise := _rise_840(m)) > 0, f"840 check: margin falls with p1 at m = {m}")
-        # P_{-m} - (840 (-K^3) m + 1) at weight p1 is margin + p1 rise
-        margin = p0[m - 1] - (vol_840 * m + 1)
-        least = max(least, -margin // rise + 1)
+        # the margin P_{-m} - bounds[m] gains rise per unit of p1
+        least = max(least, (bounds[m] - p0[m - 1]) // rise + 1)
         # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
         twelve_l = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - p0[m - 1])
-        envelope = envelope and twelve_l * sd * od <= 12 * 840 * (sn * m * od + on * sd)
-    return [envelope and p1 >= least for p1 in weights]
+        if twelve_l * sd * od > 12 * 840 * (sn * m * od + on * sd):
+            return None
+    return least

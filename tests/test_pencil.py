@@ -171,11 +171,11 @@ def test_thm2_check_840():
     wb = WeightedBasket(B("(1,2),(1,3),(2,5),(3,7),(3,8)"), 1)
     assert wb.gorenstein_index() == 840
     assert wb.volume() > 0
-    assert thm2_check_840(wb.basket, [wb.p1]) == [True]
+    assert thm2_check_840(wb.basket) == 1  # the least passing weight
     # the linear envelope at the threshold degree, checked explicitly
     assert wb.basket.l_neg(71) <= F(19907, 10080) * 71 + F(295, 72)
     with pytest.raises(ValueError):
-        thm2_check_840(B("(1,2)"), [3])
+        thm2_check_840(B("(1,2)"))
 
 
 def test_l_upper_bound_general_examples():

@@ -21,9 +21,18 @@ PENCIL_630 = ["pencil", "--basket", "2x(1,2),(2,5),(3,7),(4,9)", "--p1", "0", "-
 FAULTS = {
     "840 growth check": (
         "import fanobasket.birational as birational\n"
-        "birational.thm2_check_840 = lambda basket, weights: [False] * len(weights)\n",
+        "birational.thm2_check_840 = lambda basket: None\n",
         ("replay", "birat2"),
         "contradiction: Weak97 840 sweep, ",
+        ": growth regime fails on 71..150\n",
+    ),
+    # a least passing weight above v, the least volume-positive weight, would
+    # leave the weights v..10 of every basket unproved
+    "840 least weight above v": (
+        "import fanobasket.birational as birational\n"
+        "birational.thm2_check_840 = lambda basket: 11\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 840 sweep, (1,3),(1,5),(1,7),(1,8) with p1 = 2",
         ": growth regime fails on 71..150\n",
     ),
     "growth threshold": (

@@ -4,7 +4,7 @@ The references are the forms the kernels replaced: the Delta-based increment
 recursion for the plurigenera, sums of `local_correction_unreduced` (in
 `tests/oracles.py`) for l(-n), gamma as a `Fraction`, and the index-840
 growth check compared in `Fraction`s.  The P_-m table a basket keeps at
-p1 = 0 is held against the closed form on a fresh basket
+its own weight is held against the closed form on a fresh basket
 (`plurigenera_closed_form`, also in `tests/oracles.py`).
 """
 
@@ -13,7 +13,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import groupby
 from math import gcd
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import pytest
 import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
 from fanobasket.basket import Basket, IntegralityFault, WeightedBasket
-from fanobasket.birational import INDEX_840_SETS, _residue_baskets
+from fanobasket.birational import INDEX_840_SETS, _index_840_sweep, _residue_baskets
 from fanobasket.recovery import COST_UNIT, within_budget
 from fanobasket.tables import P1_P2_ZERO_TABLE
 from oracles import local_correction_unreduced, plurigenera_closed_form
@@ -105,13 +104,16 @@ ALL_840 = [WeightedBasket(b, p1) for b in BASKETS_840 for p1 in WEIGHTS_840]
 SWEEP_840 = [wb for wb in ALL_840 if wb.volume() > 0]
 
 
-def thm2_check_840_per_basket(wbs: list[WeightedBasket]) -> list[bool]:
-    """`thm2_check_840` called once per basket on its weights in `wbs`, the
-    verdicts in the order of `wbs`, which lists each basket's weights together."""
-    verdicts = []
-    for basket, group in groupby(wbs, key=lambda wb: wb.basket):
-        verdicts += pencil.thm2_check_840(basket, [wb.p1 for wb in group])
-    return verdicts
+def passes_840(wb: WeightedBasket) -> bool:
+    """The integer index-840 check at one weight: a least passing weight, at
+    most this one."""
+    least = pencil.thm2_check_840(wb.basket)
+    return least is not None and least <= wb.p1
+
+
+def least_volume_positive_weight(basket: Basket) -> int:
+    """v: the least p1 with -K^3 > 0, found by walking the weights."""
+    return next(p1 for p1 in range(100) if WeightedBasket(basket, p1).volume() > 0)
 
 
 def test_the_840_sweep_has_its_236_baskets():
@@ -204,8 +206,8 @@ def fresh(basket: Basket) -> Basket:
 
 
 def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
-    # a table is rebuilt at the weight asked when a horizon outgrows it, and
-    # serves shorter horizons and, shifted by linearity, every other weight
+    # a table is rebuilt at the weight asked when the weight changes or a
+    # horizon outgrows it, and serves shorter horizons at its own weight
     table_rows = [Basket.parse(row.basket) for row in P1_P2_ZERO_TABLE]
     for basket in BASKETS_840 + table_rows:
         shared = fresh(basket)
@@ -215,6 +217,7 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
                 wb = WeightedBasket(owner, p1)
                 for upto in (4, pencil.L840_HORIZON, 12, 40):
                     assert wb.plurigenera(upto).values == expected[:upto], (basket.text(), p1, upto)
+                    assert owner._table[0] == p1
 
 
 def test_a_faulting_recursion_keeps_nothing(monkeypatch):
@@ -248,22 +251,15 @@ def test_the_memo_leaves_equality_hash_and_order_alone():
 
 def test_integer_840_check_matches_the_fraction_check():
     # every weight p1 = 0..10 of every basket: the 236 volume-positive ones
-    # pass and the others fail the growth criterion, in both checks and
-    # wherever a weight sits in the call (each rotation of the weight list)
+    # pass and the others fail the growth criterion, in both checks
     fraction = {wb: thm2_check_840_fraction(wb) for wb in ALL_840}
     assert list(fraction.values()) == [wb.volume() > 0 for wb in ALL_840]
-    weights = list(WEIGHTS_840)
-    for basket in BASKETS_840:
-        for k in range(len(weights)):
-            turned = weights[k:] + weights[:k]
-            assert pencil.thm2_check_840(basket, turned) == [
-                fraction[WeightedBasket(basket, p1)] for p1 in turned], (basket.text(), k)
-    assert all(thm2_check_840_per_basket(SWEEP_840))
+    assert [passes_840(wb) for wb in ALL_840] == list(fraction.values())
 
 
 def test_weighted_tables_match_the_recursion_on_the_840_baskets():
-    # P_-m is linear in p1, so every weight reads its P_-m off the basket's
-    # one table at p1 = 0; each must equal the closed form degree by degree
+    # the weights of one basket in a row, each rebuilding the basket's one
+    # table at its own weight; each must equal the closed form degree by degree
     for basket in BASKETS_840:
         for p1 in WEIGHTS_840:
             wb = WeightedBasket(basket, p1)
@@ -279,28 +275,44 @@ def test_the_840_degrees_start_where_the_margin_rises_with_p1():
 
 
 def test_least_passing_weight_matches_the_fraction_check_to_weight_30():
-    weights = list(range(31))
+    # the least weight is the first one the Fraction check passes, and every
+    # weight from it on to 30 passes
     for basket in BASKETS_840:
-        assert pencil.thm2_check_840(basket, weights) == [
-            thm2_check_840_fraction(WeightedBasket(basket, p1)) for p1 in weights
-        ], basket.text()
-        with pytest.raises(ValueError):
-            pencil.thm2_check_840(basket, [3, -1])
+        verdicts = [thm2_check_840_fraction(WeightedBasket(basket, p1)) for p1 in range(31)]
+        least = pencil.thm2_check_840(basket)
+        assert least == verdicts.index(True), basket.text()
+        assert verdicts == [p1 >= least for p1 in range(31)], basket.text()
+
+
+def test_one_check_per_basket_decides_every_weight():
+    # v, the least weight with -K^3 > 0, is 1 on 20 baskets and 2 on 4; the
+    # least passing weight is v on all 24; the sweep's count is the number of
+    # volume-positive weights p1 <= 10; far weights pass the Fraction check
+    v = {basket: least_volume_positive_weight(basket) for basket in BASKETS_840}
+    assert sorted(v.values()) == [1] * 20 + [2] * 4
+    assert all(pencil.thm2_check_840(basket) == v[basket] for basket in BASKETS_840)
+    assert sum(11 - v[basket] for basket in BASKETS_840) == 236 == _index_840_sweep()
+    for basket in BASKETS_840:
+        for p1 in (100, 1000):
+            assert thm2_check_840_fraction(WeightedBasket(basket, p1)), (basket.text(), p1)
 
 
 @pytest.mark.parametrize("slope", [pencil.L840_SLOPE, F(1999, 1001)], ids=["slope", "slope_1001"])
 def test_tight_840_constants_fail_the_same_baskets(monkeypatch, slope):
     # an offset at the median of max_m (l(-m) - slope m) fails about half
-    # the sweep; a basket at the median itself sits exactly on the envelope
+    # the sweep; a basket at the median itself sits exactly on the envelope.
+    # A failing basket fails its envelope, at every weight: no least weight
     worst = sorted(
         max(wb.basket.l_neg(m) - slope * m for m in range(71, pencil.L840_HORIZON + 1))
         for wb in SWEEP_840
     )
     monkeypatch.setattr(pencil, "L840_SLOPE", slope)
     monkeypatch.setattr(pencil, "L840_OFFSET", worst[len(worst) // 2])
-    integer = thm2_check_840_per_basket(SWEEP_840)
+    integer = [passes_840(wb) for wb in SWEEP_840]
     assert integer == [thm2_check_840_fraction(wb) for wb in SWEEP_840]
     assert 0 < integer.count(False) < len(integer)
+    assert all(pencil.thm2_check_840(wb.basket) is None
+               for wb, ok in zip(SWEEP_840, integer) if not ok)
 
 
 # --- gamma in budget units --------------------------------------------------------
