@@ -19,7 +19,6 @@ L (-K^3), 12 L l(-m) and 2 L (P_{-m} - P_{-(m-1)}) are integers.  A
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -309,11 +308,33 @@ def local_correction(b: int, r: int, i: int) -> Fraction:
 # --- weighted baskets and plurigenera ----------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PlurigenusSequence:
+class Record:
+    """A slotted record: repr `Name(field=value, ...)`, == and hash, all read
+    off the fields its class names in `__slots__`."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class PlurigenusSequence(Record):
     """Integer sequence P_{-1}, P_{-2}, ..."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]) -> None:
+        self.values = values
 
     def __getitem__(self, m: int) -> int:
         if not 1 <= m <= len(self.values):
@@ -331,16 +352,15 @@ class PlurigenusSequence:
         return [self.values[k - 1] for k in range(m, len(self.values) + 1, m)]
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedBasket:
+class WeightedBasket(Record):
     """A basket weighted by the first anti-plurigenus P̃_{-1}."""
 
-    basket: Basket
-    p1: int
+    __slots__ = ("basket", "p1")
 
-    def __post_init__(self) -> None:
-        if self.p1 < 0:
+    def __init__(self, basket: Basket, p1: int) -> None:
+        if p1 < 0:
             raise ValueError("p1 must be a non-negative integer")
+        self.basket, self.p1 = basket, p1
 
     def volume(self) -> Fraction:
         """-K^3 = 2 P̃_{-1} + sigma - sigma' - 6, exact."""

@@ -18,14 +18,13 @@ every arithmetic input and flagging each geometric step as a named axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import floor, gcd
 from typing import Iterator, Optional
 
-from .basket import Basket, WeightedBasket
+from .basket import Basket, Record, WeightedBasket
 from .indexbound import admissible_index_sets_with_lcm, attainable_indices
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
 from .recovery import TAIL_R_CAP
@@ -39,23 +38,20 @@ from .tables import P1_P2_ZERO_TABLE
 INDEX_840_SETS = [(3, 5, 7, 8), (2, 3, 5, 7, 8)]  # the witnesses of the index bound 840
 
 
-@dataclass(frozen=True)
-class BirationalityInputs:
-    m0: int
-    m1: int
-    mu0_upper: Fraction
-    rmax: Optional[int] = None
-    nu0: Optional[int] = None
-    mu0_provenance: str = "default m0/iota"
+class BirationalityInputs(Record):
+    __slots__ = ("m0", "m1", "mu0_upper", "rmax", "nu0", "mu0_provenance")
 
-    def __post_init__(self) -> None:
-        if self.m0 < 1 or self.m1 < self.m0:
+    def __init__(self, m0: int, m1: int, mu0_upper: Fraction, rmax: Optional[int] = None,
+                 nu0: Optional[int] = None, mu0_provenance: str = "default m0/iota") -> None:
+        if m0 < 1 or m1 < m0:
             raise ValueError("need 1 <= m0 <= m1")
-        if self.mu0_upper <= 0:
+        if mu0_upper <= 0:
             raise ValueError("mu0 upper bound must be positive")
-        for name, value in (("rmax", self.rmax), ("nu0", self.nu0)):
+        for name, value in (("rmax", rmax), ("nu0", nu0)):
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        self.m0, self.m1, self.mu0_upper, self.rmax = m0, m1, mu0_upper, rmax
+        self.nu0, self.mu0_provenance = nu0, mu0_provenance
 
 
 def a_of_m0(m0: int) -> int:

@@ -13,12 +13,11 @@ arithmetic (counts, neighbour determinants) is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .basket import Basket
+from .basket import Basket, Record
 from .reports import ReplayContradiction
 
 
@@ -27,8 +26,7 @@ def _valid_level(n: int) -> None:
         raise ValueError(f"fraction-set level must be 0 or >= 5, got {n}")
 
 
-@dataclass(frozen=True)
-class FractionSet:
+class FractionSet(Record):
     """A finite truncation of S^(n), sorted in decreasing order.
 
     Adjacent members q_i/p_i > q_{i+1}/p_{i+1} always satisfy
@@ -36,14 +34,14 @@ class FractionSet:
     reference S^(n): `unpack` finds neighbours from integers alone.
     """
 
-    level: int
-    fractions: tuple[Fraction, ...]
+    __slots__ = ("level", "fractions")
 
-    def __post_init__(self) -> None:
-        for hi, lo in zip(self.fractions, self.fractions[1:]):
+    def __init__(self, level: int, fractions: tuple[Fraction, ...]) -> None:
+        for hi, lo in zip(fractions, fractions[1:]):
             det = hi.numerator * lo.denominator - hi.denominator * lo.numerator
             if det != 1:
                 raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
+        self.level, self.fractions = level, fractions
 
 
 def s_set(n: int, cap: int) -> FractionSet:
@@ -123,15 +121,13 @@ def epsilon_n(basket: Basket, n: int) -> int:
     return eps
 
 
-@dataclass(frozen=True)
-class ChainStage:
+class ChainStage(NamedTuple):
     level: int
     basket: Basket
     epsilon: int
 
 
-@dataclass(frozen=True)
-class CanonicalChain:
+class CanonicalChain(NamedTuple):
     base: Basket
     stages: tuple[ChainStage, ...]
 

@@ -16,10 +16,9 @@ values at most 24 divides COST_UNIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .recovery import BUDGET, TAIL_R_CAP, cost
 from .reports import require
@@ -47,8 +46,7 @@ def _budgeted_sets(base: Sequence[int], rest: Sequence[int]) -> Iterator[tuple[i
     yield from rec(0, remaining, [])
 
 
-@dataclass(frozen=True)
-class IndexReport:
+class IndexReport(NamedTuple):
     max_lcm: int
     witnesses: tuple[tuple[int, ...], ...]
     second_max: int

@@ -19,10 +19,9 @@ Three independent tools live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .basket import Basket, PlurigenusSequence, WeightedBasket, _residues
 from .reports import require
@@ -61,8 +60,7 @@ def k1_all_points(basket: Basket, m: int) -> bool:
     return all(k1_condition(pt, m) for pt, _ in basket.counts())
 
 
-@dataclass(frozen=True)
-class K2Thresholds:
+class K2Thresholds(NamedTuple):
     n0: int
     l0: int
 
@@ -87,15 +85,13 @@ NOT_PENCIL = "NotPencil"
 POSSIBLY_PENCIL = "PossiblyPencil"
 
 
-@dataclass(frozen=True)
-class PencilVerdict:
+class PencilVerdict(NamedTuple):
     m: int
     verdict: str
     witness: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PencilScan:
+class PencilScan(NamedTuple):
     verdicts: tuple[PencilVerdict, ...]
     first_not_pencil: Optional[int]
     seq: PlurigenusSequence  # P_{-1}..P_{-horizon}

@@ -23,9 +23,8 @@ are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .basket import Basket, PlurigenusSequence
 from .canonical import unpack
@@ -85,8 +84,7 @@ def budgeted_tails(sigma5: int, budget: int) -> Iterator[tuple[int, ...]]:
     yield from rec(5, budget, sigma5, [])
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Witness that the recovery identities reject the input."""
 
     violated: str
@@ -96,8 +94,7 @@ class Infeasible:
         return False
 
 
-@dataclass(frozen=True)
-class RecoveredData:
+class RecoveredData(NamedTuple):
     basket0: Basket
     basket5: Optional[Basket]      # None when P_{-5} is not given
     eps: dict[int, Optional[int]]  # eps_5, eps_6 (=0), eps_7, eps_8

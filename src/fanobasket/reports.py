@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
-from .basket import WeightedBasket
+from .basket import Record, WeightedBasket
 
 SURVIVOR_HORIZON = 12  # degrees of the P vector a survivor row reports
 
@@ -23,8 +23,7 @@ def require(cond: bool, msg: str) -> None:
         raise ReplayContradiction(msg)
 
 
-@dataclass(frozen=True)
-class SurvivorRow:
+class SurvivorRow(NamedTuple):
     wb: WeightedBasket
     notes: dict
 
@@ -41,8 +40,7 @@ class SurvivorRow:
         }
 
 
-@dataclass(frozen=True)
-class EliminatedRow:
+class EliminatedRow(NamedTuple):
     wb: WeightedBasket
     certificate: str
     branch: str
@@ -56,16 +54,20 @@ class EliminatedRow:
         }
 
 
-@dataclass
-class ReplayReport:
-    case: str
-    constraints: str
-    survivors: list[SurvivorRow] = field(default_factory=list)
-    eliminated: list[EliminatedRow] = field(default_factory=list)
-    conclusion: str = ""
-    axioms: list[str] = field(default_factory=list)
-    leaves: list[dict] = field(default_factory=list)
-    coverage: list[str] = field(default_factory=list)
+class ReplayReport(Record):
+    """One replay, filled in as it runs; every list argument left out starts empty."""
+
+    __slots__ = ("case", "constraints", "survivors", "eliminated", "conclusion", "axioms",
+                 "leaves", "coverage")
+
+    def __init__(self, case: str, constraints: str, survivors: Optional[list[SurvivorRow]] = None,
+                 eliminated: Optional[list[EliminatedRow]] = None, conclusion: str = "",
+                 axioms: Optional[list[str]] = None, leaves: Optional[list[dict]] = None,
+                 coverage: Optional[list[str]] = None) -> None:
+        self.case, self.constraints, self.conclusion = case, constraints, conclusion
+        lists = (survivors, eliminated, axioms, leaves, coverage)
+        self.survivors, self.eliminated, self.axioms, self.leaves, self.coverage = (
+            [] if given is None else given for given in lists)
 
     def to_json(self) -> dict:
         out = {

@@ -11,11 +11,10 @@ replays are built on top of the same machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .basket import Basket, PlurigenusSequence, WeightedBasket
+from .basket import Basket, PlurigenusSequence, Record, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
 from .recovery import (
@@ -25,23 +24,23 @@ from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Exact constraints cutting out geometric weighted baskets."""
+class ConstraintSet(Record):
+    """Exact constraints cutting out geometric weighted baskets.  `fano_strict`
+    asks gamma > 0; False relaxes to gamma >= 0."""
 
-    p_exact: dict[int, int]
-    p_min: dict[int, int] = field(default_factory=dict)
-    p_max: dict[int, int] = field(default_factory=dict)
-    fano_strict: bool = True  # gamma > 0; False relaxes to gamma >= 0
-    horizon: int = 12
+    __slots__ = ("p_exact", "p_min", "p_max", "fano_strict", "horizon")
 
-    def __post_init__(self) -> None:
-        pinned = [*self.p_exact, *self.p_min, *self.p_max]
-        if self.horizon < 1 or any(not 1 <= m <= self.horizon for m in pinned):
-            raise ValueError(f"horizon {self.horizon} must be >= 1 and >= every pinned degree")
-        for m, v in sorted(self.p_exact.items()):
+    def __init__(self, p_exact: dict[int, int], p_min: Optional[dict[int, int]] = None,
+                 p_max: Optional[dict[int, int]] = None, fano_strict: bool = True,
+                 horizon: int = 12) -> None:
+        p_min, p_max = {} if p_min is None else p_min, {} if p_max is None else p_max
+        if horizon < 1 or any(not 1 <= m <= horizon for m in (*p_exact, *p_min, *p_max)):
+            raise ValueError(f"horizon {horizon} must be >= 1 and >= every pinned degree")
+        for m, v in sorted(p_exact.items()):
             if v < 0:  # an anti-plurigenus is a dimension
                 raise ValueError(f"pinned P_-{m} must be >= 0, got {v}")
+        self.p_exact, self.p_min, self.p_max = p_exact, p_min, p_max
+        self.fano_strict, self.horizon = fano_strict, horizon
 
     def describe(self) -> str:
         bits = [f"P_-{m}={v}" for m, v in sorted(self.p_exact.items())]
@@ -132,8 +131,7 @@ def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
                     yield head
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     survivors: list[WeightedBasket]
     eliminated: list[tuple[WeightedBasket, str]]
 
@@ -317,8 +315,7 @@ def _replay_ladders(
     return report
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """A candidate of the weak P_-1 = 0 family with its certificate (None for
     a survivor), P_-1..P_-4 and whether gamma > 0, each read once."""
 

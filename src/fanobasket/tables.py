@@ -10,12 +10,11 @@ anti-canonical image has dimension > 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     no: int
     basket: str
     volume: Fraction

@@ -10,26 +10,24 @@ general hypersurface equals d iota^3 / prod(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import prod
 
-from .basket import PlurigenusSequence, WeightedBasket
+from .basket import PlurigenusSequence, Record, WeightedBasket
 from .recovery import within_budget
 from .search import candidates
 
 
-@dataclass(frozen=True)
-class WeightedCI:
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...]
+class WeightedCI(Record):
+    __slots__ = ("weights", "degrees")
 
-    def __post_init__(self) -> None:
-        if not self.weights or any(a < 1 for a in self.weights):
+    def __init__(self, weights: tuple[int, ...], degrees: tuple[int, ...]) -> None:
+        if not weights or any(a < 1 for a in weights):
             raise ValueError("weights must be positive")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ValueError("degrees must be positive")
+        self.weights, self.degrees = weights, degrees
 
     @property
     def fano_index(self) -> int:

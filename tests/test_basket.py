@@ -10,6 +10,7 @@ from fanobasket.basket import (
     Basket,
     BasketParseError,
     IntegralityFault,
+    PlurigenusSequence,
     WeightedBasket,
     f_periodic,
     local_correction,
@@ -237,6 +238,18 @@ def test_plurigenus_sequence_access():
     assert seq.multiples_of(3) == [seq[3], seq[6], seq[9], seq[12]]
     with pytest.raises(IndexError):
         seq[13]
+
+
+def test_weighted_records_compare_hash_and_print_by_value():
+    # a head is a cache key and a weighted basket reaches fault messages by repr
+    one, twin = WB("(1,2),(2,5)", 1), WB("(2,5),(1,2)", 1)
+    assert one is not twin and one == twin and hash(one) == hash(twin) and len({one, twin}) == 1
+    assert one != WB("(1,2),(2,5)", 2) and one != one.basket
+    assert repr(one) == "WeightedBasket(basket=Basket[(1,2),(2,5)], p1=1)"
+    seq, same = one.plurigenera(3), PlurigenusSequence((1, -2, -11))
+    assert seq is not same and seq == same and hash(seq) == hash(same) and len({seq, same}) == 1
+    assert seq != PlurigenusSequence((1, -2)) and seq != (1, -2, -11)
+    assert repr(seq) == "PlurigenusSequence(values=(1, -2, -11))"
 
 
 def test_integrality_sweep_never_faults():

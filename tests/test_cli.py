@@ -1,6 +1,5 @@
 """CLI surface: subcommands, exit codes, JSON round-trips, golden table."""
 
-import dataclasses
 import json
 import os
 import resource
@@ -63,7 +62,7 @@ def test_index_bound_text_and_json(capsys):
 
 def test_index_bound_off_840_names_the_failed_step(capsys, monkeypatch):
     report = cli.max_index_report()
-    wrong = dataclasses.replace(report, max_lcm=660, witnesses=((4, 5, 11, 3),))
+    wrong = report._replace(max_lcm=660, witnesses=((4, 5, 11, 3),))
     monkeypatch.setattr(cli, "max_index_report", lambda: wrong)
     assert main(["index-bound"]) == 1
     captured = capsys.readouterr()
@@ -178,6 +177,18 @@ def test_huge_counts_cost_one_term():
     assert done.stdout.startswith(f"basket {huge}  p1 = 0  -K^3 = 49999994  r_X = 2")
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # every CLI call and benchmark pass is a fresh interpreter, so the records
+    # are NamedTuples or slotted classes: `dataclasses` would import `inspect`
+    done = _run_capped(
+        "-c",
+        "import fanobasket, fanobasket.cli, sys\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_replay_p2_json(capsys):
     code, out = run(capsys, "replay", "p2", "--json")
     assert code == 0
@@ -272,6 +283,16 @@ BAD_INPUTS = {
     "negative --p1": (["enumerate", "--p1", "-1"], "error: pinned P_-1 must be >= 0, got -1"),
     "negative --p2": (["enumerate", "--p1", "0", "--p2", "-1"],
                       "error: pinned P_-2 must be >= 0, got -1"),
+    # the constructor checks of the slotted records
+    "zero --m0": (["thresholds", "--m0", "0", "--m1", "2", "--mu0", "1", "--variant", "i"],
+                  "error: need 1 <= m0 <= m1"),
+    "negative --mu0": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "-1", "--variant", "i"],
+                       "error: mu0 upper bound must be positive"),
+    "negative rr --p1": (["rr", "--basket", "(1,2)", "--p1", "-1"],
+                         "error: p1 must be a non-negative integer"),
+    "zero weight": (["wci", "--weights", "0"], "error: weights must be positive"),
+    "zero degree": (["wci", "--weights", "1,2", "--degrees", "0"],
+                    "error: degrees must be positive"),
 }
 
 

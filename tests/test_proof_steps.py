@@ -91,10 +91,9 @@ FAULTS = {
         "not [(3, 5, 7, 8)] with rmax 8\n",
     ),
     "row No.7 m1": (
-        "import dataclasses\n"
         "import fanobasket.search as search\n"
         "search.P1_P2_ZERO_TABLE = tuple(\n"
-        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    row._replace(m1=99) if row.no == 7 else row\n"
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "p0"),
@@ -103,10 +102,9 @@ FAULTS = {
     ),
     # `replay list` prints the rows the P_-1 = 0 replay checked
     "row No.7 m1 through replay list": (
-        "import dataclasses\n"
         "import fanobasket.search as search\n"
         "search.P1_P2_ZERO_TABLE = tuple(\n"
-        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    row._replace(m1=99) if row.no == 7 else row\n"
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "list"),
@@ -115,10 +113,9 @@ FAULTS = {
     ),
     # the first call that reaches the P_-1 = 0 replay is QFano39's
     "row No.7 m1 through QFano39": (
-        "import dataclasses\n"
         "import fanobasket.search as search\n"
         "search.P1_P2_ZERO_TABLE = tuple(\n"
-        "    dataclasses.replace(row, m1=99) if row.no == 7 else row\n"
+        "    row._replace(m1=99) if row.no == 7 else row\n"
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "birat1"),
@@ -126,11 +123,10 @@ FAULTS = {
         "\n",
     ),
     "row No.7 volume": (
-        "import dataclasses\n"
         "from fractions import Fraction\n"
         "import fanobasket.search as search\n"
         "search.P1_P2_ZERO_TABLE = tuple(\n"
-        "    dataclasses.replace(row, volume=Fraction(1, 31)) if row.no == 7 else row\n"
+        "    row._replace(volume=Fraction(1, 31)) if row.no == 7 else row\n"
         "    for row in search.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "p0"),
@@ -139,10 +135,9 @@ FAULTS = {
     ),
     # a group picked by m1 would absorb No.5 into the m1 > 8 rows and pass
     "QFano39 row": (
-        "import dataclasses\n"
         "import fanobasket.birational as birational\n"
         "birational.P1_P2_ZERO_TABLE = tuple(\n"
-        "    dataclasses.replace(row, m1=9) if row.no == 5 else row\n"
+        "    row._replace(m1=9) if row.no == 5 else row\n"
         "    for row in birational.P1_P2_ZERO_TABLE\n"
         ")\n",
         ("replay", "birat1"),

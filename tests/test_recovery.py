@@ -63,6 +63,13 @@ def test_recover_flags_violations_by_name():
     assert isinstance(neg, Infeasible) and neg.violated == "eps_5 >= 0"
 
 
+def test_infeasible_is_falsy_and_recovered_data_truthy():
+    # callers and the benchmark's tracer test a recovery by its truth value
+    assert bool(Infeasible("sigma >= 0", -1)) is False
+    assert bool(recover(seq(2, 3, 4, 5, 6, 8), {5: 1})) is False
+    assert bool(recover(seq(2, 3, 4, 5, 6, 7), {5: 1})) is True
+
+
 def test_feasible_tails_examples():
     picks = feasible_tails(seq(1, 1, 1, 1, 2, 2, 2))
     assert [structural_tail(t.basket0) for t in picks] == [{6: 1}, {5: 2}]
