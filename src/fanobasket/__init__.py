@@ -20,7 +20,6 @@ from .basket import (
 from .canonical import (
     canonical_chain,
     dominated_baskets,
-    epsilon_n,
     minimal_baskets,
     prime_packings,
     s_set,
@@ -57,7 +56,6 @@ __all__ = [
     "canonical_chain",
     "dominated_baskets",
     "enumerate_geometric",
-    "epsilon_n",
     "feasible_tails",
     "fit_basket",
     "g_min",

@@ -364,12 +364,11 @@ class WeightedBasket(Record):
 
     def volume(self) -> Fraction:
         """-K^3 = 2 P̃_{-1} + sigma - sigma' - 6, exact."""
-        big_l = self.basket.gorenstein_index()
-        return Fraction(self._scaled_volume(big_l), big_l)
+        return Fraction(self._scaled_volume(), self.basket.gorenstein_index())
 
-    def _scaled_volume(self, big_l: int) -> int:
-        """L (-K^3) = L (2 p1 + sigma - 6) - sum n b^2 L/r, for L a multiple
-        of every r_i."""
+    def _scaled_volume(self) -> int:
+        """L (-K^3) = L (2 p1 + sigma - 6) - sum n b^2 L/r, for L = r_X, an integer."""
+        big_l = self.basket.gorenstein_index()
         return big_l * (2 * self.p1 + self.basket.sigma() - 6) - sum(
             n * b * b * (big_l // r) for (b, r), n in self.basket.counts()
         )
@@ -381,7 +380,7 @@ class WeightedBasket(Record):
         big_l = self.basket.gorenstein_index()
         # 12 L P_{-m} = m(m+1)(2m+1) L(-K^3) + 12 L (2m+1) - 12 L l(-m)
         num = (
-            m * (m + 1) * (2 * m + 1) * self._scaled_volume(big_l)
+            m * (m + 1) * (2 * m + 1) * self._scaled_volume()
             + 12 * big_l * (2 * m + 1)
             - self.basket._l_neg_scaled(m)
         )
@@ -404,7 +403,7 @@ class WeightedBasket(Record):
         weight, values = self.basket._table
         if weight != self.p1 or upto > len(values):
             big_l = self.basket.gorenstein_index()
-            vol = self._scaled_volume(big_l)
+            vol = self._scaled_volume()
             corr = _summed_residues(self.basket.counts(), big_l, upto)
             two_l, four_l = 2 * big_l, 4 * big_l
             values, current = [self.p1], self.p1

@@ -301,13 +301,12 @@ def _capped_leaf(
     forced: tuple[int, ...] = (), isolated: tuple[int, ...] = (),
 ) -> None:
     """A growth leaf whose r_X is capped by the 24-budget: with largest local
-    index r in `rmaxes` (beside the `forced` indices when r is not one of
-    them), every attainable r_X is at most `cap` or one of the `isolated`
-    indices, which other leaves take, and the largest of these is attained.
-    The -K^3 floor is 1/cap, as r_X(-K^3) is a positive integer, or 1/330
-    when that is larger."""
-    values = {v for r in rmaxes
-              for v in attainable_indices(r, must_contain=() if r in forced else forced)}
+    index r in `rmaxes` and every `forced` index among the local indices,
+    every attainable r_X is at most `cap` or one of the `isolated` indices,
+    which other leaves take, and the largest of these is attained.  The -K^3
+    floor is 1/cap, as r_X(-K^3) is a positive integer, or 1/330 when that
+    is larger."""
+    values = {v for r in rmaxes for v in attainable_indices(r, must_contain=forced)}
     extra = sorted(v for v in values if v > cap and v not in isolated)
     top = max((cap, *isolated))
     require(not extra and max(values) == top,
@@ -445,7 +444,7 @@ def _replay_weak_97() -> ReplayReport:
     capped = partial(_capped_leaf, leaf, m0=4, axioms=[], nu0=2, forced=(2,))
     # rmax <= 8: rX | 840; the 840 option has no volume-positive basket
     require(all(840 % v == 0 for r in range(2, 9)
-                for v in attainable_indices(r, must_contain=(2,) if r != 2 else ())),
+                for v in attainable_indices(r, must_contain=(2,))),
             "Weak97 IV: with rmax <= 8, rX divides 840")
     _dead_index(report, 840, 8, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
     capped("IV: rmax<=8, rX<=420", range(2, 9), 420, 20, 54, variant="iii",

@@ -106,21 +106,6 @@ def unpack(basket: Basket, n: int) -> Basket:
     return Basket.from_counts(runs)
 
 
-def epsilon_n(basket: Basket, n: int) -> int:
-    """Number of prime packings between stages n-1 and n of the chain.
-
-    Evaluated as Delta^n(B^(n-1)) - Delta^n(B); stage 4 means stage 0.
-    Always a non-negative integer.
-    """
-    if n < 5:
-        raise ValueError(f"epsilon_n needs n >= 5, got {n}")
-    prev = unpack(basket, n - 1 if n > 5 else 0)
-    eps = prev.delta(n) - basket.delta(n)
-    if eps < 0:
-        raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
-    return eps
-
-
 class ChainStage(NamedTuple):
     level: int
     basket: Basket

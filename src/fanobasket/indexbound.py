@@ -95,13 +95,12 @@ def max_index_report() -> IndexReport:
 def _raw_subsets(
     r_max: int, must_contain: tuple[int, ...] = ()
 ) -> Iterator[tuple[int, ...]]:
-    """Distinct-value index sets: r_max and must_contain included, budget
-    respected."""
-    base = [r_max, *must_contain]
-    if len(set(base)) != len(base):
-        raise ValueError("must_contain should not repeat r_max or itself")
-    rest = [v for v in range(2, r_max) if v not in must_contain]
-    return _budgeted_sets(base, rest)
+    """Distinct-value index sets with largest entry r_max that hold every
+    value of `must_contain` (a set; r_max may be in it), budget respected."""
+    if not all(2 <= v <= r_max for v in must_contain):
+        raise ValueError(f"must_contain values must lie in [2, {r_max}], got {must_contain}")
+    base = {r_max, *must_contain}
+    return _budgeted_sets(sorted(base), [v for v in range(2, r_max) if v not in base])
 
 
 def max_index_given_rmax(r_max: int) -> int:
@@ -114,7 +113,8 @@ def max_index_given_rmax(r_max: int) -> int:
 def attainable_indices(
     r_max: int, must_contain: tuple[int, ...] = ()
 ) -> dict[int, tuple[int, ...]]:
-    """Every attainable lcm value (largest entry r_max), with one witness each."""
+    """Every attainable lcm value (largest entry r_max, every `must_contain`
+    value present), with one witness each."""
     out: dict[int, tuple[int, ...]] = {}
     for subset in _raw_subsets(r_max, must_contain):
         value = lcm(*subset)

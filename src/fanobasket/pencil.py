@@ -105,7 +105,7 @@ def growth_bounds(wb: WeightedBasket, upto: int) -> list[int]:
     not composed with a pencil.  r_X (-K^3) is the volume scaled by L = r_X,
     an integer, so every caller compares P_{-m} with these bounds exactly.
     """
-    slope = wb._scaled_volume(wb.gorenstein_index())
+    slope = wb._scaled_volume()
     return [slope * m + 1 for m in range(upto + 1)]
 
 
@@ -181,7 +181,7 @@ def thm2_check_840(basket: Basket) -> Optional[int]:
         raise ValueError("this regime is specific to Gorenstein index 840")
     at_zero = WeightedBasket(basket, 0)
     p0, bounds = at_zero.plurigenera(L840_HORIZON).values, growth_bounds(at_zero, L840_HORIZON)
-    vol_840 = at_zero._scaled_volume(840)
+    vol_840 = at_zero._scaled_volume()
     (sn, sd), (on, od) = L840_SLOPE.as_integer_ratio(), L840_OFFSET.as_integer_ratio()
     least = 0
     for m in range(71, L840_HORIZON + 1):

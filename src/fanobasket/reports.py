@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .basket import Record, WeightedBasket
 
@@ -55,19 +55,16 @@ class EliminatedRow(NamedTuple):
 
 
 class ReplayReport(Record):
-    """One replay, filled in as it runs; every list argument left out starts empty."""
+    """One replay, filled in as it runs; it starts with no survivors,
+    eliminations, leaves, coverage or conclusion."""
 
     __slots__ = ("case", "constraints", "survivors", "eliminated", "conclusion", "axioms",
                  "leaves", "coverage")
 
-    def __init__(self, case: str, constraints: str, survivors: Optional[list[SurvivorRow]] = None,
-                 eliminated: Optional[list[EliminatedRow]] = None, conclusion: str = "",
-                 axioms: Optional[list[str]] = None, leaves: Optional[list[dict]] = None,
-                 coverage: Optional[list[str]] = None) -> None:
-        self.case, self.constraints, self.conclusion = case, constraints, conclusion
-        lists = (survivors, eliminated, axioms, leaves, coverage)
-        self.survivors, self.eliminated, self.axioms, self.leaves, self.coverage = (
-            [] if given is None else given for given in lists)
+    def __init__(self, case: str, constraints: str, axioms: list[str]) -> None:
+        self.case, self.constraints, self.axioms = case, constraints, axioms
+        self.survivors, self.eliminated, self.leaves, self.coverage = [], [], [], []
+        self.conclusion = ""
 
     def to_json(self) -> dict:
         out = {
@@ -96,16 +93,11 @@ class ReplayReport(Record):
                 lines.append("  " + json.dumps(leaf, sort_keys=False))
         lines.append(f"survivors ({len(self.survivors)}):")
         for s in self.survivors:
-            row = s.to_json()
-            extra = {
-                k: v
-                for k, v in row.items()
-                if k not in ("basket", "p1", "volume", "rX", "rmax", "P")
-            }
+            row, notes = s.to_json(), dict(sorted(s.notes.items()))
             lines.append(
                 f"  {row['basket']}  p1={row['p1']}  -K^3={row['volume']}"
                 f"  rX={row['rX']}  P={row['P']}"
-                + (f"  {extra}" if extra else "")
+                + (f"  {notes}" if notes else "")
             )
         lines.append(f"eliminated ({len(self.eliminated)}):")
         for e in self.eliminated:

@@ -65,7 +65,7 @@ def is_geometric_candidate(
     for m, v in sorted(cs.p_max.items()):
         if seq[m] > v:
             return False, f"P_-{m} = {seq[m]} > {v}"
-    if wb._scaled_volume(wb.gorenstein_index()) <= 0:
+    if wb._scaled_volume() <= 0:
         return False, f"-K^3 = {wb.volume()} <= 0"
     if not within_budget(wb.basket, cs.fano_strict):
         return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
@@ -269,12 +269,9 @@ def replay_delta1(family: str) -> ReplayReport:
     stores no exception.
     """
     if family == "P1_ge_3":
-        report = ReplayReport(
-            case=family,
-            constraints="P_-1 >= 3",
-            conclusion="delta_1 <= 1",
-            axioms=[AXIOM_LOCAL_CRITERION],
-        )
+        report = ReplayReport(case=family, constraints="P_-1 >= 3",
+                              axioms=[AXIOM_LOCAL_CRITERION])
+        report.conclusion = "delta_1 <= 1"
         return report
 
     if family == "P1_eq_2":

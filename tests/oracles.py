@@ -15,8 +15,9 @@ from math import gcd
 from typing import Iterator, Optional
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
-from fanobasket.canonical import FractionSet
+from fanobasket.canonical import FractionSet, unpack
 from fanobasket.recovery import BUDGET, cost
+from fanobasket.reports import ReplayContradiction
 from fanobasket.search import ConstraintSet, _values
 from fanobasket.wci import WeightedCI
 
@@ -177,6 +178,21 @@ def neighbours(sset: FractionSet, frac: Fraction) -> tuple[Fraction, Fraction]:
     if lo + 1 >= len(fr):
         raise ValueError(f"{frac} below the truncation tail of S^({sset.level})")
     return upper, fr[lo + 1]
+
+
+def epsilon_n(basket: Basket, n: int) -> int:
+    """Number of prime packings between stages n-1 and n of the chain.
+
+    Evaluated as Delta^n(B^(n-1)) - Delta^n(B); stage 4 means stage 0.
+    Always a non-negative integer.
+    """
+    if n < 5:
+        raise ValueError(f"epsilon_n needs n >= 5, got {n}")
+    prev = unpack(basket, n - 1 if n > 5 else 0)
+    eps = prev.delta(n) - basket.delta(n)
+    if eps < 0:
+        raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
+    return eps
 
 
 def unpruned_heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:

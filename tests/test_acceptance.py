@@ -13,14 +13,14 @@ from math import gcd
 
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.birational import replay_birationality, thm_main_threshold, BirationalityInputs
-from fanobasket.canonical import epsilon_n, unpack
+from fanobasket.canonical import unpack
 from fanobasket.indexbound import max_index_given_rmax, max_index_report
 from fanobasket.pencil import g_min
 from fanobasket.recovery import recover, structural_tail
 from fanobasket.search import ConstraintSet, enumerate_geometric, replay_delta1
 from fanobasket.tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE
 from fanobasket.wci import X24_30, X42, X66, X6D_PAIRS, anti_plurigenera_from_hilbert, fit_basket, x6d_member
-from oracles import g_min_bruteforce, general_packings, sigma_prime
+from oracles import epsilon_n, g_min_bruteforce, general_packings, sigma_prime
 
 F = Fraction
 B = Basket.parse

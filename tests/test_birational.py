@@ -213,7 +213,7 @@ def test_dead_indices_have_no_volume_positive_basket_in_budget():
 
 
 def test_dead_index_refuses_a_volume_positive_example():
-    report = ReplayReport(case="Weak97", constraints="")
+    report = ReplayReport(case="Weak97", constraints="", axioms=[])
     _dead_index(report, 660, 11, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
     assert [e.certificate for e in report.eliminated] == [
         "every index-660 candidate with P_-1 = 0 has -K^3 <= 0"
@@ -247,7 +247,7 @@ def test_dead_index_checks_every_basket_in_budget_not_only_candidates(monkeypatc
     try:
         rows = p1_zero_family()
         assert rows and all(row.cert == "off" for row in rows)
-        report = ReplayReport(case="Weak97", constraints="")
+        report = ReplayReport(case="Weak97", constraints="", axioms=[])
         with pytest.raises(ReplayContradiction, match=re.escape("(2,5),(3,7),(4,9)'")):
             _dead_index(report, 630, 9, "(1,2),(1,5),(1,7),(1,9)", "IV: rmax=9")
         assert report.eliminated == []
@@ -261,7 +261,7 @@ def test_dead_index_checks_every_basket_in_budget_not_only_candidates(monkeypatc
 
 
 def test_capped_leaf_requires_an_attained_cap_and_derives_the_volume_floor():
-    report = ReplayReport(case="Weak97", constraints="")
+    report = ReplayReport(case="Weak97", constraints="", axioms=[])
     leaf = partial(_leaf, report, 97)
     # for 14 <= rmax <= 22 the largest attainable rX is 240, so a cap of 250
     # is refused although nothing exceeds it

@@ -12,13 +12,12 @@ from fanobasket.canonical import (
     _neighbours,
     canonical_chain,
     dominated_baskets,
-    epsilon_n,
     minimal_baskets,
     prime_packings,
     s_set,
     unpack,
 )
-from oracles import brute_prime_packings, general_packings, neighbours, sigma_prime
+from oracles import brute_prime_packings, epsilon_n, general_packings, neighbours, sigma_prime
 
 F = Fraction
 B = Basket.parse

@@ -122,6 +122,18 @@ def test_attainable_dichotomies():
     assert [s for s in admissible_index_sets_with_lcm(546, 13) if 2 in s] == [(2, 3, 7, 13)]
 
 
+def test_must_contain_is_a_set_within_two_to_rmax():
+    # a forced value above r_max would make it no longer the largest entry
+    with pytest.raises(ValueError):
+        attainable_indices(5, must_contain=(7,))
+    with pytest.raises(ValueError):
+        attainable_indices(5, must_contain=(1,))
+    # r_max itself, or a repeat, forces nothing more
+    assert attainable_indices(2, must_contain=(2,)) == attainable_indices(2)
+    assert attainable_indices(9, must_contain=(9, 2)) == attainable_indices(9, must_contain=(2,))
+    assert attainable_indices(9, must_contain=(2, 2)) == attainable_indices(9, must_contain=(2,))
+
+
 def test_coprime_split_inequality_exhaustive():
     # the budget-soundness of the prime-power reduction holds everywhere;
     # the sharper form with slack 2 fails exactly at {2, 3} (35/6 < 37/6)

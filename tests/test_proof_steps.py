@@ -11,6 +11,8 @@ from typing import Iterator
 
 import pytest
 
+import fanobasket
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanobasket"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -292,24 +294,26 @@ def _unreferenced(defining: list[ast.AST], users: list[ast.AST],
     return sorted(unused)
 
 
-def _traced_methods() -> frozenset[str]:
-    """The "Class.method" entry points of perfbench/tracer.py, which the
-    benchmark wraps by name."""
+def _traced_entry_points() -> frozenset[str]:
+    """The entry points of perfbench/tracer.py, functions and "Class.method"
+    alike, which the benchmark wraps by name."""
     tracer = _tree(ROOT / "perfbench" / "tracer.py")
     entries = next(ast.literal_eval(node.value) for node in tracer.body
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in node.targets))
-    return frozenset(target for _, _, target in entries if "." in target)
+    return frozenset(target for _, _, target in entries)
 
 
 def test_src_holds_only_code_a_product_path_runs():
-    # the product paths are the package itself (the CLI and the `__init__`
-    # exports included), the demos and the benchmark; reference
-    # implementations that only tests call live in tests/oracles.py
-    package = [_tree(path) for path in sorted(PACKAGE.glob("*.py"))]
+    # the product paths are the package itself (the CLI included), the demos
+    # and the benchmark; an `__init__` export is no use on its own, so a
+    # public name needs a caller too.  Reference implementations that only
+    # tests call live in tests/oracles.py
+    package = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [tree for name, tree in package.items() if name != "__init__.py"]
     products = [_tree(path) for folder in ("demos", "perfbench")
                 for path in sorted((ROOT / folder).rglob("*.py"))]
-    unused = _unreferenced(package, package + products, _traced_methods())
+    unused = _unreferenced(list(package.values()), callers + products, _traced_entry_points())
     assert not unused, f"src/fanobasket defines what no product path runs: {unused}"
     tests = Path(__file__).parent
     oracles = _tree(tests / "oracles.py")
@@ -318,3 +322,11 @@ def test_src_holds_only_code_a_product_path_runs():
                 if isinstance(node, ast.ImportFrom) and node.module == "oracles"]
     unused = _unreferenced([oracles], [oracles] + imported)
     assert not unused, f"tests/oracles.py defines what no test imports: {unused}"
+
+
+def test_package_exports_exactly_what_its_init_imports():
+    imported = [alias.name for node in _tree("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(set(imported)) == len(imported)
+    assert len(set(fanobasket.__all__)) == len(fanobasket.__all__)
+    assert set(fanobasket.__all__) == set(imported)

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
-from fanobasket.canonical import epsilon_n, unpack
+from fanobasket.canonical import unpack
 from fanobasket.recovery import (
     BUDGET,
     COST_UNIT,
@@ -32,6 +32,7 @@ from fanobasket.wci import (
     anti_plurigenera_from_hilbert,
     x6d_member,
 )
+from oracles import epsilon_n
 
 B = Basket.parse
 
