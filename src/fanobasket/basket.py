@@ -85,15 +85,15 @@ class Basket:
 
     Equality and hashing are multiset equality; baskets order like their
     expanded point tuples; `text()` is the canonical serialization.
-    Instances are immutable in value.  The memos of r_X and of one P_{-m} table
-    (`WeightedBasket.plurigenera`) take no part in comparison, hashing or text.
+    Instances are immutable in value.  The memos of r_X, r_X (-K^3) at p1 = 0 and one
+    P_{-m} table (`WeightedBasket.plurigenera`) take no part in comparison, hashing or text.
     """
 
-    __slots__ = ("_runs", "_r_x", "_table")
+    __slots__ = ("_runs", "_r_x", "_volume", "_table")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         self._runs = _normalize_runs((pair, 1) for pair in pairs)
-        self._r_x, self._table = None, (0, ())  # (p1, P_{-1}..) of the last recursion
+        self._r_x, self._volume, self._table = None, None, (0, ())  # table: (p1, P_{-1}..)
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
@@ -176,21 +176,11 @@ class Basket:
         return sum(b * n for (b, _), n in self._runs)
 
     def delta(self, m: int) -> int:
-        """Delta^m(B): the defect between reduced and unreduced local sums.
-
-        Always an integer; defined for m >= 2 and identically 0 at m = 2
-        for canonical baskets.
-        """
+        """Delta^m(B): the defect between reduced and unreduced local sums, summed
+        over the points.  An integer for m >= 2, and 0 at m = 2 on canonical baskets."""
         if m < 2:
             raise ValueError(f"delta requires m >= 2, got {m}")
-        total = 0
-        for (b, r), n in self._runs:
-            bm = b * m
-            q, rem = divmod(_residues(b, r)[m % r] - bm * (r - bm), 2 * r)
-            if rem:  # u == bm (mod r) forces divisibility by 2r
-                raise IntegralityFault(f"Delta^{m} of ({b}, {r}) is not an integer")
-            total += n * q
-        return total
+        return sum(n * _delta_point(b, r, m) for (b, r), n in self._runs)
 
     def gamma(self) -> Fraction:
         """gamma(B) = sum 1/r_i - sum r_i + 24; positive on Q-Fano baskets."""
@@ -225,6 +215,14 @@ class Basket:
     def r_max(self) -> int:
         return self._runs[-1][0][1] if self._runs else 1
 
+    def _scaled_volume_at_zero(self) -> int:
+        """L (-K^3) at p1 = 0 for L = r_X: L (sigma - 6) - sum n b^2 L/r."""
+        if self._volume is None:
+            big_l = self.gorenstein_index()
+            self._volume = big_l * (self.sigma() - 6) - sum(
+                n * b * b * (big_l // r) for (b, r), n in self._runs)
+        return self._volume
+
 
 def _parse_terms(compact: str) -> list[Run]:
     runs: list[Run] = []
@@ -258,6 +256,16 @@ def _parse_terms(compact: str) -> list[Run]:
 def _residues(b: int, r: int) -> tuple[int, ...]:
     # the residue table w_j = u (r - u) = 2r F(jb), u = jb mod r, j = 0..r-1
     return tuple(u * (r - u) for u in (j * b % r for j in range(r)))
+
+
+@lru_cache(maxsize=None)
+def _delta_point(b: int, r: int, m: int) -> int:
+    # Delta^m of one point: (w_(m mod r) - bm (r - bm)) / 2r, an integer
+    bm = b * m
+    q, rem = divmod(_residues(b, r)[m % r] - bm * (r - bm), 2 * r)
+    if rem:  # u == bm (mod r) forces divisibility by 2r
+        raise IntegralityFault(f"Delta^{m} of ({b}, {r}) is not an integer")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -368,10 +376,7 @@ class WeightedBasket(Record):
 
     def _scaled_volume(self) -> int:
         """L (-K^3) = L (2 p1 + sigma - 6) - sum n b^2 L/r, for L = r_X, an integer."""
-        big_l = self.basket.gorenstein_index()
-        return big_l * (2 * self.p1 + self.basket.sigma() - 6) - sum(
-            n * b * b * (big_l // r) for (b, r), n in self.basket.counts()
-        )
+        return self.basket._scaled_volume_at_zero() + 2 * self.p1 * self.basket.gorenstein_index()
 
     def anti_plurigenus(self, m: int) -> int:
         """P_{-m} by the closed Riemann-Roch form; exact, integer-checked."""

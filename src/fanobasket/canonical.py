@@ -14,10 +14,11 @@ arithmetic (counts, neighbour determinants) is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Callable, NamedTuple, Optional
 
-from .basket import Basket, Record
+from .basket import Basket, Run, _delta_point
 from .reports import ReplayContradiction
 
 
@@ -26,22 +27,14 @@ def _valid_level(n: int) -> None:
         raise ValueError(f"fraction-set level must be 0 or >= 5, got {n}")
 
 
-class FractionSet(Record):
-    """A finite truncation of S^(n), sorted in decreasing order.
+class FractionSet(NamedTuple):
+    """A finite truncation of S^(n), sorted in decreasing order.  Adjacent
+    members q_i/p_i > q_{i+1}/p_{i+1} satisfy q_i p_{i+1} - p_i q_{i+1} = 1;
+    `s_set` checks it.  The tests' reference S^(n): `unpack` finds
+    neighbours from integers alone."""
 
-    Adjacent members q_i/p_i > q_{i+1}/p_{i+1} always satisfy
-    q_i p_{i+1} - p_i q_{i+1} = 1; construction checks it.  The tests'
-    reference S^(n): `unpack` finds neighbours from integers alone.
-    """
-
-    __slots__ = ("level", "fractions")
-
-    def __init__(self, level: int, fractions: tuple[Fraction, ...]) -> None:
-        for hi, lo in zip(fractions, fractions[1:]):
-            det = hi.numerator * lo.denominator - hi.denominator * lo.numerator
-            if det != 1:
-                raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
-        self.level, self.fractions = level, fractions
+    level: int
+    fractions: tuple[Fraction, ...]
 
 
 def s_set(n: int, cap: int) -> FractionSet:
@@ -60,7 +53,12 @@ def s_set(n: int, cap: int) -> FractionSet:
         for b in range(2, (m + 1) // 2):
             if gcd(b, m) == 1:
                 members.add(Fraction(b, m))
-    return FractionSet(n, tuple(sorted(members, reverse=True)))
+    fractions = tuple(sorted(members, reverse=True))
+    for hi, lo in zip(fractions, fractions[1:]):
+        det = hi.numerator * lo.denominator - hi.denominator * lo.numerator
+        if det != 1:
+            raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
+    return FractionSet(n, fractions)
 
 
 def _neighbours(b: int, r: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -80,30 +78,35 @@ def _neighbours(b: int, r: int, n: int) -> Optional[tuple[tuple[int, int], ...]]
     if lq == 0:
         k = r // b
         lq, lp, hq, hp = 1, k + 1, 1, k
-    if hq * lp - hp * lq != 1:
-        raise ReplayContradiction(f"unpack: neighbour determinant != 1: {hq}/{hp}, {lq}/{lp}")
     return (hq, hp), (lq, lp)
+
+
+@lru_cache(maxsize=None)
+def _split(b: int, r: int, n: int) -> tuple[Run, ...]:
+    """The runs one copy of a canonical (b, r) becomes in B^(n), checked exactly."""
+    near = _neighbours(b, r, n)
+    if near is None:
+        return (((b, r), 1),)
+    (qh, ph), (ql, pl) = near
+    if qh * pl - ph * ql != 1:
+        raise ReplayContradiction(f"unpack: neighbour determinant != 1: {qh}/{ph}, {ql}/{pl}")
+    count_low, count_high = r * qh - b * ph, b * pl - r * ql
+    if count_low <= 0 or count_high <= 0:
+        raise ReplayContradiction(f"unpack: ({b},{r}) splits into a non-positive count")
+    return ((ql, pl), count_low), ((qh, ph), count_high)
+
+
+@lru_cache(maxsize=None)
+def _epsilon_point(b: int, r: int, prev: int, n: int) -> int:
+    # one copy's share of eps_n: Delta^n of its split at the stage before n, less its own
+    return sum(k * _delta_point(*pt, n) for pt, k in _split(b, r, prev)) - _delta_point(b, r, n)
 
 
 def unpack(basket: Basket, n: int) -> Basket:
     """The stage-n basket B^(n): split every point against S^(n)."""
     _valid_level(n)
-    if len(basket) == 0:
-        return basket
-    runs = []
-    for (b, r), count in basket.counts():
-        near = _neighbours(b, r, n)
-        if near is None:
-            runs.append(((b, r), count))
-            continue
-        (qh, ph), (ql, pl) = near
-        count_low = r * qh - b * ph
-        count_high = -r * ql + b * pl
-        if count_low <= 0 or count_high <= 0:
-            raise ReplayContradiction(f"unpack: ({b},{r}) splits into a non-positive count")
-        runs.append(((ql, pl), count_low * count))
-        runs.append(((qh, ph), count_high * count))
-    return Basket.from_counts(runs)
+    splits = ((pt, k * count) for (b, r), count in basket.counts() for pt, k in _split(b, r, n))
+    return Basket.from_counts(splits)
 
 
 class ChainStage(NamedTuple):
@@ -118,14 +121,16 @@ class CanonicalChain(NamedTuple):
 
 
 def canonical_chain(basket: Basket) -> CanonicalChain:
-    """Stages n = 0, 5, 6, ..., r_max with their prime-packing counts."""
+    """Stages n = 0, 5, 6, ..., r_max with eps_n = Delta^n(B^(n-1)) - Delta^n(B), a sum over
+    points; a stage where no point splits anew reuses the basket of the stage before."""
     stages = [ChainStage(0, unpack(basket, 0), 0)]
     for n in range(5, basket.r_max() + 1):
-        # eps_n = Delta^n(B^(n-1)) - Delta^n(B), read off the stage just built
-        eps = stages[-1].basket.delta(n) - basket.delta(n)
+        prev = stages[-1]
+        eps = sum(k * _epsilon_point(b, r, prev.level, n) for (b, r), k in basket.counts())
         if eps < 0:
             raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
-        stages.append(ChainStage(n, unpack(basket, n), eps))
+        same = all(_split(b, r, n) == _split(b, r, prev.level) for (b, r), _ in basket.counts())
+        stages.append(ChainStage(n, prev.basket if same else unpack(basket, n), eps))
     if stages[-1].basket != basket:
         raise ReplayContradiction(f"canonical chain ends at {stages[-1].basket.text()}")
     return CanonicalChain(basket, tuple(stages))

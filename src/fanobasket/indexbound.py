@@ -97,6 +97,8 @@ def _raw_subsets(
 ) -> Iterator[tuple[int, ...]]:
     """Distinct-value index sets with largest entry r_max that hold every
     value of `must_contain` (a set; r_max may be in it), budget respected."""
+    if not 2 <= r_max <= TAIL_R_CAP:
+        raise ValueError(f"r_max must lie in [2, {TAIL_R_CAP}]")
     if not all(2 <= v <= r_max for v in must_contain):
         raise ValueError(f"must_contain values must lie in [2, {r_max}], got {must_contain}")
     base = {r_max, *must_contain}
@@ -105,8 +107,6 @@ def _raw_subsets(
 
 def max_index_given_rmax(r_max: int) -> int:
     """Max lcm over admissible raw index sets whose largest entry is r_max."""
-    if not 2 <= r_max <= TAIL_R_CAP:
-        raise ValueError(f"r_max must lie in [2, {TAIL_R_CAP}]")
     return max(lcm(*subset) for subset in _raw_subsets(r_max))
 
 

@@ -20,6 +20,8 @@ Three independent tools live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import ceil, gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,20 +36,20 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     so the minimum sits on the end-point set {nr - jb}; it suffices to
     scan x = -jb for j = 0..(m mod r).  Scaled by 2r, G(-jb) slides a window
     of the residue table w_i = u(r - u), u = ib mod r, from i = 0..l to
-    -j..l-j; w_{-i} = w_i.  The first call per (b, r) caches the whole
-    r-entry table, O(r) time and memory even for a small l; this package
-    calls it only on enumerated baskets, where r <= 24.
+    -j..l-j; w_{-i} = w_i.  Memoised per (b, r, m mod r); the first call per
+    (b, r) caches the whole r-entry table, O(r) time and memory even for a
+    small l.  This package calls it only on baskets with r <= 24.
     """
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
-    l = m % r
+    return _g_min_residue(b, r, m % r)
+
+
+@lru_cache(maxsize=None)
+def _g_min_residue(b: int, r: int, l: int) -> Fraction:
     w = _residues(b, r)
-    best = val = 0
-    for j in range(1, l + 1):
-        val += w[j] - w[l + 1 - j]
-        if val < best:
-            best = val
-    return Fraction(best, 2 * r)
+    window = (w[j] - w[l + 1 - j] for j in range(1, l + 1))
+    return Fraction(min(accumulate(window, initial=0)), 2 * r)
 
 
 def k1_condition(point: tuple[int, int], m: int) -> bool:

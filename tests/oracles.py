@@ -15,7 +15,7 @@ from math import gcd
 from typing import Iterator, Optional
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
-from fanobasket.canonical import FractionSet, unpack
+from fanobasket.canonical import FractionSet, s_set
 from fanobasket.recovery import BUDGET, cost
 from fanobasket.reports import ReplayContradiction
 from fanobasket.search import ConstraintSet, _values
@@ -180,16 +180,50 @@ def neighbours(sset: FractionSet, frac: Fraction) -> tuple[Fraction, Fraction]:
     return upper, fr[lo + 1]
 
 
+def unpack_reference(basket: Basket, n: int) -> Basket:
+    """B^(n) by splitting every point against the truncated S^(n) of `s_set`,
+    its neighbours found by `neighbours`; oracle for `canonical.unpack`.
+
+    A non-member b/r between neighbours q_hi/p_hi > q_lo/p_lo (determinant 1)
+    is (r q_hi - b p_hi) copies of the lower one plus (b p_lo - r q_lo) of the
+    upper one: both counts are positive and the pairs sum to (b, r).
+    """
+    sset = s_set(n, max(basket.r_max(), 2))
+    members = set(sset.fractions)
+    runs = []
+    for (b, r), count in basket.counts():
+        frac = Fraction(b, r)
+        if frac in members:
+            runs.append(((b, r), count))
+            continue
+        hi, lo = neighbours(sset, frac)
+        (qh, ph), (ql, pl) = hi.as_integer_ratio(), lo.as_integer_ratio()
+        runs.append(((ql, pl), count * (r * qh - b * ph)))
+        runs.append(((qh, ph), count * (b * pl - r * ql)))
+    return Basket.from_counts(runs)
+
+
+def delta_from_f(basket: Basket, m: int) -> int:
+    """Delta^m(B) = sum F(b m) - b m (r - b m) / (2r) over the points, from
+    `f_periodic` in exact fractions; must be an integer."""
+    total = sum((n * (f_periodic(b * m, r) - Fraction(b * m * (r - b * m), 2 * r))
+                 for (b, r), n in basket.counts()), Fraction(0))
+    if total.denominator != 1:
+        raise ValueError(f"Delta^{m} of {basket.text()} is {total}, not an integer")
+    return int(total)
+
+
 def epsilon_n(basket: Basket, n: int) -> int:
     """Number of prime packings between stages n-1 and n of the chain.
 
-    Evaluated as Delta^n(B^(n-1)) - Delta^n(B); stage 4 means stage 0.
-    Always a non-negative integer.
+    Evaluated as Delta^n(B^(n-1)) - Delta^n(B); stage 4 means stage 0.  Both
+    the stage and Delta come from the references above, so no memo of the
+    package is read.  Always a non-negative integer.
     """
     if n < 5:
         raise ValueError(f"epsilon_n needs n >= 5, got {n}")
-    prev = unpack(basket, n - 1 if n > 5 else 0)
-    eps = prev.delta(n) - basket.delta(n)
+    prev = unpack_reference(basket, n - 1 if n > 5 else 0)
+    eps = delta_from_f(prev, n) - delta_from_f(basket, n)
     if eps < 0:
         raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
     return eps

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import fanobasket.canonical as canonical
 from fanobasket.basket import Basket, WeightedBasket
 from fanobasket.canonical import (
     _neighbours,
@@ -17,7 +18,10 @@ from fanobasket.canonical import (
     s_set,
     unpack,
 )
-from oracles import brute_prime_packings, epsilon_n, general_packings, neighbours, sigma_prime
+from fanobasket.reports import ReplayContradiction
+from oracles import (
+    brute_prime_packings, epsilon_n, general_packings, neighbours, sigma_prime, unpack_reference,
+)
 
 F = Fraction
 B = Basket.parse
@@ -117,16 +121,41 @@ def wide_baskets(seed, count):
         yield Basket.from_counts((pt, rng.randint(1, 12)) for pt in sorted(points))
 
 
+def oracle_chain(basket):
+    """(level, stage, eps_n) for n = 0, 5, .., r_max from the memo-free oracles."""
+    return [(n, unpack_reference(basket, n), epsilon_n(basket, n) if n else 0)
+            for n in (0, *range(5, basket.r_max() + 1))]
+
+
 def test_chain_matches_unpack_and_epsilon_on_wide_baskets():
-    # epsilon_n stays the chain's oracle: it unpacks level n-1 on its own
+    # the oracles read no memo of the package: `unpack_reference` splits
+    # against `s_set`, and `epsilon_n` sums a Delta built from `f_periodic`
     for basket in wide_baskets(41, 60):
         chain = canonical_chain(basket)
-        assert [s.level for s in chain.stages] == [0, *range(5, basket.r_max() + 1)]
+        assert [tuple(s) for s in chain.stages] == oracle_chain(basket), basket.text()
         for stage in chain.stages:
             assert stage.basket == unpack(basket, stage.level)
-            if stage.level:
-                assert stage.epsilon == epsilon_n(basket, stage.level)
         assert chain.stages[-1].basket == basket
+
+
+def test_a_memo_keeps_no_failure(monkeypatch):
+    # a split whose neighbours are not adjacent faults, every time: the memo
+    # stores no exception, so the real neighbours answer once the patch is gone
+    basket = B("3x(1,2),2x(5,23),(2,9)")
+    real = canonical._neighbours
+
+    def skewed(b, r, n):
+        near = real(b, r, n)
+        return ((1, 2), (1, 5)) if (b, r) == (5, 23) and near is not None else near
+
+    for memo in (canonical._split, canonical._epsilon_point):
+        memo.cache_clear()  # so no earlier call has seen (5, 23)
+    monkeypatch.setattr(canonical, "_neighbours", skewed)
+    for _ in range(2):
+        with pytest.raises(ReplayContradiction, match="neighbour determinant"):
+            canonical_chain(basket)
+    monkeypatch.undo()
+    assert [tuple(s) for s in canonical_chain(basket).stages] == oracle_chain(basket)
 
 
 def test_run_packings_match_brute_force_over_points():

@@ -134,6 +134,14 @@ def test_must_contain_is_a_set_within_two_to_rmax():
     assert attainable_indices(9, must_contain=(2, 2)) == attainable_indices(9, must_contain=(2,))
 
 
+@pytest.mark.parametrize("r_max", [0, 1, 25, 30])
+def test_every_rmax_question_refuses_an_rmax_outside_two_to_24(r_max):
+    for ask in (max_index_given_rmax, attainable_indices,
+                lambda r: admissible_index_sets_with_lcm(840, r)):
+        with pytest.raises(ValueError, match=r"^r_max must lie in \[2, 24\]$"):
+            ask(r_max)
+
+
 def test_coprime_split_inequality_exhaustive():
     # the budget-soundness of the prime-power reduction holds everywhere;
     # the sharper form with slack 2 fails exactly at {2, 3} (35/6 < 37/6)

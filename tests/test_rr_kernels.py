@@ -13,7 +13,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -65,6 +65,15 @@ def l_neg_reference(basket: Basket, n: int) -> Fraction:
          for (b, r), k in basket.counts()),
         F(0),
     )
+
+
+def scaled_volume_reference(wb: WeightedBasket) -> int:
+    """L (-K^3) = L (2 p1 + sigma - 6) - sum n b^2 L/r, L = lcm(r_i), from the
+    runs alone."""
+    runs = wb.basket.counts()
+    big_l = lcm(*(r for (_, r), _ in runs))
+    sigma = sum(n * b for (b, _), n in runs)
+    return big_l * (2 * wb.p1 + sigma - 6) - sum(n * b * b * (big_l // r) for (b, r), n in runs)
 
 
 def thm2_check_840_fraction(wb: WeightedBasket) -> bool:
@@ -173,15 +182,18 @@ def test_closed_form_matches_the_recursion():
             assert wb.anti_plurigenus(m) == seq[m]
 
 
-def test_a_corrupted_residue_table_faults_under_optimize():
-    # IntegralityFault and Delta's divisibility check are raises, not asserts
+def faults_under_optimize(calls: str) -> str:
+    """Run `calls`, a tuple of lambdas over `basket`, `canonical` and `wb`,
+    under `python -O` with every residue table off by one; print the flag and
+    which calls raised IntegralityFault."""
     script = (
         "import fanobasket.basket as basket\n"
+        "import fanobasket.canonical as canonical\n"
         "real = basket._residues\n"
         "basket._residues = lambda b, r: tuple(w + 1 for w in real(b, r))\n"
         "wb = basket.WeightedBasket(basket.Basket.parse('(1,2),(2,5)'), 1)\n"
         "names = []\n"
-        "for call in (lambda: wb.basket.delta(3), lambda: wb.plurigenera(10)):\n"
+        f"for call in {calls}:\n"
         "    try:\n"
         "        call()\n"
         "        names.append('none')\n"
@@ -194,7 +206,21 @@ def test_a_corrupted_residue_table_faults_under_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "1 IntegralityFault IntegralityFault\n"
+    return done.stdout
+
+
+def test_a_corrupted_residue_table_faults_under_optimize():
+    # IntegralityFault and Delta's divisibility check are raises, not asserts
+    out = faults_under_optimize("(lambda: wb.basket.delta(3), lambda: wb.plurigenera(10))")
+    assert out == "1 IntegralityFault IntegralityFault\n"
+
+
+def test_the_delta_memo_and_the_chain_fault_under_optimize():
+    # replays are proofs: the per-point Delta memo, and the chain's eps_n read
+    # through it, keep their divisibility raise when asserts are off
+    out = faults_under_optimize(
+        "(lambda: basket._delta_point(2, 5, 3), lambda: canonical.canonical_chain(wb.basket))")
+    assert out == "1 IntegralityFault IntegralityFault\n"
 
 
 # --- the Riemann-Roch table a basket keeps ---------------------------------------
@@ -220,14 +246,22 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
                     assert owner._table[0] == p1
 
 
+def clear_residue_memos():
+    """Empty the memos that read `basket._residues` through its module binding."""
+    basket_module._delta_point.cache_clear()
+    basket_module._l_point_table.cache_clear()
+
+
 def test_a_faulting_recursion_keeps_nothing(monkeypatch):
     real = basket_module._residues
+    clear_residue_memos()
     monkeypatch.setattr(basket_module, "_residues", lambda b, r: tuple(w + 1 for w in real(b, r)))
     wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
     for _ in range(2):
         with pytest.raises(IntegralityFault):
             wb.plurigenera(10)
     monkeypatch.undo()
+    clear_residue_memos()
     assert wb.plurigenera(10).values == plurigenera_closed_form(wb, 10)
 
 
@@ -242,8 +276,22 @@ def test_the_memo_leaves_equality_hash_and_order_alone():
     before = seen()
     WeightedBasket(one, 2).plurigenera(pencil.L840_HORIZON)
     assert one.gorenstein_index() == 840
+    assert WeightedBasket(one, 2).volume() == Fraction(scaled_volume_reference(
+        WeightedBasket(one, 2)), 840)
+    assert one._volume == scaled_volume_reference(WeightedBasket(twin, 0))
+    assert twin._volume is None
     assert seen() == before
     assert before[:3] == (hash(twin), True, True)
+
+
+def test_scaled_volume_matches_its_memo_free_formula():
+    # the volume memo keeps the p1-free part; each weight adds 2 L p1 to it
+    table_rows = [Basket.parse(row.basket) for row in P1_P2_ZERO_TABLE]
+    assert len(table_rows) == 23
+    for basket in table_rows + BASKETS_840:
+        for p1 in WEIGHTS_840:
+            wb = WeightedBasket(basket, p1)
+            assert wb._scaled_volume() == scaled_volume_reference(wb), (basket.text(), p1)
 
 
 # --- the integer index-840 check -------------------------------------------------
