@@ -1,9 +1,10 @@
 """Brute-forcing the Gorenstein index bound.
 
-The budget sum (r - 1/r) <= 24 caps everything.  Splitting indices into
-maximal prime powers preserves lcm and never increases the budget, so the
-global maximum comes from a finite set search: 840, attained exactly by
-{3,5,7,8} and {2,3,5,7,8}, with nothing between 660 and 840.
+The budget sum (r - 1/r) <= 24 caps everything.  An index r >= 25 alone
+breaks it, and a repeated index costs budget without changing the lcm, so
+the global maximum comes from a finite search over sets of distinct indices
+in 2..24: 840, attained exactly by {3,5,7,8} and {2,3,5,7,8}, with nothing
+between 660 and 840.
 """
 
 from fanobasket.indexbound import (

@@ -30,8 +30,8 @@ from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm
 from .recovery import TAIL_R_CAP
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .search import (
-    ConstraintSet, enumerate_geometric_full, forced_ladder, late_ladder, p1_zero_family,
-    replay_delta1,
+    P1_EQ_1_HORIZONS, ConstraintSet, enumerate_geometric_full, forced_ladder, late_ladder,
+    p1_zero_family, replay_delta1,
 )
 from .tables import P1_P2_ZERO_TABLE
 
@@ -179,7 +179,11 @@ def _replay_qfano_39() -> ReplayReport:
     # case 2: P_-1 = 1, by the doubling degree n0 (n0 <= 8)
     d1 = replay_delta1("P1_eq_1")
     require(d1.conclusion == "delta_1 <= 9", "QFano39 P1=1: the ladder replay gives delta_1 <= 9")
-    leaf("P1=1, n0<=5", BirationalityInputs(5, 7, Fraction(5)), "i",
+    n0_le_5 = BirationalityInputs(5, 7, Fraction(5))
+    horizon = max(l for n0, l in P1_EQ_1_HORIZONS if n0 <= 5)
+    require(n0_le_5.m1 == horizon,
+            f"QFano39 P1=1, n0<=5: m1 = {n0_le_5.m1}, not the longest n0 <= 5 horizon {horizon}")
+    leaf("P1=1, n0<=5", n0_le_5, "i",
          ["n0 = 2, 3, 4 branches contradict past degree 6; n0 = 5 past 7"], [AX_CC_P8])
     leaf("P1=1, n0=6, escape at 7", BirationalityInputs(6, 7, Fraction(6)), "i", [], [])
     # n0 = 6 with the escape exactly at 8: the surviving family pins rmax

@@ -163,7 +163,7 @@ def cmd_index_bound(args) -> int:
         else:
             _emit(args, f"max r_X with largest local index {args.rmax}: {value}")
         return 0
-    report = max_index_report()  # requires its prime-power reduction
+    report = max_index_report()
     if args.json:
         _emit(args, json.dumps(report.to_json(), indent=2))
     else:

@@ -37,7 +37,8 @@ BUDGET = 24 * COST_UNIT
 
 def cost(r: int) -> int:
     """r - 1/r in units of 1/COST_UNIT, for r dividing COST_UNIT: every
-    r <= TAIL_R_CAP and every product of coprime such r.  Any other r raises
+    r <= TAIL_R_CAP, and every product of coprime such r, which only the
+    prime-power oracle of the tests asks for.  Any other r raises
     ValueError, since its r - 1/r is not a whole number of units."""
     share, rem = divmod(COST_UNIT, r)
     if rem:

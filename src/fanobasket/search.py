@@ -258,6 +258,10 @@ UPGRADES = (
     (("No.E", "No.F"), 6, False, {2: 1, 4: 3, 6: 9}, AXIOM_DELTA1_UPGRADE_6),
 )
 
+# the P_-1 = 1 ladders by doubling degree: (n0, failure horizon l); QFano39
+# checks the m1 of its n0 <= 5 leaf against them
+P1_EQ_1_HORIZONS = ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8))
+
 
 @cache
 def replay_delta1(family: str) -> ReplayReport:
@@ -281,7 +285,7 @@ def replay_delta1(family: str) -> ReplayReport:
     if family == "P1_eq_1":
         branches = [
             (f"n0={n0}", l, ConstraintSet(p_exact=forced_ladder(1, n0, l)))
-            for n0, l in ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8))
+            for n0, l in P1_EQ_1_HORIZONS
         ]
         branches.append(("n0>=7", 9, late_ladder(9)))
         return _replay_ladders(family, "P_-1 = 1, branches over n0 = 2..8", branches)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Optional
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
@@ -243,3 +243,66 @@ def unpruned_heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
             p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
             for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
                 yield PlurigenusSequence((p1, p2, p3, p4))
+
+
+# prime powers s with s - 1/s <= 24 (25 = 5^2 already exceeds the budget)
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
+
+
+def prime_power_sets() -> list[tuple[int, ...]]:
+    """Every non-empty set of distinct PRIME_POWERS whose total cost is at
+    most BUDGET, sorted: the prime-power route to the index bound.  By
+    `prime_power_reduction_holds` these sets reach every lcm the raw index
+    sets reach; oracle for `indexbound._index_sets` and `max_index_report`."""
+    found: list[tuple[int, ...]] = []
+
+    def rec(idx: int, remaining: int, chosen: tuple[int, ...]) -> None:
+        for i in range(idx, len(PRIME_POWERS)):
+            c = cost(PRIME_POWERS[i])
+            if c <= remaining:
+                found.append((*chosen, PRIME_POWERS[i]))
+                rec(i + 1, remaining - c, found[-1])
+
+    rec(0, BUDGET, ())
+    return sorted(found)
+
+
+def coprime_split_inequality(a: int, b: int) -> bool:
+    """ab - 1/(ab) >= a - 1/a + b - 1/b for coprime 1 < a, b <= 24.
+
+    This makes the prime-power reduction budget-sound, and holds for every
+    coprime pair.  A product ab that does not divide COST_UNIT raises
+    ValueError from `cost`.
+    """
+    return cost(a * b) >= cost(a) + cost(b)
+
+
+def prime_power_parts(n: int) -> tuple[int, ...]:
+    """The maximal prime-power factors of n (e.g. 12 -> (4, 3))."""
+    parts = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            q = 1
+            while m % p == 0:
+                q *= p
+                m //= p
+            parts.append(q)
+        p += 1
+    if m > 1:
+        parts.append(m)
+    return tuple(sorted(parts, reverse=True))
+
+
+def prime_power_reduction_holds(r: int) -> bool:
+    """`prime_power_parts(r)` are pairwise coprime members of PRIME_POWERS
+    with product r, and splitting off the first part does not raise the
+    budget (`coprime_split_inequality`; the rest is a smaller r).  Over
+    r = 2..24 this splits every index set into a set of prime powers with the
+    same lcm and no larger cost."""
+    parts = prime_power_parts(r)
+    rest = r // parts[0]
+    return (prod(parts) == r and set(parts) <= set(PRIME_POWERS)
+            and all(gcd(a, b) == 1 for a, b in itertools.combinations(parts, 2))
+            and (rest == 1 or coprime_split_inequality(parts[0], rest)))

@@ -8,16 +8,22 @@ from math import gcd, lcm
 import pytest
 
 from fanobasket.indexbound import (
-    PRIME_POWERS,
-    _budgeted_sets,
+    _index_sets,
+    _raw_subsets,
     admissible_index_sets_with_lcm,
     attainable_indices,
-    coprime_split_inequality,
     max_index_given_rmax,
     max_index_report,
-    prime_power_parts,
 )
 from fanobasket.recovery import BUDGET, COST_UNIT, cost
+
+from oracles import (
+    PRIME_POWERS,
+    coprime_split_inequality,
+    prime_power_parts,
+    prime_power_reduction_holds,
+    prime_power_sets,
+)
 
 F = Fraction
 
@@ -29,15 +35,15 @@ def test_prime_power_menu():
 
 
 def test_enumerate_admissible_tiny_budget():
-    # a base entry that uses up the budget leaves room for the cheapest
-    # prime power only: 24 - (22 - 1/22) < cost(3) = 8/3, and 1 + 1/23 < cost(2)
-    assert set(_budgeted_sets((22,), PRIME_POWERS)) == {(22,), (2, 22)}
-    assert list(_budgeted_sets((23,), PRIME_POWERS)) == [(23,)]
-    assert list(_budgeted_sets((23, 2), PRIME_POWERS)) == []
+    # a largest entry that uses up the budget leaves room for the cheapest
+    # index only: 24 - (22 - 1/22) < cost(3) = 8/3, and 1 + 1/23 < cost(2)
+    assert _raw_subsets(22) == [(2, 22), (22,)]
+    assert _raw_subsets(23) == [(23,)]
+    assert _raw_subsets(23, must_contain=(2,)) == []
 
 
 def test_enumerate_admissible_contains_witnesses():
-    sets = set(_budgeted_sets((), PRIME_POWERS))
+    sets = set(prime_power_sets())
     assert (3, 5, 7, 8) in sets
     assert (2, 3, 5, 7, 8) in sets
     assert (2, 3, 4, 5, 7) in sets  # lcm 420, cost < 20
@@ -48,14 +54,14 @@ def test_enumerate_admissible_contains_witnesses():
 
 
 def test_budget_and_maximality():
-    found = list(_budgeted_sets((), PRIME_POWERS))
+    found = prime_power_sets()
     assert len(found) == len(set(found))
     for values in found:
         assert sum(cost(v) for v in values) <= BUDGET
-    # oracle: all 2^13 subsets of PRIME_POWERS, filtered by the Fraction budget
+    # oracle: all 2^13 - 1 non-empty subsets of PRIME_POWERS, by the Fraction budget
     brute = {
         subset
-        for k in range(len(PRIME_POWERS) + 1)
+        for k in range(1, len(PRIME_POWERS) + 1)
         for subset in combinations(PRIME_POWERS, k)
         if sum(F(s) - F(1, s) for s in subset) <= 24
     }
@@ -66,6 +72,24 @@ def test_budget_and_maximality():
         if sum(cost(v) for v in values) + cost(2) > BUDGET
     ]
     assert saturated, "budget 24 admits saturated sets"
+
+
+def test_one_index_search_matches_the_prime_power_route():
+    # r = 25 alone breaks the budget, so the raw sets of 2..24 are all of them
+    assert F(25) - F(1, 25) > 24
+    sets = _index_sets()
+    assert len(sets) == len(set(sets)) == 427
+    assert list(sets) == sorted(sets) and all(list(s) == sorted(set(s)) for s in sets)
+    for s in sets:
+        assert sum(F(v) - F(1, v) for v in s) <= 24, s
+    report = max_index_report()
+    oracle = prime_power_sets()
+    oracle_lcms = {lcm(*s) for s in oracle}
+    assert {lcm(*s) for s in sets} == oracle_lcms and len(oracle_lcms) == 111
+    assert report.max_lcm == max(oracle_lcms) == 840
+    assert report.witnesses == tuple(s for s in oracle if lcm(*s) == 840) == (
+        (2, 3, 5, 7, 8), (3, 5, 7, 8))
+    assert report.second_max == max(oracle_lcms - {840}) == 660
 
 
 def test_max_index_report():
@@ -165,6 +189,7 @@ def test_integer_costs_are_exact_on_coprime_products():
 
 def test_prime_power_split_is_budget_sound():
     for r in range(2, 25):
+        assert prime_power_reduction_holds(r), r
         parts = prime_power_parts(r)
         assert all(p in PRIME_POWERS for p in parts)
         cost = lambda v: F(v) - F(1, v)

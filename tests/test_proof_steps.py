@@ -146,6 +146,17 @@ FAULTS = {
         "contradiction: QFano39 No.5: P_-7 >= 2 and m1 = 8",
         "\n",
     ),
+    # the P1_eq_1 replay still contradicts n0 = 5 up to 8, so the leaf's
+    # m1 = 7 is no longer the horizon it ran
+    "QFano39 n0<=5 horizon": (
+        "import fanobasket.birational as birational\n"
+        "import fanobasket.search as search\n"
+        "horizons = ((2, 6), (3, 6), (4, 6), (5, 8), (6, 8))\n"
+        "search.P1_EQ_1_HORIZONS = birational.P1_EQ_1_HORIZONS = horizons\n",
+        ("replay", "birat1"),
+        "contradiction: QFano39 P1=1, n0<=5: m1 = 7, not the longest n0 <= 5 horizon 8",
+        "\n",
+    ),
     "exceptional-type upgrade pin": (
         "import fanobasket.search as search\n"
         "search.UPGRADES[1][3][8] = 4  # No.A-No.D: P_-8 = 3\n",
@@ -160,14 +171,18 @@ FAULTS = {
         "contradiction: Weak97 IV: rX=546: -K^3 = 61/546, P_-4 = 2, P_-6 = 5, P_-10 = 20,",
         " P_-57 = 3540 > 3478\n",
     ),
-    "index-bound reduction": (
+    # a budget of 25 admits {4, 5, 7, 9}; index-bound prints its report first
+    "index budget 25": (
         "import fanobasket.indexbound as indexbound\n"
-        "indexbound.coprime_split_inequality = lambda a, b: False\n",
+        "from fanobasket.recovery import COST_UNIT\n"
+        "indexbound.BUDGET = 25 * COST_UNIT\n",
         ("index-bound",),
-        "contradiction: index bound: r = 6 splits into coprime prime powers (3, 2)",
-        " at no extra budget\n",
+        "contradiction: index bound: max r_X = 1260, not 840",
+        "\n",
     ),
 }
+# fault -> what the command prints before the failed step; empty for the rest
+FAULT_STDOUT = {"index budget 25": "max r_X = 1260; witnesses {4,5,7,9}; second max = 924\n"}
 
 
 def _python(flags: list[str], script: str, *args: str) -> subprocess.CompletedProcess:
@@ -189,7 +204,7 @@ def test_injected_fault_exits_1_with_the_step_named(fault, flags):
     )
     done = _python(flags, script)
     assert done.returncode == 1, done.stderr
-    assert done.stdout == ""
+    assert done.stdout == FAULT_STDOUT.get(fault, "")
     assert done.stderr.startswith(prefix) and done.stderr.endswith(suffix), done.stderr
 
 
