@@ -77,7 +77,9 @@ def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
     return tuple(sorted(counts.items(), key=lambda run: (run[0][1], run[0][0])))
 
 
-_TERM_RE = re.compile(r"^(?:(\d+)x)?\((\d+),(\d+)\)$")
+_TERM_RE = re.compile(r"(?:(\d+)x)?\((\d+),(\d+)\)")
+# TERM ("," TERM)*, or nothing: its match is the longest readable prefix
+_BASKET_RE = re.compile(rf"(?:{_TERM_RE.pattern}(?:,{_TERM_RE.pattern})*)?")
 
 
 class Basket:
@@ -105,14 +107,22 @@ class Basket:
 
     @staticmethod
     def parse(text: str) -> "Basket":
-        """Parse the basket grammar, e.g. ``2x(1,2),3x(2,5),(1,3)``.
+        """Parse TERM ("," TERM)*, TERM := [COUNT "x"] "(" B "," R ")", e.g. ``2x(1,2),(2,5)``.
 
-        Whitespace is ignored; the empty string denotes the empty basket.
+        Whitespace is ignored; the empty string and ``{}`` denote the empty basket.
         """
         compact = re.sub(r"\s+", "", text)
         if compact in ("", "{}"):
             return Basket()
-        return Basket.from_counts(_parse_terms(compact))
+        if not _BASKET_RE.fullmatch(compact):
+            rest = compact[_BASKET_RE.match(compact).end():]
+            raise BasketParseError(f"cannot read basket text from {rest!r}")
+        runs: list[Run] = []
+        for count, b, r in _TERM_RE.findall(compact):
+            if (n := int(count or 1)) < 1:
+                raise BasketParseError(f"bad multiplicity {count}x in {compact!r}")
+            runs.append(((int(b), int(r)), n))
+        return Basket.from_counts(runs)
 
     def text(self) -> str:
         """Canonical serialization, counts collapsed, sorted by (r, b)."""
@@ -222,31 +232,6 @@ class Basket:
             self._volume = big_l * (self.sigma() - 6) - sum(
                 n * b * b * (big_l // r) for (b, r), n in self._runs)
         return self._volume
-
-
-def _parse_terms(compact: str) -> list[Run]:
-    runs: list[Run] = []
-    pos = 0
-    while pos < len(compact):
-        end = compact.find(")", pos)
-        if end < 0:
-            raise BasketParseError(f"unbalanced parentheses in {compact!r}")
-        term = compact[pos : end + 1]
-        m = _TERM_RE.match(term)
-        if not m:
-            raise BasketParseError(f"bad basket term {term!r}")
-        count = int(m.group(1)) if m.group(1) else 1
-        if count < 1:
-            raise BasketParseError(f"bad multiplicity in {term!r}")
-        runs.append(((int(m.group(2)), int(m.group(3))), count))
-        pos = end + 1
-        if pos < len(compact):
-            if compact[pos] != ",":
-                raise BasketParseError(f"expected ',' at {compact[pos:]!r}")
-            pos += 1
-            if pos == len(compact):
-                raise BasketParseError("trailing comma")
-    return runs
 
 
 # --- per-point kernels ------------------------------------------------------

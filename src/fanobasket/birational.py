@@ -25,7 +25,7 @@ from math import floor, gcd
 from typing import Iterator, Optional
 
 from .basket import Basket, Record, WeightedBasket
-from .indexbound import admissible_index_sets_with_lcm, attainable_indices
+from .indexbound import attainable_indices, max_index_report
 from .pencil import L840_HORIZON, growth_bounds, thm1_threshold_from_bounds, thm2_check_840
 from .recovery import TAIL_R_CAP
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
@@ -185,12 +185,16 @@ def _replay_qfano_39() -> ReplayReport:
             f"QFano39 P1=1, n0<=5: m1 = {n0_le_5.m1}, not the longest n0 <= 5 horizon {horizon}")
     leaf("P1=1, n0<=5", n0_le_5, "i",
          ["n0 = 2, 3, 4 branches contradict past degree 6; n0 = 5 past 7"], [AX_CC_P8])
-    leaf("P1=1, n0=6, escape at 7", BirationalityInputs(6, 7, Fraction(6)), "i", [], [])
-    # n0 = 6 with the escape exactly at 8: the surviving family pins rmax
+    # n0 = 6: the P1_eq_1 replay contradicts the n0 = 6 ladder at its horizon, so
+    # the pencil escapes at one of 7..horizon, the last on a surviving family
+    esc, horizon6 = (7, 8), dict(P1_EQ_1_HORIZONS)[6]
+    require(esc == tuple(range(7, horizon6 + 1)),
+            f"QFano39 P1=1, n0=6: escapes at {esc}, not at 7..{horizon6}, the n0 = 6 horizon")
+    leaf("P1=1, n0=6, escape at 7", BirationalityInputs(6, esc[0], Fraction(6)), "i", [], [])
     _, rmax6 = _family(report, "P1=1, n0=6, escape at 8",
-                       ConstraintSet(p_exact=forced_ladder(1, 6, 7)),
+                       ConstraintSet(p_exact=forced_ladder(1, 6, esc[1] - 1)),
                        *(f"2x(1,2),2x(1,3),(1,5),(1,{r})" for r in (8, 9, 10)))
-    leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, 8, Fraction(6), rmax=rmax6), "ii",
+    leaf("P1=1, n0=6, escape at 8", BirationalityInputs(6, esc[1], Fraction(6), rmax=rmax6), "ii",
          [f"survivor family rmax = {rmax6}"], [])
     # n0 in {7, 8}: the single family with tail 9..11 and escape at 9
     fam78, rmax78 = _family(report, "P1=1, n0>=7", late_ladder(8, p_min={9: 3}),
@@ -238,7 +242,7 @@ def _replay_qfano_39() -> ReplayReport:
         text = s.wb.basket.text()
         # the m0 = 6 axiom is consistent on every survivor
         require(s.wb.plurigenera(6)[6] >= 2, f"QFano39 P1=0<P2: P_-6 >= 2 on {text}")
-        if text == "4x(1,2),(1,5),(6,13)":
+        if s.notes.get("type") == "No.D":
             special = s.wb
             continue
         require(eff_m1 <= 8, f"QFano39 P1=0<P2: unassigned survivor {text}")
@@ -422,10 +426,10 @@ def _replay_weak_97() -> ReplayReport:
                  ["t = 15"], [AX_CC_P8], nu0=1, isolated=(840,))
     _capped_leaf(leaf, "III: rmax=13", range(13, 14), 546, 10, 61, 8, "iii",
                  ["brute-force rX <= 546; t = 10"], [AX_CC_P8], nu0=1)
-    # rX = 840 forces rmax = 8 and the sharp growth regime applies from 71
-    sets840 = [s for r in range(2, TAIL_R_CAP + 1)
-               for s in admissible_index_sets_with_lcm(840, r)]
-    require(sets840 == sorted(INDEX_840_SETS) and {s[-1] for s in sets840} == {8},
+    # rX = 840, the largest index, forces rmax = 8; the growth regime applies from 71
+    top, witnesses, _ = max_index_report()
+    sets840 = sorted(witnesses)
+    require(top == 840 and sets840 == sorted(INDEX_840_SETS) and {s[-1] for s in sets840} == {8},
             f"Weak97 III: index-840 sets {sets840}, not {sorted(INDEX_840_SETS)} with rmax 8")
     sweep = _index_840_sweep()
     require(sweep > 0, "Weak97 III: the 840 sweep must be non-empty")

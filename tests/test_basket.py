@@ -49,9 +49,13 @@ def test_invalid_pairs_rejected():
     for bad in [(1, 1), (0, 5), (2, 2), (5, 5), (-1, 3)]:
         with pytest.raises(ValueError):
             Basket([bad])
-    for text in ["(1,2", "x(1,2)", "(1,2),,(1,3)", "(1,2),", "0x(1,2)"]:
+    for text in ["(1,2", "x(1,2)", "(1,2),,(1,3)", "(1,2),", "0x(1,2)", "(1,2)(1,3)",
+                 "{(1,2)}", "(1,2,3)", "((1,2))", "2x", ",(1,2)", "00x(1,2)", "(1,2)x"]:
         with pytest.raises(BasketParseError):
             Basket.parse(text)
+    # a count with leading zeros and whitespace anywhere are part of the grammar
+    assert Basket.parse("01x(1,2)") == B("(1,2)")
+    assert Basket.parse(" 2 x ( 1 , 2 ) ") == B("2x(1,2)")
 
 
 def test_runs_are_the_stored_form():

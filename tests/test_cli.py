@@ -242,6 +242,8 @@ def test_rr_degree_range_must_be_ordered_and_positive(capsys):
 
 HUGE_RANGE = "1.." + "9" * 20
 BAD_INPUTS = {
+    "basket grammar": (["rr", "--basket", "(1,2)(1,3)", "--p1", "0"],
+                       "error: cannot read basket text from '(1,3)'"),
     "--mu0": (["thresholds", "--m0", "1", "--m1", "2", "--mu0", "1/0", "--variant", "i"],
               "error: --mu0 needs an exact fraction, got '1/0'"),
     "--t": (["pencil", "--basket", "(1,2)", "--p1", "3", "--t", "1/0"],

@@ -157,6 +157,17 @@ FAULTS = {
         "contradiction: QFano39 P1=1, n0<=5: m1 = 7, not the longest n0 <= 5 horizon 8",
         "\n",
     ),
+    # the P1_eq_1 replay still contradicts n0 = 6 up to 9, so the leaves that
+    # escape at 7 and 8 no longer cover the horizon it ran
+    "QFano39 n0=6 horizon": (
+        "import fanobasket.birational as birational\n"
+        "import fanobasket.search as search\n"
+        "horizons = ((2, 6), (3, 6), (4, 6), (5, 7), (6, 9))\n"
+        "search.P1_EQ_1_HORIZONS = birational.P1_EQ_1_HORIZONS = horizons\n",
+        ("replay", "birat1"),
+        "contradiction: QFano39 P1=1, n0=6: escapes at (7, 8), not at 7..9, the n0 = 6 horizon",
+        "\n",
+    ),
     "exceptional-type upgrade pin": (
         "import fanobasket.search as search\n"
         "search.UPGRADES[1][3][8] = 4  # No.A-No.D: P_-8 = 3\n",
