@@ -65,8 +65,8 @@ def _normalize_pair(b: int, r: int) -> tuple[tuple[int, int], int]:
 Run = tuple[tuple[int, int], int]
 
 
-def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
-    """Canonical runs: every point once with its total count, sorted by (r, b)."""
+def _normalize_runs(runs: Iterable[Run]) -> dict[tuple[int, int], int]:
+    """Every canonical point once, with its total count."""
     counts: dict[tuple[int, int], int] = {}
     for (b, r), n in runs:
         if n < 0:
@@ -74,7 +74,12 @@ def _normalize_runs(runs: Iterable[Run]) -> tuple[Run, ...]:
         if n:
             point, k = _normalize_pair(b, r)
             counts[point] = counts.get(point, 0) + n * k
-    return tuple(sorted(counts.items(), key=lambda run: (run[0][1], run[0][0])))
+    return counts
+
+
+def _sorted_runs(counts: dict[tuple[int, int], int]) -> tuple[Run, ...]:
+    runs = [run for run in counts.items() if run[1]]  # zero counts drop out
+    return tuple(sorted(runs, key=lambda run: (run[0][1], run[0][0])))  # by (r, b)
 
 
 _TERM_RE = re.compile(r"(?:(\d+)x)?\((\d+),(\d+)\)")
@@ -94,15 +99,19 @@ class Basket:
     __slots__ = ("_runs", "_r_x", "_volume", "_table")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
-        self._runs = _normalize_runs((pair, 1) for pair in pairs)
+        self._runs = _sorted_runs(_normalize_runs((pair, 1) for pair in pairs)) if pairs else ()
         self._r_x, self._volume, self._table = None, None, (0, ())  # table: (p1, P_{-1}..)
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
-        """The basket holding n copies of every ((b, r), n); zero counts are
-        dropped and pairs normalize as in `Basket(pairs)`."""
+        """n copies of every ((b, r), n), normalized as in `Basket(pairs)`; zero counts dropped."""
+        return cls._from_canonical(_normalize_runs(runs))
+
+    @classmethod
+    def _from_canonical(cls, counts: dict[tuple[int, int], int]) -> "Basket":
+        """n copies of every (b, r): n in `counts`, trusted canonical; zero counts are dropped."""
         basket = cls()  # through __init__, so a hook on it sees every basket made
-        basket._runs = _normalize_runs(runs)
+        basket._runs = _sorted_runs(counts)
         return basket
 
     @staticmethod
@@ -171,13 +180,15 @@ class Basket:
         return f"Basket[{self.text() or 'empty'}]"
 
     def replace_pair_with(self, i: int, j: int, merged: tuple[int, int]) -> "Basket":
-        """New basket with one point of run i and one of run j != i replaced
-        by `merged`."""
+        """A new basket: one point of run i and one of run j != i become `merged`."""
         counts = dict(self._runs)
         for k in (i, j):
             counts[self._runs[k][0]] -= 1
-        counts[merged] = counts.get(merged, 0) + 1
-        return Basket.from_counts(counts.items())
+        if counts[self._runs[i][0]] < 0:
+            raise ValueError(f"run {i} holds one point, so it cannot give two")
+        point, k = _normalize_pair(*merged)  # the {(2,4)} convention: k copies
+        counts[point] = counts.get(point, 0) + k
+        return Basket._from_canonical(counts)
 
     # --- exact invariants --------------------------------------------------
 

@@ -97,16 +97,23 @@ def _split(b: int, r: int, n: int) -> tuple[Run, ...]:
 
 
 @lru_cache(maxsize=None)
-def _epsilon_point(b: int, r: int, prev: int, n: int) -> int:
-    # one copy's share of eps_n: Delta^n of its split at the stage before n, less its own
-    return sum(k * _delta_point(*pt, n) for pt, k in _split(b, r, prev)) - _delta_point(b, r, n)
+def _levels(b: int, r: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    # for n = 5..r, one copy's share of eps_n (Delta^n of its split at the level before n,
+    # 0 before 5, less its own Delta^n), and the levels where its split changes
+    steps = tuple(zip((0, *range(5, r)), range(5, r + 1)))
+    shares = tuple(sum(k * _delta_point(*pt, n) for pt, k in _split(b, r, prev))
+                   - _delta_point(b, r, n) for prev, n in steps)
+    return shares, frozenset(n for prev, n in steps if _split(b, r, n) != _split(b, r, prev))
 
 
 def unpack(basket: Basket, n: int) -> Basket:
     """The stage-n basket B^(n): split every point against S^(n)."""
     _valid_level(n)
-    splits = ((pt, k * count) for (b, r), count in basket.counts() for pt, k in _split(b, r, n))
-    return Basket.from_counts(splits)
+    counts: dict[tuple[int, int], int] = {}
+    for (b, r), count in basket.counts():
+        for pt, k in _split(b, r, n):
+            counts[pt] = counts.get(pt, 0) + k * count
+    return Basket._from_canonical(counts)  # the splits are canonical and checked
 
 
 class ChainStage(NamedTuple):
@@ -123,14 +130,16 @@ class CanonicalChain(NamedTuple):
 def canonical_chain(basket: Basket) -> CanonicalChain:
     """Stages n = 0, 5, 6, ..., r_max with eps_n = Delta^n(B^(n-1)) - Delta^n(B), a sum over
     points; a stage where no point splits anew reuses the basket of the stage before."""
+    eps, moves = [0] * (basket.r_max() + 1), set()
+    for (b, r), k in basket.counts():
+        shares, moved = _levels(b, r)
+        eps[5:r + 1] = [e + k * share for e, share in zip(eps[5:r + 1], shares)]
+        moves |= moved
     stages = [ChainStage(0, unpack(basket, 0), 0)]
     for n in range(5, basket.r_max() + 1):
-        prev = stages[-1]
-        eps = sum(k * _epsilon_point(b, r, prev.level, n) for (b, r), k in basket.counts())
-        if eps < 0:
-            raise ReplayContradiction(f"epsilon_{n} = {eps} < 0 for {basket.text()}")
-        same = all(_split(b, r, n) == _split(b, r, prev.level) for (b, r), _ in basket.counts())
-        stages.append(ChainStage(n, prev.basket if same else unpack(basket, n), eps))
+        if eps[n] < 0:
+            raise ReplayContradiction(f"epsilon_{n} = {eps[n]} < 0 for {basket.text()}")
+        stages.append(ChainStage(n, unpack(basket, n) if n in moves else stages[-1].basket, eps[n]))
     if stages[-1].basket != basket:
         raise ReplayContradiction(f"canonical chain ends at {stages[-1].basket.text()}")
     return CanonicalChain(basket, tuple(stages))

@@ -68,6 +68,24 @@ def test_runs_are_the_stored_form():
         Basket.from_counts([((1, 2), -1)])
 
 
+def test_replace_pair_with_normalizes_only_the_merged_pair():
+    # the held runs are trusted; the merged pair reflects and splits by its gcd
+    basket = B("(1,2),2x(1,3),(2,5),3x(3,7)")
+    runs = basket.counts()
+    for i in range(len(runs)):
+        for j in range(i + 1, len(runs)):
+            rest = [(pt, n - (k in (i, j))) for k, (pt, n) in enumerate(runs)]
+            for merged in ((3, 5), (2, 4)):
+                want = Basket.from_counts([*rest, (merged, 1)])
+                got = basket.replace_pair_with(i, j, merged)
+                assert got == want and got.counts() == want.counts(), (i, j, merged)
+    assert basket.replace_pair_with(1, 1, (2, 6)) == B("(1,2),(2,5),3x(3,7),2x(1,3)")
+    with pytest.raises(ValueError):
+        basket.replace_pair_with(0, 0, (2, 4))  # run 0 holds one (1,2)
+    with pytest.raises(ValueError):
+        basket.replace_pair_with(0, 1, (2, 2))
+
+
 def test_order_is_that_of_the_expanded_points():
     pool = [(1, 2), (1, 3), (2, 5), (1, 4), (3, 7), (2, 7), (1, 5), (3, 8)]
     rng = random.Random(41)

@@ -19,6 +19,7 @@ from fanobasket.canonical import (
     unpack,
 )
 from fanobasket.reports import ReplayContradiction
+from fanobasket.search import p1_zero_family
 from oracles import (
     brute_prime_packings, epsilon_n, general_packings, neighbours, sigma_prime, unpack_reference,
 )
@@ -138,6 +139,47 @@ def test_chain_matches_unpack_and_epsilon_on_wide_baskets():
         assert chain.stages[-1].basket == basket
 
 
+def test_chain_edge_cases_match_the_oracle():
+    # every canonical point alone and thrice, every basket with r_max <= 4 (the
+    # empty one too, where no stage follows stage 0), and a second wide seed
+    points = [(b, r) for r in range(2, 25) for b in range(1, r // 2 + 1) if gcd(b, r) == 1]
+    low = [Basket.from_counts(zip([(1, 2), (1, 3), (1, 4)], counts))
+           for counts in itertools.product(range(3), repeat=3)]
+    assert Basket() in low and max(b.r_max() for b in low) == 4
+    singles = [Basket.from_counts([(pt, k)]) for pt in points for k in (1, 3)]
+    for basket in singles + low + list(wide_baskets(43, 60)):
+        assert [tuple(s) for s in canonical_chain(basket).stages] == oracle_chain(basket), basket
+    assert len(points) == 90
+
+
+def assert_trusted(basket):
+    """Runs built without normalising again: as `from_counts` would give them,
+    strictly increasing by (r, b), canonical coprime points, positive counts."""
+    runs = basket.counts()
+    assert runs == Basket.from_counts(runs).counts(), basket
+    keys = [(r, b) for (b, r), _ in runs]
+    assert keys == sorted(set(keys)), basket
+    assert all(n > 0 and 2 * b <= r and gcd(b, r) == 1 for (b, r), n in runs), basket
+
+
+def test_unpacked_and_packed_baskets_are_canonical():
+    # `unpack` and `replace_pair_with` hand canonical points to the trusted
+    # constructor; check every basket they build here against `from_counts`
+    wide = list(wide_baskets(43, 60))
+    for basket in wide:
+        for n in (0, *range(5, basket.r_max() + 1)):
+            assert_trusted(unpack(basket, n))
+    built = []
+    for basket in wide:  # three packings down at most, a monotone prune
+        near = lambda bb, size=len(basket): len(bb) >= size - 3
+        built += prime_packings(basket) + dominated_baskets(basket, prune=near)
+    for row in p1_zero_family():
+        built += prime_packings(row.wb.basket) + dominated_baskets(row.wb.basket)
+    assert len(built) > 9000
+    for packed in built:
+        assert_trusted(packed)
+
+
 def test_a_memo_keeps_no_failure(monkeypatch):
     # a split whose neighbours are not adjacent faults, every time: the memo
     # stores no exception, so the real neighbours answer once the patch is gone
@@ -148,7 +190,7 @@ def test_a_memo_keeps_no_failure(monkeypatch):
         near = real(b, r, n)
         return ((1, 2), (1, 5)) if (b, r) == (5, 23) and near is not None else near
 
-    for memo in (canonical._split, canonical._epsilon_point):
+    for memo in (canonical._split, canonical._levels):
         memo.cache_clear()  # so no earlier call has seen (5, 23)
     monkeypatch.setattr(canonical, "_neighbours", skewed)
     for _ in range(2):
