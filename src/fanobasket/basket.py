@@ -254,7 +254,6 @@ def _residues(b: int, r: int) -> tuple[int, ...]:
     return tuple(u * (r - u) for u in (j * b % r for j in range(r)))
 
 
-@lru_cache(maxsize=None)
 def _delta_point(b: int, r: int, m: int) -> int:
     # Delta^m of one point: (w_(m mod r) - bm (r - bm)) / 2r, an integer
     bm = b * m

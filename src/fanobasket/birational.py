@@ -307,13 +307,13 @@ def _capped_leaf(
     leaf: partial, name: str, rmaxes: range, cap: int, t: int, m1: int, m0: int,
     variant: str, checks: list[str], axioms: list[str], nu0: Optional[int] = None,
     forced: tuple[int, ...] = (), isolated: tuple[int, ...] = (),
-) -> None:
+) -> dict[int, str]:
     """A growth leaf whose r_X is capped by the 24-budget: with largest local
     index r in `rmaxes` and every `forced` index among the local indices,
     every attainable r_X is at most `cap` or one of the `isolated` indices,
-    which other leaves take, and the largest of these is attained.  The -K^3
-    floor is 1/cap, as r_X(-K^3) is a positive integer, or 1/330 when that
-    is larger."""
+    and the largest is attained.  The -K^3 floor is 1/cap, as r_X(-K^3) is a
+    positive integer, or 1/330 when larger.  Returns each isolated index
+    mapped to `name`, for other steps of the case to settle."""
     values = {v for r in rmaxes for v in attainable_indices(r, must_contain=forced)}
     extra = sorted(v for v in values if v > cap and v not in isolated)
     top = max((cap, *isolated))
@@ -324,6 +324,14 @@ def _capped_leaf(
         (Fraction(1, cap), AX_RX_VOL_INT) if cap < 330 else (Fraction(1, 330), AX_CC_VOL))
     _growth_leaf(leaf, name, (cap, vol_floor, rmaxes[-1]), t, m1, m0, variant, checks,
                  [*axioms, axiom], nu0)
+    return dict.fromkeys(isolated, name)
+
+
+def _require_settled(case: str, excused: dict[int, str], settled: set[int]) -> None:
+    """Case `case` of Weak97 settles exactly the indices its capped leaves excuse."""
+    loose = "".join(f"leaf {name} excuses rX = {i}, which no step settles; "
+                    for i, name in sorted(excused.items()) if i not in settled)
+    require(settled == excused.keys(), f"Weak97 {case}: {loose}the steps settle {sorted(settled)}")
 
 
 # the explicit p1 = 0 baskets of Weak97 case IV, by Gorenstein index:
@@ -422,10 +430,10 @@ def _replay_weak_97() -> ReplayReport:
                  ["brute-force rX <= 24; -K^3 >= 1/24; t = 2"], [AX_CC_P8])
 
     # case III: rmax < 14 and P_-1 > 0 (nu0 = 1)
-    _capped_leaf(leaf, "III: rmax<=12, rX<=660", range(2, 13), 660, 15, 65, 8, "iii",
-                 ["t = 15"], [AX_CC_P8], nu0=1, isolated=(840,))
-    _capped_leaf(leaf, "III: rmax=13", range(13, 14), 546, 10, 61, 8, "iii",
-                 ["brute-force rX <= 546; t = 10"], [AX_CC_P8], nu0=1)
+    excused = _capped_leaf(leaf, "III: rmax<=12, rX<=660", range(2, 13), 660, 15, 65, 8, "iii",
+                           ["t = 15"], [AX_CC_P8], nu0=1, isolated=(840,))
+    excused |= _capped_leaf(leaf, "III: rmax=13", range(13, 14), 546, 10, 61, 8, "iii",
+                            ["brute-force rX <= 546; t = 10"], [AX_CC_P8], nu0=1)
     # rX = 840, the largest index, forces rmax = 8; the growth regime applies from 71
     top, witnesses, _ = max_index_report()
     sets840 = sorted(witnesses)
@@ -436,6 +444,7 @@ def _replay_weak_97() -> ReplayReport:
     leaf("III: rX=840", BirationalityInputs(8, 71, Fraction(8), rmax=8, nu0=1), "iii",
          [f"growth regime verified on {sweep} volume-positive baskets, m in 71..{L840_HORIZON}"],
          [AX_CC_P8, AX_CC_VOL])
+    _require_settled("III", excused, {top})
 
     # case IV: rmax < 14, P_-1 = 0 < P_-2 (nu0 = 2, m0 = 6)
     nine = [row.wb for row in survivors if row.p[2] >= 1 and row.p[3] == 0 and row.p[4] == 1]
@@ -455,25 +464,27 @@ def _replay_weak_97() -> ReplayReport:
                 for v in attainable_indices(r, must_contain=(2,))),
             "Weak97 IV: with rmax <= 8, rX divides 840")
     _dead_index(report, 840, 8, "(1,3),(2,5),(3,7),(3,8)", "IV: rmax<=8")
-    capped("IV: rmax<=8, rX<=420", range(2, 9), 420, 20, 54, variant="iii",
-           checks=["rX | 840 and rX < 840; t = 20"], isolated=(840,))
+    excused = capped("IV: rmax<=8, rX<=420", range(2, 9), 420, 20, 54, variant="iii",
+                     checks=["rX | 840 and rX < 840; t = 20"], isolated=(840,))
 
-    capped("IV: rmax=9, rX<=360", range(9, 10), 360, 12, 50, variant="iii",
-           checks=["t = 12"], isolated=(630,))
+    excused |= capped("IV: rmax=9, rX<=360", range(9, 10), 360, 12, 50, variant="iii",
+                      checks=["t = 12"], isolated=(630,))
     _explicit_basket(report, leaf, 630)
 
-    capped("IV: rmax=10", range(10, 11), 210, 10, 39, variant="ii", checks=["t = 10"])
+    excused |= capped("IV: rmax=10", range(10, 11), 210, 10, 39, variant="ii", checks=["t = 10"])
 
-    capped("IV: rmax=11, rX<=330", range(11, 12), 330, 13, 48, variant="ii",
-           checks=["t = 13"], isolated=(660, 462))
+    excused |= capped("IV: rmax=11, rX<=330", range(11, 12), 330, 13, 48, variant="ii",
+                      checks=["t = 13"], isolated=(660, 462))
     _dead_index(report, 660, 11, "(1,2),(1,3),(1,4),(2,5),(5,11)", "IV: rmax=11")
     _explicit_basket(report, leaf, 462)
 
-    capped("IV: rmax=12", range(12, 13), 84, 5, 37, variant="ii", checks=["t = 5"])
+    excused |= capped("IV: rmax=12", range(12, 13), 84, 5, 37, variant="ii", checks=["t = 5"])
 
-    capped("IV: rmax=13, rX<=390", range(13, 14), 390, 12, 52, variant="ii",
-           checks=["t = 12"], isolated=(546,))
+    excused |= capped("IV: rmax=13, rX<=390", range(13, 14), 390, 12, 52, variant="ii",
+                      checks=["t = 12"], isolated=(546,))
     _explicit_basket(report, leaf, 546)
+    rows = report.survivors + report.eliminated  # only case IV's steps add rows
+    _require_settled("IV", excused, {row.wb.gorenstein_index() for row in rows})
 
     report.coverage = [
         "P_-2 = 0 | rmax >= 14 | (rmax <= 13, P_-1 >= 1) |"

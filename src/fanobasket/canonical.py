@@ -27,23 +27,14 @@ def _valid_level(n: int) -> None:
         raise ValueError(f"fraction-set level must be 0 or >= 5, got {n}")
 
 
-class FractionSet(NamedTuple):
-    """A finite truncation of S^(n), sorted in decreasing order.  Adjacent
-    members q_i/p_i > q_{i+1}/p_{i+1} satisfy q_i p_{i+1} - p_i q_{i+1} = 1;
-    `s_set` checks it.  The tests' reference S^(n): `unpack` finds
-    neighbours from integers alone."""
-
-    level: int
-    fractions: tuple[Fraction, ...]
-
-
-def s_set(n: int, cap: int) -> FractionSet:
-    """The truncation of S^(n) with denominators up to `cap`.
+def s_set(n: int, cap: int) -> tuple[Fraction, ...]:
+    """The truncation of S^(n) with denominators up to `cap`, largest first.
 
     S^(0) holds 1/k for k >= 2; for n >= 5 every reduced b/m with
-    0 < b < m/2 and m <= n joins.  The truncation suffices to unpack any
+    0 < b < m/2 and m <= n joins; adjacent members q/p > q'/p' satisfy
+    q p' - p q' = 1, which is checked.  The truncation suffices to unpack any
     basket whose local indices are <= cap, since neighbours of b/r always
-    have denominator < r.  Kept as the tests' reference; `unpack` never builds it.
+    have denominator < r.  The tests' reference; `unpack` never builds it.
     """
     _valid_level(n)
     if cap < 2:
@@ -58,7 +49,7 @@ def s_set(n: int, cap: int) -> FractionSet:
         det = hi.numerator * lo.denominator - hi.denominator * lo.numerator
         if det != 1:
             raise ValueError(f"neighbour determinant {det} != 1 between {hi} and {lo}")
-    return FractionSet(n, fractions)
+    return fractions
 
 
 def _neighbours(b: int, r: int, n: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -123,7 +114,6 @@ class ChainStage(NamedTuple):
 
 
 class CanonicalChain(NamedTuple):
-    base: Basket
     stages: tuple[ChainStage, ...]
 
 
@@ -142,7 +132,7 @@ def canonical_chain(basket: Basket) -> CanonicalChain:
         stages.append(ChainStage(n, unpack(basket, n) if n in moves else stages[-1].basket, eps[n]))
     if stages[-1].basket != basket:
         raise ReplayContradiction(f"canonical chain ends at {stages[-1].basket.text()}")
-    return CanonicalChain(basket, tuple(stages))
+    return CanonicalChain(tuple(stages))
 
 
 def prime_packings(basket: Basket) -> list[Basket]:

@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterator, Optional
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
-from fanobasket.canonical import FractionSet, s_set
+from fanobasket.canonical import s_set
 from fanobasket.recovery import BUDGET, cost
 from fanobasket.reports import ReplayContradiction
 from fanobasket.search import ConstraintSet, _values
@@ -162,11 +162,11 @@ def general_packings(basket):
     return _brute_packings(basket, lambda b1, r1, b2, r2: gcd(b1 + b2, r1 + r2) == 1)
 
 
-def neighbours(sset: FractionSet, frac: Fraction) -> tuple[Fraction, Fraction]:
-    """(upper, lower) adjacent members of S^(n) around a non-member fraction,
-    by bisection of the decreasing list; oracle for `canonical._neighbours`."""
-    lo, hi = 0, len(sset.fractions) - 1
-    fr = sset.fractions
+def neighbours(fr: tuple[Fraction, ...], frac: Fraction) -> tuple[Fraction, Fraction]:
+    """(upper, lower) adjacent members of a truncated S^(n) (`s_set`) around a
+    non-member fraction, by bisection of the decreasing tuple; oracle for
+    `canonical._neighbours`."""
+    lo, hi = 0, len(fr) - 1
     # descending list: find the last index with fr[i] > frac
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -176,7 +176,7 @@ def neighbours(sset: FractionSet, frac: Fraction) -> tuple[Fraction, Fraction]:
             hi = mid - 1
     upper = fr[lo]
     if lo + 1 >= len(fr):
-        raise ValueError(f"{frac} below the truncation tail of S^({sset.level})")
+        raise ValueError(f"{frac} below the truncation tail {fr[-1]}")
     return upper, fr[lo + 1]
 
 
@@ -189,7 +189,7 @@ def unpack_reference(basket: Basket, n: int) -> Basket:
     upper one: both counts are positive and the pairs sum to (b, r).
     """
     sset = s_set(n, max(basket.r_max(), 2))
-    members = set(sset.fractions)
+    members = set(sset)
     runs = []
     for (b, r), count in basket.counts():
         frac = Fraction(b, r)

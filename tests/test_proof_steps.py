@@ -66,6 +66,29 @@ FAULTS = {
         "contradiction: Weak97 IV: rmax=10: rX is at most 210 or one of [], not [300]",
         "; largest 300, expected 210\n",
     ),
+    # an index a capped leaf excuses must be settled by a step of its own case:
+    # skipping the dead 660 leaves it open, and case III's 840 leaf does not
+    # settle case IV's dead 840
+    "Weak97 dead 660 skipped": (
+        "import fanobasket.birational as birational\n"
+        "dead = birational._dead_index\n"
+        "birational._dead_index = lambda report, index, *rest: (\n"
+        "    None if index == 660 else dead(report, index, *rest))\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 IV: leaf IV: rmax=11, rX<=330 excuses rX = 660,"
+        " which no step settles; ",
+        "the steps settle [462, 546, 630, 840]\n",
+    ),
+    "Weak97 IV dead 840 skipped": (
+        "import fanobasket.birational as birational\n"
+        "dead = birational._dead_index\n"
+        "birational._dead_index = lambda report, index, *rest: (\n"
+        "    None if index == 840 else dead(report, index, *rest))\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 IV: leaf IV: rmax<=8, rX<=420 excuses rX = 840,"
+        " which no step settles; ",
+        "the steps settle [462, 546, 630, 660]\n",
+    ),
     # case I reads its bounds off the weak P_-1 = P_-2 = 0 family, which must
     # be the table's rows
     "Weak97 I weak family": (

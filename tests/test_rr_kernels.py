@@ -216,8 +216,8 @@ def test_a_corrupted_residue_table_faults_under_optimize():
 
 
 def test_the_delta_memo_and_the_chain_fault_under_optimize():
-    # replays are proofs: the per-point Delta memo, and the chain's eps_n read
-    # through it, keep their divisibility raise when asserts are off
+    # replays are proofs: per-point Delta, and the chain's eps_n summed from it
+    # inside the `_levels` memo, keep their divisibility raise when asserts are off
     out = faults_under_optimize(
         "(lambda: basket._delta_point(2, 5, 3), lambda: canonical.canonical_chain(wb.basket))")
     assert out == "1 IntegralityFault IntegralityFault\n"
@@ -247,8 +247,8 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
 
 
 def clear_residue_memos():
-    """Empty the memos that read `basket._residues` through its module binding."""
-    basket_module._delta_point.cache_clear()
+    """Empty the basket module's memo that reads `basket._residues` through its
+    module binding."""
     basket_module._l_point_table.cache_clear()
 
 
