@@ -13,7 +13,7 @@ from fanobasket.pencil import (
     k1_condition,
     k2_thresholds,
     non_pencil_threshold,
-    thm1_threshold,
+    thm1_threshold_from_bounds,
 )
 
 print("local criterion at degree m = 3:")
@@ -31,4 +31,5 @@ print(f"growth criterion first fires at m = {scan.first_not_pencil}: "
 print(f"at m = 61: {scan.verdicts[60].witness}")
 
 print("\nuniform growth threshold with t = 8 on the same basket:",
-      thm1_threshold(wb, Fraction(8)))
+      thm1_threshold_from_bounds(wb.gorenstein_index(), wb.volume(), wb.basket.r_max(),
+                                 Fraction(8)))

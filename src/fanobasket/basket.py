@@ -347,9 +347,6 @@ class PlurigenusSequence(Record):
     def __len__(self) -> int:
         return len(self.values)
 
-    def has(self, m: int) -> bool:
-        return 1 <= m <= len(self.values)
-
     def multiples_of(self, m: int) -> list[int]:
         """P_{-m}, P_{-2m}, ... as far as materialized."""
         return [self.values[k - 1] for k in range(m, len(self.values) + 1, m)]

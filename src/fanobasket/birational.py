@@ -54,16 +54,10 @@ class BirationalityInputs(Record):
         self.nu0, self.mu0_provenance = nu0, mu0_provenance
 
 
-def a_of_m0(m0: int) -> int:
-    if m0 < 1:
-        raise ValueError("m0 must be >= 1")
-    return 6 if m0 >= 2 else 1
-
-
 def thm_main_threshold(inp: BirationalityInputs, variant: str) -> int:
     """Exact integer threshold for the requested variant."""
     mu0 = Fraction(inp.mu0_upper)
-    base = inp.m0 + inp.m1 + a_of_m0(inp.m0)
+    base = inp.m0 + inp.m1 + (6 if inp.m0 >= 2 else 1)  # a(m0)
     if variant == "i":
         return max(base, floor(3 * mu0) + 3 * inp.m1)
     if variant == "ii":

@@ -91,10 +91,11 @@ def _split(b: int, r: int, n: int) -> tuple[Run, ...]:
 def _levels(b: int, r: int) -> tuple[tuple[int, ...], frozenset[int]]:
     # for n = 5..r, one copy's share of eps_n (Delta^n of its split at the level before n,
     # 0 before 5, less its own Delta^n), and the levels where its split changes
-    steps = tuple(zip((0, *range(5, r)), range(5, r + 1)))
-    shares = tuple(sum(k * _delta_point(*pt, n) for pt, k in _split(b, r, prev))
-                   - _delta_point(b, r, n) for prev, n in steps)
-    return shares, frozenset(n for prev, n in steps if _split(b, r, n) != _split(b, r, prev))
+    splits = [_split(b, r, n) for n in (0, *range(5, r + 1))]
+    steps = tuple(zip(range(5, r + 1), splits, splits[1:]))  # (n, split before n, split at n)
+    shares = tuple(sum(k * _delta_point(*pt, n) for pt, k in before) - _delta_point(b, r, n)
+                   for n, before, _ in steps)
+    return shares, frozenset(n for n, before, after in steps if after != before)
 
 
 def unpack(basket: Basket, n: int) -> Basket:

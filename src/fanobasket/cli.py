@@ -20,7 +20,7 @@ from typing import Optional
 from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
-from .pencil import non_pencil_threshold, thm1_threshold
+from .pencil import non_pencil_threshold, thm1_threshold_from_bounds
 from .reports import ReplayContradiction, require
 from .search import ConstraintSet, enumerate_geometric, replay_delta1
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
@@ -181,7 +181,7 @@ def cmd_pencil(args) -> int:
     wb = _wb_from_args(args)
     t = _parse_fraction("--t", args.t)
     scan = non_pencil_threshold(wb, _bounded("--horizon", args.horizon))
-    star = thm1_threshold(wb, t)
+    star = thm1_threshold_from_bounds(wb.gorenstein_index(), wb.volume(), wb.basket.r_max(), t)
     if args.json:
         payload = {
             "basket": wb.basket.text(),

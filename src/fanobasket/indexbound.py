@@ -76,15 +76,10 @@ def max_index_given_rmax(r_max: int) -> int:
     return max(lcm(*subset) for subset in _raw_subsets(r_max))
 
 
-def attainable_indices(
-    r_max: int, must_contain: tuple[int, ...] = ()
-) -> dict[int, tuple[int, ...]]:
+def attainable_indices(r_max: int, must_contain: tuple[int, ...] = ()) -> tuple[int, ...]:
     """Every attainable lcm value (largest entry r_max, every `must_contain`
-    value present), with its lexicographically first witness."""
-    out: dict[int, tuple[int, ...]] = {}
-    for subset in _raw_subsets(r_max, must_contain):
-        out.setdefault(lcm(*subset), subset)
-    return dict(sorted(out.items()))
+    value present), ascending."""
+    return tuple(sorted({lcm(*subset) for subset in _raw_subsets(r_max, must_contain)}))
 
 
 def admissible_index_sets_with_lcm(target: int, r_max: int) -> list[tuple[int, ...]]:

@@ -126,22 +126,13 @@ def non_pencil_threshold(wb: WeightedBasket, horizon: int) -> PencilScan:
     return PencilScan(verdicts, first, seq, bounds)
 
 
-def thm1_threshold(wb: WeightedBasket, t: Fraction) -> int:
-    """Least m with m >= 37, m >= r_max t / 3 and m^2 >= 6 r_X + 12/(t (-K^3)).
+def thm1_threshold_from_bounds(r_x: int, vol_lower: Fraction, r_max: int, t: Fraction) -> int:
+    """Least m with m >= 37, m >= r_max t / 3 and m^2 >= 6 r_X + 12/(t (-K^3)),
+    on one basket's r_X, -K^3 and r_max or on case-wide caps of them (an
+    upper bound on r_X and r_max, a lower bound on -K^3).
 
     Beyond the threshold the anti-plurigenus satisfies
     P_{-m} >= r_X (-K^3) m + 2, hence |-mK| is not composed with a pencil.
-    """
-    return thm1_threshold_from_bounds(
-        wb.gorenstein_index(), wb.volume(), wb.basket.r_max(), t
-    )
-
-
-def thm1_threshold_from_bounds(
-    r_x: int, vol_lower: Fraction, r_max: int, t: Fraction
-) -> int:
-    """`thm1_threshold` evaluated on case-wide caps instead of one basket.
-
     With q = 6 r_X + 12/(t (-K^3)), m^2 >= q holds iff m^2 >= ceil(q), so the
     least such m is isqrt(ceil(q) - 1) + 1; that needs q > 0, hence r_X >= 1.
     """

@@ -103,7 +103,7 @@ class RecoveredData(NamedTuple):
 
 def stage0_head(p: PlurigenusSequence, sigma5: int) -> tuple[int, int, int]:
     """(n_{1,2}, n_{1,3}, n_{1,4}) of the stage-0 basket."""
-    if not p.has(4):
+    if len(p) < 4:
         raise ValueError("recovery needs P_{-1}..P_{-4}")
     p1, p2, p3, p4 = (p[m] for m in range(1, 5))
     return (5 - 6 * p1 + 4 * p2 - p3, 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4,
@@ -120,7 +120,7 @@ def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData,
         raise ValueError("tail counts must be non-negative")
     s5 = sum(tail.values())
     n12, n13, n14 = stage0_head(p, s5)
-    p1, p2, p3, p4, p5, p6, p7, p8 = (p[m] if p.has(m) else None for m in range(1, 9))
+    p1, p2, p3, p4, p5, p6, p7, p8 = (p[m] if m <= len(p) else None for m in range(1, 9))
     sigma = 10 - 5 * p1 + p2
     if sigma < 0:
         return Infeasible("sigma >= 0", sigma)

@@ -34,11 +34,25 @@ def weighted_basket_from_json(data: dict) -> WeightedBasket:
 
 
 def plurigenera_closed_form(wb: WeightedBasket, upto: int) -> tuple[int, ...]:
-    """P_-1 .. P_-upto by the closed Riemann-Roch form, one degree at a time,
-    on a freshly built copy of the basket, so no table a basket keeps is read;
-    oracle for `WeightedBasket.plurigenera`."""
-    fresh = WeightedBasket(Basket.from_counts(wb.basket.counts()), wb.p1)
-    return tuple(fresh.anti_plurigenus(m) for m in range(1, upto + 1))
+    """P_-1 .. P_-upto by the closed Riemann-Roch form, stated here in
+    Fractions and reading no kernel or table of the package:
+
+        P_-m = m(m+1)(2m+1)/12 (-K^3) + (2m+1) - l(-m),
+        -K^3 = 2 p1 + sigma - sigma' - 6,
+        l(-m) = sum over the points of sum_{j=1..m} F(jb),
+
+    with F(x) = x̄ (r - x̄) / (2r), x̄ = x mod r.  Oracle for
+    `WeightedBasket.plurigenera` and `WeightedBasket.anti_plurigenus`."""
+    runs = wb.basket.counts()
+    volume = 2 * wb.p1 + sum(n * b for (b, _), n in runs) - sigma_prime(wb.basket) - 6
+    values, l_neg = [], Fraction(0)
+    for m in range(1, upto + 1):
+        l_neg += sum(Fraction(n * (m * b % r) * (r - m * b % r), 2 * r) for (b, r), n in runs)
+        value = Fraction(m * (m + 1) * (2 * m + 1), 12) * volume + 2 * m + 1 - l_neg
+        if value.denominator != 1:
+            raise ValueError(f"P_-{m} of {wb.text()} is {value}, not an integer")
+        values.append(value.numerator)
+    return tuple(values)
 
 
 def local_correction_unreduced(b: int, r: int, t: int) -> Fraction:

@@ -17,7 +17,6 @@ from fanobasket.birational import (
     _explicit_basket,
     _leaf,
     _residue_baskets,
-    a_of_m0,
     replay_birationality,
     thm_main_threshold,
 )
@@ -62,11 +61,13 @@ def _zero_p1_baskets(index: int, rmax: int) -> list[WeightedBasket]:
 
 
 def test_a_of_m0():
-    assert a_of_m0(1) == 1
-    assert a_of_m0(2) == 6
-    assert a_of_m0(8) == 6
+    # a(1) = 1 and a(m0) = 6 for m0 >= 2, read where the base term m0 + m1 + a(m0)
+    # of variant i binds: floor(3 mu0) + 3 m1 is 3, 6 and 15 at mu0 = 1/4
+    for m0, expected in ((1, 3), (2, 10), (5, 16)):
+        inputs = BirationalityInputs(m0, m0, Fraction(1, 4))
+        assert thm_main_threshold(inputs, "i") == expected
     with pytest.raises(ValueError):
-        a_of_m0(0)
+        BirationalityInputs(0, 1, Fraction(1, 4))
 
 
 def test_inputs_reject_a_nonpositive_rmax_or_nu0():

@@ -15,7 +15,6 @@ from fanobasket.pencil import (
     k1_condition,
     k2_thresholds,
     non_pencil_threshold,
-    thm1_threshold,
     thm1_threshold_from_bounds,
     thm2_check_840,
 )
@@ -113,7 +112,7 @@ def test_thm1_threshold_examples():
     no2 = WeightedBasket(B("5x(1,2),2x(1,3),(2,7),(1,4)"), 0)
     assert no2.gorenstein_index() == 84 and no2.volume() == F(1, 84)
     # max(37, ceil(56/3)=19, ceil(sqrt(504 + 126))=26)
-    assert thm1_threshold(no2, F(8)) == 37
+    assert thm1_threshold_from_bounds(84, no2.volume(), no2.basket.r_max(), F(8)) == 37
 
     # case-wide caps reproduce the published case-I choice
     assert thm1_threshold_from_bounds(210, F(1, 84), 14, F(8)) == 38
@@ -122,7 +121,7 @@ def test_thm1_threshold_examples():
     assert thm1_threshold_from_bounds(840, F(47, 840), 24, F(37)) == 296
 
     with pytest.raises(ValueError):
-        thm1_threshold(no2, F(38))
+        thm1_threshold_from_bounds(84, no2.volume(), no2.basket.r_max(), F(38))
 
 
 def test_thm1_soundness_on_admissible_sample():
@@ -136,7 +135,8 @@ def test_thm1_soundness_on_admissible_sample():
     ]
     for text, p1 in cases:
         wb = WeightedBasket(B(text), p1)
-        star = thm1_threshold(wb, F(8))
+        star = thm1_threshold_from_bounds(wb.gorenstein_index(), wb.volume(), wb.basket.r_max(),
+                                          F(8))
         vol, r_x = wb.volume(), wb.gorenstein_index()
         seq = wb.plurigenera(star + 30)
         for m in range(star, star + 31):
@@ -214,7 +214,8 @@ def test_thm1_soundness_random_admissible_sweep():
         wb = WeightedBasket(basket, rng.randint(0, 10))
         if wb.volume() <= 0:
             continue
-        star = thm1_threshold(wb, F(8))
+        star = thm1_threshold_from_bounds(wb.gorenstein_index(), wb.volume(), wb.basket.r_max(),
+                                          F(8))
         vol, r_x = wb.volume(), wb.gorenstein_index()
         seq = wb.plurigenera(star + 30)
         for m in range(star, star + 31):

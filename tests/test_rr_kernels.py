@@ -4,8 +4,9 @@ The references are the forms the kernels replaced: the Delta-based increment
 recursion for the plurigenera, sums of `local_correction_unreduced` (in
 `tests/oracles.py`) for l(-n), gamma as a `Fraction`, and the index-840
 growth check compared in `Fraction`s.  The P_-m table a basket keeps at
-its own weight is held against the closed form on a fresh basket
-(`plurigenera_closed_form`, also in `tests/oracles.py`).
+its own weight, and the package's closed form `anti_plurigenus`, are held
+against the closed form as `plurigenera_closed_form` (also in
+`tests/oracles.py`) states it, reading no residue table of the package.
 """
 
 import os
@@ -182,6 +183,14 @@ def test_closed_form_matches_the_recursion():
             assert wb.anti_plurigenus(m) == seq[m]
 
 
+def test_closed_form_matches_the_oracle():
+    # the package's closed form shares its residue tables with the recursion;
+    # the oracle states Riemann-Roch without them
+    for wb in seeded_baskets(13, 30):
+        expected = plurigenera_closed_form(wb, 120)
+        assert [wb.anti_plurigenus(m) for m in range(1, 121)] == list(expected), wb.text()
+
+
 def faults_under_optimize(calls: str) -> str:
     """Run `calls`, a tuple of lambdas over `basket`, `canonical` and `wb`,
     under `python -O` with every residue table off by one; print the flag and
@@ -246,22 +255,14 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
                     assert owner._table[0] == p1
 
 
-def clear_residue_memos():
-    """Empty the basket module's memo that reads `basket._residues` through its
-    module binding."""
-    basket_module._l_point_table.cache_clear()
-
-
 def test_a_faulting_recursion_keeps_nothing(monkeypatch):
     real = basket_module._residues
-    clear_residue_memos()
     monkeypatch.setattr(basket_module, "_residues", lambda b, r: tuple(w + 1 for w in real(b, r)))
     wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
     for _ in range(2):
         with pytest.raises(IntegralityFault):
             wb.plurigenera(10)
     monkeypatch.undo()
-    clear_residue_memos()
     assert wb.plurigenera(10).values == plurigenera_closed_form(wb, 10)
 
 
