@@ -36,20 +36,22 @@ def g_min(b: int, r: int, m: int) -> Fraction:
     so the minimum sits on the end-point set {nr - jb}; it suffices to
     scan x = -jb for j = 0..(m mod r).  Scaled by 2r, G(-jb) slides a window
     of the residue table w_i = u(r - u), u = ib mod r, from i = 0..l to
-    -j..l-j; w_{-i} = w_i.  Memoised per (b, r, m mod r); the first call per
-    (b, r) caches the whole r-entry table, O(r) time and memory even for a
-    small l.  This package calls it only on baskets with r <= 24.
+    -j..l-j; w_{-i} = w_i.  The memo `_g_min_residue` holds the integer
+    2r min G keyed by (b, r, m mod r); `k1_all_points` reads its sign, and
+    only this function builds a Fraction.  The first call per (b, r) caches
+    the whole r-entry residue table, O(r) time and memory even for a small
+    l.  This package calls it only on baskets with r <= 24.
     """
     if r < 2 or m < 1 or gcd(b, r) != 1 or not 0 < 2 * b <= r:
         raise ValueError(f"need canonical (b, r) and m >= 1, got ({b},{r}), m={m}")
-    return _g_min_residue(b, r, m % r)
+    return Fraction(_g_min_residue(b, r, m % r), 2 * r)
 
 
 @lru_cache(maxsize=None)
-def _g_min_residue(b: int, r: int, l: int) -> Fraction:
+def _g_min_residue(b: int, r: int, l: int) -> int:
     w = _residues(b, r)
     window = (w[j] - w[l + 1 - j] for j in range(1, l + 1))
-    return Fraction(min(accumulate(window, initial=0)), 2 * r)
+    return min(accumulate(window, initial=0))
 
 
 def k1_condition(point: tuple[int, int], m: int) -> bool:
@@ -59,7 +61,11 @@ def k1_condition(point: tuple[int, int], m: int) -> bool:
 
 
 def k1_all_points(basket: Basket, m: int) -> bool:
-    return all(k1_condition(pt, m) for pt, _ in basket.counts())
+    """`k1_condition` at every point; a `Basket` holds canonical points only."""
+    runs = basket.counts()
+    if runs and m < 1:
+        g_min(*runs[0][0], m)  # raises g_min's ValueError
+    return all(_g_min_residue(b, r, m % r) >= 0 for (b, r), _ in runs)
 
 
 class K2Thresholds(NamedTuple):
@@ -113,14 +119,14 @@ def growth_bounds(wb: WeightedBasket, upto: int) -> list[int]:
 
 def non_pencil_threshold(wb: WeightedBasket, horizon: int) -> PencilScan:
     """Per-degree verdicts of P_{-m} > r_X (-K^3) m + 1, exact."""
-    if wb.volume() <= 0:
+    if wb._scaled_volume() <= 0:  # L (-K^3), of the volume's sign since L >= 1
         raise ValueError("the growth criterion needs positive volume")
     seq = wb.plurigenera(horizon)
     bounds = growth_bounds(wb, horizon)
     verdicts = tuple(
-        PencilVerdict(m, NOT_PENCIL, f"P_-{m} = {seq[m]} > {bounds[m]}")
-        if seq[m] > bounds[m] else PencilVerdict(m, POSSIBLY_PENCIL)
-        for m in range(1, horizon + 1)
+        PencilVerdict(m, NOT_PENCIL, f"P_-{m} = {p} > {bound}")
+        if p > bound else PencilVerdict(m, POSSIBLY_PENCIL)
+        for m, p, bound in zip(range(1, horizon + 1), seq.values, bounds[1:])
     )
     first = next((v.m for v in verdicts if v.verdict == NOT_PENCIL), None)
     return PencilScan(verdicts, first, seq, bounds)

@@ -1,8 +1,12 @@
 """Local pencil criteria, doubling thresholds, and growth bounds."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from fanobasket.pencil import (
     NOT_PENCIL,
     POSSIBLY_PENCIL,
     g_min,
+    k1_all_points,
     k1_condition,
     k2_thresholds,
     non_pencil_threshold,
@@ -22,6 +27,7 @@ from oracles import g_min_bruteforce, k1_condition_tabulated, l_upper_bound_gene
 
 F = Fraction
 B = Basket.parse
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def canonical_pairs(r_cap: int):
@@ -237,3 +243,55 @@ def test_pencil_witnesses_reevaluate_exactly():
         assert m and int(m.group(1)) == v.m
         assert wb.anti_plurigenus(v.m) == int(m.group(2))
         assert Fraction(m.group(3)) == r_x * vol * v.m + 1
+
+
+def test_k1_all_points_reads_the_bruteforce_sign_on_random_baskets():
+    # the integer memo's sign against the Fraction oracle, which keeps no memo
+    rng = random.Random(20261020)
+    pool = list(canonical_pairs(24))
+    bruteforce, seen = {}, set()
+    for _ in range(30):
+        basket = Basket(rng.choices(pool, k=rng.randint(2, 6)))
+        for m in range(1, 3 * basket.r_max() + 1):
+            expected = all(
+                bruteforce.setdefault((b, r, m), g_min_bruteforce(b, r, m)) >= 0
+                for (b, r), _ in basket.counts())
+            assert k1_all_points(basket, m) == expected, (basket.text(), m)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def edges_under(flags: list[str]) -> str:
+    """Run the criteria's edge cases in a fresh interpreter with `flags`; print
+    the optimize flag and each case's result or its ValueError."""
+    script = (
+        "import sys\n"
+        "from fanobasket.basket import Basket, WeightedBasket\n"
+        "from fanobasket.pencil import k1_all_points, non_pencil_threshold\n"
+        "cases = (lambda: k1_all_points(Basket.parse('(1,2),(2,5)'), 0),\n"
+        "         lambda: k1_all_points(Basket(), 0),\n"
+        "         lambda: non_pencil_threshold(WeightedBasket(Basket(), 3), 5))\n"
+        "print(sys.flags.optimize)\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        print(case())\n"
+        "    except ValueError as error:\n"
+        "        print('ValueError:', error)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("flags, optimize", [([], 0), (["-O"], 1)])
+def test_criteria_edges_hold_with_and_without_asserts(flags, optimize):
+    # m = 0 on a non-empty basket, the empty basket, and -K^3 = 0 exactly
+    assert WeightedBasket(Basket(), 3).volume() == 0
+    assert edges_under(flags) == (
+        f"{optimize}\n"
+        "ValueError: need canonical (b, r) and m >= 1, got (1,2), m=0\n"
+        "True\n"
+        "ValueError: the growth criterion needs positive volume\n"
+    )
