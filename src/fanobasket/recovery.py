@@ -15,16 +15,17 @@ hard consistency identity.  Negative counts, negative eps, or eps_6 != 0
 certify that no basket realizes the given data.
 
 Tails are drawn from Kawamata's 24-budget: a stage-0 basket with
-gamma(B^(0)) = 24 - sum(r - 1/r) < 0 has no packing with gamma >= 0, so only
-tails that fit the budget beside n_{1,2}, n_{1,3}, n_{1,4} are tried.  Costs
-are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
+gamma(B^(0)) = 24 - sum(r - 1/r) < 0 has no packing with gamma >= 0.  A tail
+point displaces a (1, 4) point of the tail-free head, so one search tries the
+tails whose cost over as many (1, 4) points fits what that head leaves.
+Costs are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import lcm
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .basket import Basket, PlurigenusSequence
 from .canonical import unpack
@@ -63,26 +64,26 @@ def tail_budget(n12: int, n13: int, n14: int) -> int:
     return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)
 
 
-def budgeted_tails(sigma5: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing tails of exactly sigma5 points r in [5, TAIL_R_CAP]
-    costing at most `budget`."""
-    if sigma5 < 0:
-        raise ValueError("sigma5 must be >= 0")
+def budgeted_tails(budget: int, most: int) -> list[tuple[int, ...]]:
+    """Non-decreasing tails of at most `most` points r in [5, TAIL_R_CAP],
+    shortest first, whose cost over as many (1, 4) points is at most
+    `budget`: the tails that fit beside a tail-free head with `most` points
+    (1, 4) and `budget` left, each tail point displacing one (1, 4)."""
+    if most < 0:
+        raise ValueError("most must be >= 0")
+    tails: list[tuple[int, ...]] = []
 
-    def rec(lo: int, left: int, k: int, chosen: list[int]):
-        if k == 0:
-            if left >= 0:
-                yield tuple(chosen)
-            return
+    def rec(lo: int, left: int, room: int, chosen: tuple[int, ...]) -> None:
+        tails.append(chosen)
         for r in range(lo, TAIL_R_CAP + 1):
-            c = cost(r)
-            if c * k > left:
-                return  # every point still to come costs at least c
-            chosen.append(r)
-            yield from rec(r, left - c, k - 1, chosen)
-            chosen.pop()
+            over = cost(r) - cost(4)
+            if not room or over > left:
+                return  # no room left, or this r and every larger one cost too much
+            rec(r, left - over, room - 1, (*chosen, r))
 
-    yield from rec(5, budget, sigma5, [])
+    if budget >= 0:
+        rec(5, budget, most, ())
+    return sorted(tails, key=len)  # stable: each length stays in walk order
 
 
 class Infeasible(NamedTuple):
@@ -176,18 +177,18 @@ def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData,
 
 
 def feasible_tails(p: PlurigenusSequence) -> list[RecoveredData]:
-    """The recovered data of every (sigma5, tail) choice the recovery
-    identities accept with gamma(B^(0)) >= 0, ordered by sigma5, then by the
-    non-decreasing tail."""
+    """The recovered data of every tail the recovery identities accept with
+    gamma(B^(0)) >= 0, ordered by sigma5, then by the non-decreasing tail.
+    A tail point displaces a (1, 4) point of the tail-free head, so that
+    head's n_{1,4} and what it leaves of the budget bound every tail."""
+    head = stage0_head(p, 0)
+    if min(head) < 0:
+        return []  # recover rejects every tail
     out = []
-    for s5 in range(BUDGET // cost(5) + 1):  # (1, 5) is the cheapest tail point
-        head = stage0_head(p, s5)
-        if min(head) < 0:
-            continue  # recover rejects every tail
-        for tail in budgeted_tails(s5, tail_budget(*head)):
-            data = recover(p, dict(Counter(tail)))
-            if not isinstance(data, Infeasible):
-                out.append(data)
+    for tail in budgeted_tails(tail_budget(*head), head[2]):
+        data = recover(p, dict(Counter(tail)))
+        if not isinstance(data, Infeasible):
+            out.append(data)
     return out
 
 

@@ -17,9 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .basket import Basket, PlurigenusSequence, Record, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import (
-    BUDGET, cost, feasible_tails, stage0_head, structural_tail, tail_budget, within_budget,
-)
+from .recovery import BUDGET, cost, feasible_tails, structural_tail, tail_budget, within_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -98,37 +96,33 @@ def candidates(p: PlurigenusSequence, prune: Callable[[Basket], bool]) -> Iterat
         yield from dominated_baskets(data.basket0, prune=prune)
 
 
-def _values(cs: ConstraintSet, m: int, lo: int, hi: int):
-    """P_{-m} as pinned by `cs`, else every value in [lo, hi]."""
-    return [cs.p_exact[m]] if m in cs.p_exact else range(lo, hi + 1)
-
-
 def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
-    """(P_-1, P_-2, P_-3, P_-4) over provably exhaustive ranges: count
-    non-negativity plus the 24-budget; P_{-1} must be pinned.
+    """(P_-1, P_-2, P_-3, P_-4) with the pins of `cs`, in ascending order;
+    P_{-1} must be pinned.
 
-    A head yields only if its stage-0 counts at sigma5 = 0 are non-negative
-    and fit the budget.  The prune is exact: each tail point lowers n_{1,4}
-    by one and costs at least cost(5) > cost(4), so a skipped head has no
-    feasible tail, and a kept head has at least the empty one.
+    The heads are the images of the 243 tail-free stage-0 baskets
+    n_{1,2} x (1,2) + n_{1,3} x (1,3) + n_{1,4} x (1,4) within the 24-budget,
+    by the stage-0 formulas solved for P_-2, P_-3, P_-4.  Every head with a
+    feasible tail is one of them, since a tail point displaces a (1, 4) point
+    and costs more than it, and each keeps at least the empty tail.
     """
     if 1 not in cs.p_exact:
         raise ValueError("the enumeration needs P_{-1} pinned")
     p1 = cs.p_exact[1]
-    # a stage-0 point costs at least cost(2) of the 24-budget, so sigma and
-    # n_{1,2} are at most BUDGET // cost(2) = 16 and n_{1,3} at most 9
-    n_max = BUDGET // cost(2)
-    p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
-    p2_hi = min(p2_hi, cs.p_max.get(2, p2_hi))
-    for p2 in _values(cs, 2, max(0, 5 * p1 - 10, cs.p_min.get(2, 0)), p2_hi):
-        p3_hi = 5 - 6 * p1 + 4 * p2  # n_{1,2} = p3_hi - P_-3
-        for p3 in _values(cs, 3, max(0, p3_hi - n_max), p3_hi):
-            p4_hi = 4 - 2 * p1 - 2 * p2 + 3 * p3  # n_{1,3} = p4_hi - P_-4
-            for p4 in _values(cs, 4, max(0, p4_hi - BUDGET // cost(3)), p4_hi):
-                head = PlurigenusSequence((p1, p2, p3, p4))
-                counts = stage0_head(head, 0)
-                if min(counts) >= 0 and tail_budget(*counts) >= 0:
-                    yield head
+    e2, e3, e4 = (cs.p_exact.get(m) for m in (2, 3, 4))
+    lo2, hi2 = max(0, cs.p_min.get(2, 0)), cs.p_max.get(2)
+    heads = []
+    for n12 in range(BUDGET // cost(2) + 1):
+        for n13 in range(tail_budget(n12, 0, 0) // cost(3) + 1):
+            for n14 in range(tail_budget(n12, n13, 0) // cost(4) + 1):
+                p2 = n12 + n13 + n14 - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
+                p3 = 5 - 6 * p1 + 4 * p2 - n12
+                p4 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - n13
+                if (p2 >= lo2 and p3 >= 0 and p4 >= 0 and (hi2 is None or p2 <= hi2)
+                        and (e2 is None or p2 == e2) and (e3 is None or p3 == e3)
+                        and (e4 is None or p4 == e4)):
+                    heads.append((p1, p2, p3, p4))
+    yield from map(PlurigenusSequence, sorted(heads))
 
 
 class EnumerationResult(NamedTuple):

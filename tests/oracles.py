@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, prod
+from functools import cache
+from math import gcd, lcm, prod
 from typing import Iterator, Optional
 
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket, f_periodic
 from fanobasket.canonical import s_set
 from fanobasket.recovery import BUDGET, cost
 from fanobasket.reports import ReplayContradiction
-from fanobasket.search import ConstraintSet, _values
+from fanobasket.search import ConstraintSet
 from fanobasket.wci import WeightedCI
 
 
@@ -243,10 +244,43 @@ def epsilon_n(basket: Basket, n: int) -> int:
     return eps
 
 
+# the canonical points (b, r), 1 <= b <= r/2 and gcd(b, r) = 1, by r: an index
+# r >= 25 alone breaks the 24-budget, since 25 - 1/25 > 24
+CANONICAL_POINTS = tuple((b, r) for r in range(2, 25) for b in range(1, r // 2 + 1)
+                         if gcd(b, r) == 1)
+
+
+@cache
+def budget_universe() -> dict[Basket, Fraction]:
+    """Every basket with sum(r - 1/r) <= 24, the empty one included, mapped to
+    its gamma = 24 - sum(r - 1/r), in the order of a depth-first walk over the
+    multisets of CANONICAL_POINTS.  The cost r - 1/r is stated in Fractions
+    and walked in integer units of this oracle's own lcm(2..24), not through
+    `recovery.cost`; built once per process."""
+    unit = lcm(*range(2, 25))  # each r divides it, so every cost below is whole
+    costs = [int((r - Fraction(1, r)) * unit) for _, r in CANONICAL_POINTS]
+    found: dict[Basket, Fraction] = {}
+
+    def walk(start: int, left: int, chosen: list[tuple[int, int]]) -> None:
+        found[Basket(chosen)] = Fraction(left, unit)
+        for i in range(start, len(CANONICAL_POINTS)):
+            if costs[i] > left:
+                return  # r - 1/r rises with r
+            walk(i, left - costs[i], chosen + [CANONICAL_POINTS[i]])
+
+    walk(0, 24 * unit, [])
+    return found
+
+
+def _values(cs: ConstraintSet, m: int, lo: int, hi: int):
+    """P_{-m} as pinned by `cs`, else every value in [lo, hi]."""
+    return [cs.p_exact[m]] if m in cs.p_exact else range(lo, hi + 1)
+
+
 def unpruned_heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
-    """(P_-1, P_-2, P_-3, P_-4) over the ranges of `search._heads` without its
-    budget prune: count non-negativity and the 24-budget bound each of
-    sigma, n_{1,2} and n_{1,3} on its own."""
+    """(P_-1, P_-2, P_-3, P_-4) over ranges, a second route to the heads of
+    `search._heads`: count non-negativity and the 24-budget bound each of
+    sigma, n_{1,2} and n_{1,3} on its own, and no head is checked whole."""
     p1 = cs.p_exact[1]
     n_max = BUDGET // cost(2)
     p2_hi = n_max - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2

@@ -149,34 +149,51 @@ def test_cost_unit_is_exact_up_to_the_cap():
     assert tail_budget(2, 1, 1) == (24 - 3 - Fraction(8, 3) - Fraction(15, 4)) * COST_UNIT
 
 
+def _displacement(tail: tuple[int, ...]) -> Fraction:
+    """What a tail costs beyond the (1,4) points it displaces, in Fractions."""
+    return sum((r - Fraction(1, r) - Fraction(15, 4) for r in tail), Fraction(0))
+
+
 def test_budgeted_tails_match_fraction_brute_force():
     budgets = [
         Fraction(24),
         Fraction(24) - 5 * Fraction(3, 2),
         Fraction(48, 5),
         Fraction(73, 7),
-        Fraction(5) - Fraction(1, 5),
+        Fraction(21, 4),
+        Fraction(21, 20),
         Fraction(0),
         Fraction(-1, 2),
     ]
-    for k in range(6):
-        combos = list(combinations_with_replacement(range(5, TAIL_R_CAP + 1), k))
-        costs = [sum((r - Fraction(1, r) for r in c), Fraction(0)) for c in combos]
-        for budget in budgets:
-            scaled = budget * COST_UNIT
-            assert scaled.denominator == 1
-            expected = [c for c, total in zip(combos, costs) if total <= budget]
-            assert list(budgeted_tails(k, int(scaled))) == expected, (k, budget)
+    combos = [list(combinations_with_replacement(range(5, TAIL_R_CAP + 1), k)) for k in range(6)]
+    costs = [[_displacement(c) for c in combos_k] for combos_k in combos]
+    for budget in budgets:
+        scaled = budget * COST_UNIT
+        assert scaled.denominator == 1
+        fits = [[c for c, total in zip(combos[k], costs[k]) if total <= budget] for k in range(6)]
+        for most in range(6):
+            # shortest first, then in the order of combinations_with_replacement
+            expected = [c for k in range(most + 1) for c in fits[k]]
+            assert list(budgeted_tails(int(scaled), most)) == expected, (most, budget)
 
 
 def test_budgeted_tails_boundary_and_cap():
-    # 5 x (1,5) costs exactly 24: a tail that uses the whole budget is kept
-    assert 5 * cost(5) == BUDGET
-    assert list(budgeted_tails(5, BUDGET)) == [(5, 5, 5, 5, 5)]
-    assert list(budgeted_tails(6, BUDGET)) == []
-    # r > 24 alone exceeds the budget
-    assert list(budgeted_tails(1, BUDGET)) == [(r,) for r in range(5, 25)]
-    assert list(budgeted_tails(0, 0)) == [()]
+    # the head (0, 0, 5) keeps 5 x (1,5), which uses its whole budget
+    assert _displacement((5,) * 5) * COST_UNIT == tail_budget(0, 0, 5)
+    assert list(budgeted_tails(tail_budget(0, 0, 5), 5))[-1] == (5, 5, 5, 5, 5)
+    # no head of the budget keeps a tail of 6 points: 6 x (1,5) displaces more
+    # than 6 x (1,4) leave, and a seventh (1,4) breaks the budget
+    triples = [(a, b, c) for a in range(17) for b in range(10) for c in range(7)
+               if tail_budget(a, b, c) >= 0]
+    assert len(triples) == 243 and tail_budget(0, 0, 7) < 0
+    assert max(len(tail) for a, b, c in triples
+               for tail in budgeted_tails(tail_budget(a, b, c), c)) == 5
+    # the one-point tails are r = 5..24: r > 24 alone exceeds the budget
+    assert list(budgeted_tails(tail_budget(0, 0, 1), 1)) == [()] + [(r,) for r in range(5, 25)]
+    assert list(budgeted_tails(0, 5)) == [()]
+    assert list(budgeted_tails(-1, 5)) == []
+    with pytest.raises(ValueError, match="most must be >= 0"):
+        budgeted_tails(BUDGET, -1)
 
 
 # a tail costing more than 24 on its own leaves gamma(B^(0)) < 0, so at
