@@ -92,15 +92,17 @@ class Basket:
 
     Equality and hashing are multiset equality; baskets order like their
     expanded point tuples; `text()` is the canonical serialization.
-    Instances are immutable in value.  The memos of r_X, r_X (-K^3) at p1 = 0 and one
-    P_{-m} table (`WeightedBasket.plurigenera`) take no part in comparison, hashing or text.
+    Instances are immutable in value.  The memos of r_X, r_X (-K^3) at p1 = 0, the
+    text and one P_{-m} table (`WeightedBasket.plurigenera`) take no part in
+    comparison, hashing or order, and the text memo holds what `text()` returns.
     """
 
-    __slots__ = ("_runs", "_r_x", "_volume", "_table")
+    __slots__ = ("_runs", "_r_x", "_text", "_volume", "_table")
 
     def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
         self._runs = _sorted_runs(_normalize_runs((pair, 1) for pair in pairs)) if pairs else ()
-        self._r_x, self._volume, self._table = None, None, (0, ())  # table: (p1, P_{-1}..)
+        # the memos; table: (p1, P_{-1}..)
+        self._r_x, self._text, self._volume, self._table = None, None, None, (0, ())
 
     @classmethod
     def from_counts(cls, runs: Iterable[Run]) -> "Basket":
@@ -135,9 +137,11 @@ class Basket:
 
     def text(self) -> str:
         """Canonical serialization, counts collapsed, sorted by (r, b)."""
-        return ",".join(
-            f"({b},{r})" if n == 1 else f"{n}x({b},{r})" for (b, r), n in self._runs
-        )
+        if self._text is None:
+            self._text = ",".join(
+                f"({b},{r})" if n == 1 else f"{n}x({b},{r})" for (b, r), n in self._runs
+            )
+        return self._text
 
     def counts(self) -> tuple[Run, ...]:
         """The runs ((b, r), n), sorted by (r, b)."""
@@ -274,10 +278,8 @@ def _summed_residues(runs: tuple[Run, ...], big_l: int, upto: int) -> tuple[int,
     # L = big_l = lcm(r_i)
     by_r: dict[int, list[int]] = {}
     for (b, r), n in runs:
-        scale = n * (big_l // r)
-        acc = by_r.setdefault(r, [0] * r)
-        for j, w in enumerate(_residues(b, r)):
-            acc[j] += scale * w
+        scaled = map((n * (big_l // r)).__mul__, _residues(b, r))
+        by_r[r] = list(map(add, by_r[r], scaled) if r in by_r else scaled)
     sums = [0] * (upto + 1)
     for r, acc in by_r.items():  # tile each period-r table over 0..upto
         sums = list(map(add, sums, acc * (upto // r + 1)))

@@ -20,7 +20,7 @@ Three independent tools live here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import ceil, gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
@@ -166,6 +166,18 @@ def _rise_840(m: int) -> int:
     return m * (m + 1) * (2 * m + 1) // 6 - 1680 * m
 
 
+@cache
+def _degrees_840() -> tuple[tuple[int, int, int], ...]:
+    """(m, `_rise_840`(m), m(m+1)(2m+1)) for m = 71..L840_HORIZON, each rise
+    required positive; built once per process, since no basket and no
+    constant of the envelope enters them."""
+    rows = []
+    for m in range(71, L840_HORIZON + 1):
+        require((rise := _rise_840(m)) > 0, f"840 check: margin falls with p1 at m = {m}")
+        rows.append((m, rise, m * (m + 1) * (2 * m + 1)))
+    return tuple(rows)
+
+
 def thm2_check_840(basket: Basket) -> Optional[int]:
     """The least weight p1 under which a basket meets the index-840 growth
     regime on degrees 71..L840_HORIZON, or None when its l(-m) envelope fails.
@@ -183,12 +195,11 @@ def thm2_check_840(basket: Basket) -> Optional[int]:
     vol_840 = at_zero._scaled_volume()
     (sn, sd), (on, od) = L840_SLOPE.as_integer_ratio(), L840_OFFSET.as_integer_ratio()
     least = 0
-    for m in range(71, L840_HORIZON + 1):
-        require((rise := _rise_840(m)) > 0, f"840 check: margin falls with p1 at m = {m}")
+    for m, rise, cubic in _degrees_840():
         # the margin P_{-m} - bounds[m] gains rise per unit of p1
         least = max(least, (bounds[m] - p0[m - 1]) // rise + 1)
         # 12 * 840 l(-m) = m(m+1)(2m+1) 840(-K^3) + 12 * 840 (2m + 1 - P_{-m})
-        twelve_l = m * (m + 1) * (2 * m + 1) * vol_840 + 12 * 840 * (2 * m + 1 - p0[m - 1])
+        twelve_l = cubic * vol_840 + 12 * 840 * (2 * m + 1 - p0[m - 1])
         if twelve_l * sd * od > 12 * 840 * (sn * m * od + on * sd):
             return None
     return least

@@ -47,6 +47,9 @@ def cost(r: int) -> int:
     return (r * r - 1) * share
 
 
+_COSTS = {r: cost(r) for r in range(2, TAIL_R_CAP + 1)}  # cost(r) of every r a budget admits
+
+
 def within_budget(basket: Basket, strict: bool) -> bool:
     """gamma(B) > 0 (strict) or gamma(B) >= 0, decided in budget units.
 
@@ -55,7 +58,7 @@ def within_budget(basket: Basket, strict: bool) -> bool:
     """
     if basket.r_max() > TAIL_R_CAP:
         return False
-    spent = sum(n * cost(r) for (_, r), n in basket.counts())
+    spent = sum(n * _COSTS[r] for (_, r), n in basket.counts())
     return spent < BUDGET if strict else spent <= BUDGET
 
 
@@ -76,7 +79,7 @@ def budgeted_tails(budget: int, most: int) -> list[tuple[int, ...]]:
     def rec(lo: int, left: int, room: int, chosen: tuple[int, ...]) -> None:
         tails.append(chosen)
         for r in range(lo, TAIL_R_CAP + 1):
-            over = cost(r) - cost(4)
+            over = _COSTS[r] - _COSTS[4]
             if not room or over > left:
                 return  # no room left, or this r and every larger one cost too much
             rec(r, left - over, room - 1, (*chosen, r))

@@ -24,26 +24,28 @@ from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
 class ConstraintSet(Record):
     """Exact constraints cutting out geometric weighted baskets.  `fano_strict`
-    asks gamma > 0; False relaxes to gamma >= 0."""
+    asks gamma > 0; False relaxes to gamma >= 0.  Each pin dict is kept as a
+    copy in degree order."""
 
     __slots__ = ("p_exact", "p_min", "p_max", "fano_strict", "horizon")
 
     def __init__(self, p_exact: dict[int, int], p_min: Optional[dict[int, int]] = None,
                  p_max: Optional[dict[int, int]] = None, fano_strict: bool = True,
                  horizon: int = 12) -> None:
-        p_min, p_max = {} if p_min is None else p_min, {} if p_max is None else p_max
+        p_exact, p_min, p_max = (dict(sorted((pins or {}).items()))
+                                 for pins in (p_exact, p_min, p_max))
         if horizon < 1 or any(not 1 <= m <= horizon for m in (*p_exact, *p_min, *p_max)):
             raise ValueError(f"horizon {horizon} must be >= 1 and >= every pinned degree")
-        for m, v in sorted(p_exact.items()):
+        for m, v in p_exact.items():
             if v < 0:  # an anti-plurigenus is a dimension
                 raise ValueError(f"pinned P_-{m} must be >= 0, got {v}")
         self.p_exact, self.p_min, self.p_max = p_exact, p_min, p_max
         self.fano_strict, self.horizon = fano_strict, horizon
 
     def describe(self) -> str:
-        bits = [f"P_-{m}={v}" for m, v in sorted(self.p_exact.items())]
-        bits += [f"P_-{m}>={v}" for m, v in sorted(self.p_min.items())]
-        bits += [f"P_-{m}<={v}" for m, v in sorted(self.p_max.items())]
+        bits = [f"P_-{m}={v}" for m, v in self.p_exact.items()]
+        bits += [f"P_-{m}>={v}" for m, v in self.p_min.items()]
+        bits += [f"P_-{m}<={v}" for m, v in self.p_max.items()]
         bits.append("gamma>0" if self.fano_strict else "gamma>=0")
         bits += ["-K^3>0", "superadditive"]
         return ", ".join(bits)
@@ -53,21 +55,20 @@ def is_geometric_candidate(
     wb: WeightedBasket, cs: ConstraintSet
 ) -> tuple[bool, Optional[str]]:
     """All constraints, checked in a fixed order; first failure named."""
-    seq = wb.plurigenera(cs.horizon)
-    for m, v in sorted(cs.p_exact.items()):
-        if seq[m] != v:
-            return False, f"P_-{m} = {seq[m]} != pinned {v}"
-    for m, v in sorted(cs.p_min.items()):
-        if seq[m] < v:
-            return False, f"P_-{m} = {seq[m]} < {v}"
-    for m, v in sorted(cs.p_max.items()):
-        if seq[m] > v:
-            return False, f"P_-{m} = {seq[m]} > {v}"
+    p = (None, *wb.plurigenera(cs.horizon).values)  # p[m] = P_{-m}, plainly indexed
+    for m, v in cs.p_exact.items():
+        if p[m] != v:
+            return False, f"P_-{m} = {p[m]} != pinned {v}"
+    for m, v in cs.p_min.items():
+        if p[m] < v:
+            return False, f"P_-{m} = {p[m]} < {v}"
+    for m, v in cs.p_max.items():
+        if p[m] > v:
+            return False, f"P_-{m} = {p[m]} > {v}"
     if wb._scaled_volume() <= 0:
         return False, f"-K^3 = {wb.volume()} <= 0"
     if not within_budget(wb.basket, cs.fano_strict):
         return False, f"gamma = {wb.basket.gamma()} {'<=' if cs.fano_strict else '<'} 0"
-    p = (None, *seq.values)  # p[m] = P_{-m}; plain indexing in the O(horizon^2) loop
     for m in range(1, cs.horizon + 1):
         if p[m] < 0:
             return False, f"P_-{m} = {p[m]} < 0"
@@ -96,33 +97,43 @@ def candidates(p: PlurigenusSequence, prune: Callable[[Basket], bool]) -> Iterat
         yield from dominated_baskets(data.basket0, prune=prune)
 
 
+@cache
+def _tail_free_heads() -> tuple[tuple[int, int, int], ...]:
+    """(P_-2, P_-3, P_-4) at P_{-1} = 0 of the 243 tail-free stage-0 baskets
+    n_{1,2} x (1,2) + n_{1,3} x (1,3) + n_{1,4} x (1,4) within the 24-budget,
+    by the stage-0 formulas solved for P_-2, P_-3, P_-4; ascending, built
+    once per process."""
+    heads = []
+    for n12 in range(BUDGET // cost(2) + 1):
+        for n13 in range(tail_budget(n12, 0, 0) // cost(3) + 1):
+            for n14 in range(tail_budget(n12, n13, 0) // cost(4) + 1):
+                p2 = n12 + n13 + n14 - 10  # sigma = 10 - 5 P_-1 + P_-2
+                p3 = 5 + 4 * p2 - n12
+                heads.append((p2, p3, 4 - 2 * p2 + 3 * p3 - n13))
+    return tuple(sorted(heads))
+
+
 def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
     """(P_-1, P_-2, P_-3, P_-4) with the pins of `cs`, in ascending order;
     P_{-1} must be pinned.
 
-    The heads are the images of the 243 tail-free stage-0 baskets
-    n_{1,2} x (1,2) + n_{1,3} x (1,3) + n_{1,4} x (1,4) within the 24-budget,
-    by the stage-0 formulas solved for P_-2, P_-3, P_-4.  Every head with a
-    feasible tail is one of them, since a tail point displaces a (1, 4) point
-    and costs more than it, and each keeps at least the empty tail.
+    The heads are the `_tail_free_heads`, shifted to P_{-1} = p1: the
+    stage-0 formulas add p1 m(m+1)(2m+1)/6 to P_-m, as Riemann-Roch does.
+    Every head with a feasible tail is one of them, since a tail point
+    displaces a (1, 4) point and costs more than it, and each keeps at least
+    the empty tail.
     """
     if 1 not in cs.p_exact:
         raise ValueError("the enumeration needs P_{-1} pinned")
     p1 = cs.p_exact[1]
     e2, e3, e4 = (cs.p_exact.get(m) for m in (2, 3, 4))
     lo2, hi2 = max(0, cs.p_min.get(2, 0)), cs.p_max.get(2)
-    heads = []
-    for n12 in range(BUDGET // cost(2) + 1):
-        for n13 in range(tail_budget(n12, 0, 0) // cost(3) + 1):
-            for n14 in range(tail_budget(n12, n13, 0) // cost(4) + 1):
-                p2 = n12 + n13 + n14 - 10 + 5 * p1  # sigma = 10 - 5 P_-1 + P_-2
-                p3 = 5 - 6 * p1 + 4 * p2 - n12
-                p4 = 4 - 2 * p1 - 2 * p2 + 3 * p3 - n13
-                if (p2 >= lo2 and p3 >= 0 and p4 >= 0 and (hi2 is None or p2 <= hi2)
-                        and (e2 is None or p2 == e2) and (e3 is None or p3 == e3)
-                        and (e4 is None or p4 == e4)):
-                    heads.append((p1, p2, p3, p4))
-    yield from map(PlurigenusSequence, sorted(heads))
+    for q2, q3, q4 in _tail_free_heads():
+        p2, p3, p4 = q2 + 5 * p1, q3 + 14 * p1, q4 + 30 * p1
+        if (p2 >= lo2 and p3 >= 0 and p4 >= 0 and (hi2 is None or p2 <= hi2)
+                and (e2 is None or p2 == e2) and (e3 is None or p3 == e3)
+                and (e4 is None or p4 == e4)):
+            yield PlurigenusSequence((p1, p2, p3, p4))
 
 
 class EnumerationResult(NamedTuple):

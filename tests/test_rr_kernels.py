@@ -21,6 +21,7 @@ import pytest
 
 import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
+import fanobasket.recovery as recovery
 from fanobasket.basket import Basket, IntegralityFault, WeightedBasket
 from fanobasket.birational import INDEX_840_SETS, _index_840_sweep, _residue_baskets
 from fanobasket.recovery import COST_UNIT, within_budget
@@ -275,6 +276,8 @@ def test_the_memo_leaves_equality_hash_and_order_alone():
                 one in {twin}, twin in {one}, repr(one), one.text())
 
     before = seen()
+    # the text memo holds what text() gives; the twin has not been asked
+    assert (one._text, twin._text) == ("(1,3),(2,5),(3,7),(3,8)", None)
     WeightedBasket(one, 2).plurigenera(pencil.L840_HORIZON)
     assert one.gorenstein_index() == 840
     assert WeightedBasket(one, 2).volume() == Fraction(scaled_volume_reference(
@@ -283,6 +286,10 @@ def test_the_memo_leaves_equality_hash_and_order_alone():
     assert twin._volume is None
     assert seen() == before
     assert before[:3] == (hash(twin), True, True)
+    # a basket made from a memoised one starts with an empty text memo
+    merged = one.replace_pair_with(0, 1, (3, 8))
+    assert merged._text is None and merged.text() == "(3,7),2x(3,8)"
+    assert (Basket().text(), repr(Basket()), Basket()._text) == ("", "Basket[empty]", None)
 
 
 def test_scaled_volume_matches_its_memo_free_formula():
@@ -321,6 +328,10 @@ def test_the_840_degrees_start_where_the_margin_rises_with_p1():
     # margin at index 840: negative up to degree 70, positive from 71 on
     assert (pencil._rise_840(70), pencil._rise_840(71)) == (-805, 2556)
     assert all(pencil._rise_840(m) > 0 for m in range(71, pencil.L840_HORIZON + 1))
+    # the per-degree memo of the check holds the degree, its rise and m(m+1)(2m+1)
+    assert pencil._degrees_840() == tuple(
+        (m, pencil._rise_840(m), m * (m + 1) * (2 * m + 1))
+        for m in range(71, pencil.L840_HORIZON + 1))
 
 
 def test_least_passing_weight_matches_the_fraction_check_to_weight_30():
@@ -382,6 +393,11 @@ def test_budget_units_decide_gamma_like_the_fraction():
         assert within_budget(basket, strict=True) == (g > 0)
         assert within_budget(basket, strict=False) == (g >= 0)
     assert signs == {-1, 0, 1}
+
+
+def test_the_cost_table_is_cost_on_every_index_the_budget_admits():
+    assert recovery._COSTS == {r: recovery.cost(r) for r in range(2, 25)}
+    assert recovery.TAIL_R_CAP == 24
 
 
 def test_five_points_of_index_five_sit_on_the_budget():

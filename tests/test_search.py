@@ -12,6 +12,7 @@ from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
 from fanobasket.recovery import feasible_tails, within_budget
 from fanobasket.search import (
+    P1_EQ_1_HORIZONS,
     ConstraintSet,
     _candidate_pool,
     _heads,
@@ -49,6 +50,21 @@ def test_constraint_certificates_are_ordered_and_named():
     cs = ConstraintSet(p_exact={5: 1})
     ok, cert = is_geometric_candidate(WeightedBasket(B("(1,2),(1,3),(1,5)"), 2), cs)
     assert not ok and cert.startswith("P_-5 = 6 != pinned 1")
+
+
+def test_constraint_sets_keep_their_pins_as_copies_in_degree_order():
+    # pins given out of order are checked, described and shown in degree
+    # order, and a caller's later edit of its dict reaches no constraint set
+    exact, low, high = {5: 1, 2: 9, 1: 2}, {4: 0, 3: 0}, {6: 99, 2: 3}
+    cs = ConstraintSet(p_exact=exact, p_min=low, p_max=high)
+    exact[7], low[3] = 1, 5
+    high.clear()
+    assert [list(pins) for pins in (cs.p_exact, cs.p_min, cs.p_max)] == [[1, 2, 5], [3, 4], [2, 6]]
+    assert cs.describe().startswith("P_-1=2, P_-2=9, P_-5=1, P_-3>=0, P_-4>=0, P_-2<=3, P_-6<=99")
+    assert "p_exact={1: 2, 2: 9, 5: 1}" in repr(cs)
+    assert cs == ConstraintSet(p_exact={1: 2, 2: 9, 5: 1}, p_min={3: 0, 4: 0}, p_max={2: 3, 6: 99})
+    ok, cert = is_geometric_candidate(WeightedBasket(B("(1,2),(1,3),(1,5)"), 2), cs)
+    assert not ok and cert == "P_-2 = 3 != pinned 9"  # P_-5 = 6 != 1 comes after it
 
 
 def test_gamma_certificates_name_the_strict_and_weak_bound():
@@ -160,6 +176,30 @@ def test_heads_are_the_unpruned_ranges_with_a_feasible_tail():
             kept[p1] = len(unpruned), len(heads)
     # at P_-1 = 0, 884 of the 928 heads fail the budget at sigma5 = 0
     assert kept[0] == (928, 44)
+
+
+def test_heads_match_the_ranges_under_every_pin_they_read():
+    # the tail-free heads, walked once and shifted to each P_-1, against the
+    # range route with pins on P_-2..P_-4 and caps on P_-2, and the ladders
+    # the replays enumerate
+    sets = [ConstraintSet(p_exact=forced_ladder(2, 1, 6)), late_ladder(9),
+            *(ConstraintSet(p_exact=forced_ladder(1, n0, l)) for n0, l in P1_EQ_1_HORIZONS)]
+    for p1 in range(4):
+        free = list(_heads(ConstraintSet(p_exact={1: p1})))
+        sets.append(ConstraintSet(p_exact={1: p1}))
+        sets += [ConstraintSet(p_exact={1: p1, 2: p2}) for p2 in {h[2] for h in free[::9]}]
+        sets += [ConstraintSet(p_exact={1: p1, 3: h[3], 4: h[4]}) for h in free[::40]]
+        sets += [ConstraintSet(p_exact=dict(zip((1, 2, 3, 4), h.values))) for h in free[::40]]
+        sets += [ConstraintSet(p_exact={1: p1, 2: 5 * p1 + 17})]  # past every head
+        low = free[len(free) // 2][2]
+        sets += [ConstraintSet(p_exact={1: p1}, p_min={2: low}, p_max={2: low + 2}),
+                 ConstraintSet(p_exact={1: p1}, p_max={2: low - 1})]
+    sizes = []
+    for cs in sets:
+        heads = list(_heads(cs))
+        assert heads == [head for head in unpruned_heads(cs) if feasible_tails(head)], cs
+        sizes.append(len(heads))
+    assert 0 in sizes and max(sizes) == 243
 
 
 def test_enumeration_after_clearing_the_candidate_pool_is_unchanged():

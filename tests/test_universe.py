@@ -3,13 +3,16 @@
 `oracles.budget_universe()` lists every basket with sum(r - 1/r) <= 24 by a
 walk that shares no code with recovery, the packing closure or `unpack`;
 every candidate pool, survivor list and certificate of the pipeline is
-checked against it for P_-1 = 0..3, weak and strict.
+checked against it for P_-1 = 0..3, weak and strict, and so are the budget
+test and the recovery identities on every one of its baskets.
 """
 
 from math import lcm
 
 from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.canonical import unpack
 from fanobasket.indexbound import _index_sets
+from fanobasket.recovery import recover, structural_tail, within_budget
 from fanobasket.search import (
     ConstraintSet,
     _candidate_pool,
@@ -82,3 +85,26 @@ def test_index_sets_are_the_universe_index_sets():
     assert len(_index_sets()) == len(found) == 427
     lcms = {lcm(*s) for s in found}
     assert (len(lcms), max(lcms)) == (111, 840)
+
+
+def test_within_budget_is_the_sign_of_gamma_on_the_universe_and_one_point_beyond():
+    # every universe basket, and each with one more (1, 2), the cheapest
+    # point: gamma - 3/2 is negative on the baskets of gamma < 3/2
+    universe = budget_universe()
+    signs = set()
+    for basket in universe:
+        for candidate in (basket, Basket([*basket, (1, 2)])):
+            gamma = candidate.gamma()
+            signs.add((gamma > 0) - (gamma < 0))
+            assert within_budget(candidate, strict=True) == (gamma > 0), candidate.text()
+            assert within_budget(candidate, strict=False) == (gamma >= 0), candidate.text()
+    assert signs == {-1, 0, 1}
+
+
+def test_recovery_round_trips_on_every_universe_basket():
+    # P_-1..P_-8 at p1 = 0 and the true tail recover the stage-0 and the
+    # stage-5 basket of the canonical chain, on all 8,338 baskets
+    for basket in budget_universe():
+        out = recover(WeightedBasket(basket, 0).plurigenera(8), structural_tail(basket))
+        assert out, (basket.text(), out)
+        assert (out.basket0, out.basket5) == (unpack(basket, 0), unpack(basket, 5)), basket.text()
