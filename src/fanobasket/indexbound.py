@@ -4,10 +4,10 @@ Every basket satisfies sum_i (r_i - 1/r_i) <= 24.  An index r >= 25 alone
 breaks that budget (25 - 1/25 > 24), and a repeated index costs budget
 without changing the lcm, so the distinct indices of a basket form a set of
 values in 2..TAIL_R_CAP whose costs fit the budget, and the lcm of that set
-is the basket's r_X.  `_index_sets` lists every such set once per process;
-the global maximum and the per-r_max questions of the Weak97 tree each read
-that one table.  Costs are the exact integers of `recovery.cost`, in units
-of 1/COST_UNIT.
+is the basket's r_X.  `_index_sets` lists every such set once per process,
+read off the increasing mode of `recovery._budget_walk`; the global maximum
+and the per-r_max questions of the Weak97 tree each read that one table.
+Costs are the exact integers of `recovery.cost`, in units of 1/COST_UNIT.
 """
 
 from __future__ import annotations
@@ -16,25 +16,16 @@ from functools import cache
 from math import lcm
 from typing import NamedTuple
 
-from .recovery import BUDGET, TAIL_R_CAP, cost
+from .recovery import _COSTS, BUDGET, TAIL_R_CAP, _budget_walk
 
 
 @cache
 def _index_sets() -> tuple[tuple[int, ...], ...]:
     """Every non-empty sorted set of distinct values in 2..TAIL_R_CAP whose
     total cost is at most BUDGET, in lexicographic order: each set is listed
-    before its extensions, and those before the sets that follow it."""
-    sets: list[tuple[int, ...]] = []
-
-    def extend(chosen: tuple[int, ...], remaining: int) -> None:
-        for v in range(chosen[-1] + 1 if chosen else 2, TAIL_R_CAP + 1):
-            if cost(v) > remaining:
-                return  # cost rises with v
-            sets.append((*chosen, v))
-            extend(sets[-1], remaining - cost(v))
-
-    extend((), BUDGET)
-    return tuple(sets)
+    before its extensions, and those before the sets that follow it.  No
+    set within the budget holds more than BUDGET // cost(2) values."""
+    return tuple(_budget_walk(2, TAIL_R_CAP, _COSTS, BUDGET, BUDGET // _COSTS[2], repeat=False)[1:])
 
 
 class IndexReport(NamedTuple):

@@ -16,14 +16,16 @@ certify that no basket realizes the given data.
 
 Tails are drawn from Kawamata's 24-budget: a stage-0 basket with
 gamma(B^(0)) = 24 - sum(r - 1/r) < 0 has no packing with gamma >= 0.  A tail
-point displaces a (1, 4) point of the tail-free head, so one search tries the
-tails whose cost over as many (1, 4) points fits what that head leaves.
-Costs are exact integers in units of 1/COST_UNIT, COST_UNIT = lcm(2..24).
+point displaces a (1, 4) point of the tail-free head.  `_budget_walk` is the
+one search of the budget: it lists the tails of a head, the 243 tail-free
+heads and the index sets of `indexbound`.  Costs are exact integers in units
+of 1/COST_UNIT, COST_UNIT = lcm(2..24).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from math import lcm
 from typing import NamedTuple, Optional, Union
 
@@ -48,6 +50,8 @@ def cost(r: int) -> int:
 
 
 _COSTS = {r: cost(r) for r in range(2, TAIL_R_CAP + 1)}  # cost(r) of every r a budget admits
+# what a tail point (1, r), r >= 5, costs over the (1, 4) point it displaces
+_TAIL_OVER = {r: c - _COSTS[4] for r, c in _COSTS.items() if r >= 5}
 
 
 def within_budget(basket: Basket, strict: bool) -> bool:
@@ -62,31 +66,26 @@ def within_budget(basket: Basket, strict: bool) -> bool:
     return spent < BUDGET if strict else spent <= BUDGET
 
 
-def tail_budget(n12: int, n13: int, n14: int) -> int:
-    """What the 24-budget leaves for the tail beside n_{1,2}, n_{1,3}, n_{1,4}."""
-    return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)
+def _budget_walk(lo: int, hi: int, over: dict[int, int], budget: int, most: int,
+                 repeat: bool) -> list[tuple[int, ...]]:
+    """The sequences of values in lo..hi, non-decreasing when `repeat` and
+    increasing otherwise, of at most `most` entries, whose summed over[r] is
+    at most `budget`; depth first, so the empty sequence comes first and each
+    sequence before its extensions, and none when the budget is negative.
+    `over` must be non-decreasing in r: a step stops at the first value it
+    cannot afford, since no larger one fits either."""
+    found: list[tuple[int, ...]] = []
 
-
-def budgeted_tails(budget: int, most: int) -> list[tuple[int, ...]]:
-    """Non-decreasing tails of at most `most` points r in [5, TAIL_R_CAP],
-    shortest first, whose cost over as many (1, 4) points is at most
-    `budget`: the tails that fit beside a tail-free head with `most` points
-    (1, 4) and `budget` left, each tail point displacing one (1, 4)."""
-    if most < 0:
-        raise ValueError("most must be >= 0")
-    tails: list[tuple[int, ...]] = []
-
-    def rec(lo: int, left: int, room: int, chosen: tuple[int, ...]) -> None:
-        tails.append(chosen)
-        for r in range(lo, TAIL_R_CAP + 1):
-            over = _COSTS[r] - _COSTS[4]
-            if not room or over > left:
-                return  # no room left, or this r and every larger one cost too much
-            rec(r, left - over, room - 1, (*chosen, r))
+    def step(start: int, left: int, room: int, chosen: tuple[int, ...]) -> None:
+        found.append(chosen)
+        for r in range(start, hi + 1):
+            if not room or over[r] > left:
+                return
+            step(r if repeat else r + 1, left - over[r], room - 1, (*chosen, r))
 
     if budget >= 0:
-        rec(5, budget, most, ())
-    return sorted(tails, key=len)  # stable: each length stays in walk order
+        step(lo, budget, most, ())
+    return found
 
 
 class Infeasible(NamedTuple):
@@ -112,6 +111,21 @@ def stage0_head(p: PlurigenusSequence, sigma5: int) -> tuple[int, int, int]:
     p1, p2, p3, p4 = (p[m] for m in range(1, 5))
     return (5 - 6 * p1 + 4 * p2 - p3, 4 - 2 * p1 - 2 * p2 + 3 * p3 - p4,
             1 + 3 * p1 - p2 - 2 * p3 + p4 - sigma5)
+
+
+@cache
+def _tail_free_heads() -> tuple[tuple[int, int, int], ...]:
+    """(P_-2, P_-3, P_-4) at P_{-1} = 0 of the 243 tail-free stage-0 baskets
+    n_{1,2} x (1,2) + n_{1,3} x (1,3) + n_{1,4} x (1,4) within the 24-budget,
+    by `stage0_head` solved for P_-2, P_-3, P_-4; ascending, built once per
+    process.  No budgeted basket has more than BUDGET // cost(2) points."""
+    heads = []
+    for points in _budget_walk(2, 4, _COSTS, BUDGET, BUDGET // _COSTS[2], repeat=True):
+        n12, n13, n14 = map(points.count, (2, 3, 4))
+        p2 = n12 + n13 + n14 - 10  # sigma = 10 - 5 P_-1 + P_-2
+        p3 = 5 + 4 * p2 - n12
+        heads.append((p2, p3, 4 - 2 * p2 + 3 * p3 - n13))
+    return tuple(sorted(heads))
 
 
 def recover(p: PlurigenusSequence, tail: dict[int, int]) -> Union[RecoveredData, Infeasible]:
@@ -187,8 +201,10 @@ def feasible_tails(p: PlurigenusSequence) -> list[RecoveredData]:
     head = stage0_head(p, 0)
     if min(head) < 0:
         return []  # recover rejects every tail
+    left = BUDGET - sum(n * _COSTS[r] for n, r in zip(head, (2, 3, 4)))
+    tails = _budget_walk(5, TAIL_R_CAP, _TAIL_OVER, left, head[2], repeat=True)
     out = []
-    for tail in budgeted_tails(tail_budget(*head), head[2]):
+    for tail in sorted(tails, key=len):  # stable: each length stays in walk order
         data = recover(p, dict(Counter(tail)))
         if not isinstance(data, Infeasible):
             out.append(data)

@@ -4,20 +4,21 @@ The pipeline mirrors the analytic route: pin the first anti-plurigenera,
 recover the stage-0 basket counts (with the tail counts as enumerated
 parameters), close under prime packings with the gamma bound as a
 monotone-safe prune, then post-filter with the exact geometric constraints
-(positive volume, superadditivity, non-negativity, pinned values).  Every
-eliminated candidate carries a checkable certificate, and the image-dimension
-replays are built on top of the same machinery.
+(positive volume, superadditivity, non-negativity, pinned values).  Heads and
+tails come from the one budget walk in `recovery`, and `candidates` is the one
+pool, shared with `wci.fit_basket`.  Every eliminated candidate carries a
+certificate, and the image-dimension replays are built on the same machinery.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .basket import Basket, PlurigenusSequence, Record, WeightedBasket
+from .basket import PlurigenusSequence, Record, WeightedBasket
 from .canonical import dominated_baskets
 from .pencil import k1_all_points, k2_thresholds
-from .recovery import BUDGET, cost, feasible_tails, structural_tail, tail_budget, within_budget
+from .recovery import _tail_free_heads, feasible_tails, structural_tail, within_budget
 from .reports import EliminatedRow, ReplayReport, SurvivorRow, require
 from .tables import EXCEPTIONAL_TYPES, P1_P2_ZERO_TABLE, P1_ZERO_CASE2_M
 
@@ -86,31 +87,19 @@ def is_geometric_candidate(
     return True, None
 
 
-def candidates(p: PlurigenusSequence, prune: Callable[[Basket], bool]) -> Iterator[Basket]:
+@cache
+def candidates(p: PlurigenusSequence, strict: bool) -> tuple[WeightedBasket, ...]:
     """The prime-packing closure of every stage-0 basket recovered from p,
-    seed by seed in `feasible_tails` order; `prune` as in `dominated_baskets`.
+    seed by seed in `feasible_tails` order, pruned at gamma > 0 (`strict`)
+    or gamma >= 0 and weighted by P_{-1}; built once per process, since
+    families with different pins share heads.
 
     A prime packing keeps B^(0), and distinct recovered data give distinct
     stage-0 baskets, so the closures are disjoint: no basket comes twice.
     """
-    for data in feasible_tails(p):
-        yield from dominated_baskets(data.basket0, prune=prune)
-
-
-@cache
-def _tail_free_heads() -> tuple[tuple[int, int, int], ...]:
-    """(P_-2, P_-3, P_-4) at P_{-1} = 0 of the 243 tail-free stage-0 baskets
-    n_{1,2} x (1,2) + n_{1,3} x (1,3) + n_{1,4} x (1,4) within the 24-budget,
-    by the stage-0 formulas solved for P_-2, P_-3, P_-4; ascending, built
-    once per process."""
-    heads = []
-    for n12 in range(BUDGET // cost(2) + 1):
-        for n13 in range(tail_budget(n12, 0, 0) // cost(3) + 1):
-            for n14 in range(tail_budget(n12, n13, 0) // cost(4) + 1):
-                p2 = n12 + n13 + n14 - 10  # sigma = 10 - 5 P_-1 + P_-2
-                p3 = 5 + 4 * p2 - n12
-                heads.append((p2, p3, 4 - 2 * p2 + 3 * p3 - n13))
-    return tuple(sorted(heads))
+    prune = partial(within_budget, strict=strict)
+    return tuple(WeightedBasket(cand, p[1]) for data in feasible_tails(p)
+                 for cand in dominated_baskets(data.basket0, prune=prune))
 
 
 def _heads(cs: ConstraintSet) -> Iterator[PlurigenusSequence]:
@@ -141,26 +130,17 @@ class EnumerationResult(NamedTuple):
     eliminated: list[tuple[WeightedBasket, str]]
 
 
-@cache
-def _candidate_pool(head: PlurigenusSequence, fano_strict: bool) -> tuple[WeightedBasket, ...]:
-    """`candidates` of one head under the gamma prune of `fano_strict`,
-    weighted by P_{-1}, in order; built once per process, since families
-    with different pins share heads."""
-    prune = partial(within_budget, strict=fano_strict)
-    return tuple(WeightedBasket(cand, head[1]) for cand in candidates(head, prune))
-
-
 def enumerate_geometric_full(cs: ConstraintSet) -> EnumerationResult:
     """Complete, duplicate-free enumeration with per-candidate certificates.
 
-    Requires P_{-1} pinned.  The candidate pool of every head supplies the
+    Requires P_{-1} pinned.  The `candidates` of every head supply the
     tails and the prime-packing closure, and every candidate is filtered
     exactly.
     """
     survivors: list[WeightedBasket] = []
     eliminated: list[tuple[WeightedBasket, str]] = []
     for head in _heads(cs):
-        for wb in _candidate_pool(head, cs.fano_strict):
+        for wb in candidates(head, cs.fano_strict):
             ok, cert = is_geometric_candidate(wb, cs)
             if ok:
                 survivors.append(wb)

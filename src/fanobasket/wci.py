@@ -11,11 +11,9 @@ general hypersurface equals d iota^3 / prod(a).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import prod
 
 from .basket import PlurigenusSequence, Record, WeightedBasket
-from .recovery import within_budget
 from .search import candidates
 
 
@@ -63,8 +61,7 @@ def anti_plurigenera_from_hilbert(wci: WeightedCI, upto_m: int) -> PlurigenusSeq
 
 
 def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
-    """The weak (gamma >= 0) `candidates(p)` whose Riemann-Roch output is p,
-    sorted.
+    """The weak (gamma >= 0) `candidates` of p that Riemann-Roch maps to p, sorted.
 
     The candidates are the prime-packing closures of the feasible tails of
     one head (P_{-1}..P_{-4}), so the 24-budget bounds the search.  Sequences
@@ -73,11 +70,7 @@ def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
     """
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
-    fits = []
-    for cand in candidates(p, partial(within_budget, strict=False)):
-        wb = WeightedBasket(cand, p[1])
-        if wb.plurigenera(len(p)).values == p.values:
-            fits.append(wb)
+    fits = [wb for wb in candidates(p, False) if wb.plurigenera(len(p)).values == p.values]
     return sorted(fits, key=lambda w: w.basket)
 
 

@@ -32,6 +32,8 @@ FAST_TESTS = (
     "tests/test_search.py",
     "tests/test_universe.py",
     "tests/test_pencil.py",
+    "tests/test_recovery.py",
+    "tests/test_indexbound.py",
 )
 
 # name -> (file under src/fanobasket, text, its replacement); the text must
@@ -47,10 +49,30 @@ MUTANTS = {
         "_COSTS = {r: cost(r) for r in range(2, TAIL_R_CAP + 1)}",
         "_COSTS = {r: cost(r) for r in range(2, TAIL_R_CAP)}",
     ),
-    "heads walk stops short of the last n14": (
-        "search.py",
-        "range(tail_budget(n12, n13, 0) // cost(4) + 1)",
-        "range(tail_budget(n12, n13, 0) // cost(4))",
+    "budget walk stops short of the last value": (
+        "recovery.py",
+        "for r in range(start, hi + 1):",
+        "for r in range(start, hi):",
+    ),
+    "budget walk refuses what spends the budget exactly": (
+        "recovery.py",
+        "over[r] > left",
+        "over[r] >= left",
+    ),
+    "repeating walk repeats no value": (
+        "recovery.py",
+        "step(r if repeat else r + 1,",
+        "step(r + 1 if repeat else r + 1,",
+    ),
+    "tail point displaces a (1, 3)": (
+        "recovery.py",
+        "c - _COSTS[4]",
+        "c - _COSTS[3]",
+    ),
+    "heads count n13 as n12": (
+        "recovery.py",
+        "map(points.count, (2, 3, 4))",
+        "map(points.count, (3, 2, 4))",
     ),
     "840 degrees start at 72": (
         "pencil.py",

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -11,17 +11,19 @@ import pytest
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.canonical import unpack
 from fanobasket.recovery import (
+    _COSTS,
+    _TAIL_OVER,
     BUDGET,
     COST_UNIT,
     TAIL_R_CAP,
     Infeasible,
-    budgeted_tails,
+    _budget_walk,
+    _tail_free_heads,
     cost,
     feasible_tails,
     recover,
     stage0_head,
     structural_tail,
-    tail_budget,
 )
 from fanobasket.wci import (
     X6D_PAIRS,
@@ -146,7 +148,17 @@ def test_cost_unit_is_exact_up_to_the_cap():
     for r in (25, COST_UNIT + 1):
         with pytest.raises(ValueError):
             cost(r)
-    assert tail_budget(2, 1, 1) == (24 - 3 - Fraction(8, 3) - Fraction(15, 4)) * COST_UNIT
+    assert _left(2, 1, 1) == (24 - 3 - Fraction(8, 3) - Fraction(15, 4)) * COST_UNIT
+
+
+def _left(n12: int, n13: int, n14: int) -> int:
+    """What the 24-budget leaves for the tail beside n_{1,2}, n_{1,3}, n_{1,4}."""
+    return BUDGET - n12 * cost(2) - n13 * cost(3) - n14 * cost(4)
+
+
+def _tails(budget: int, most: int) -> list[tuple[int, ...]]:
+    """The walk's tail mode, shortest first, as `feasible_tails` reads it."""
+    return sorted(_budget_walk(5, TAIL_R_CAP, _TAIL_OVER, budget, most, repeat=True), key=len)
 
 
 def _displacement(tail: tuple[int, ...]) -> Fraction:
@@ -154,7 +166,7 @@ def _displacement(tail: tuple[int, ...]) -> Fraction:
     return sum((r - Fraction(1, r) - Fraction(15, 4) for r in tail), Fraction(0))
 
 
-def test_budgeted_tails_match_fraction_brute_force():
+def test_tail_walk_matches_fraction_brute_force():
     budgets = [
         Fraction(24),
         Fraction(24) - 5 * Fraction(3, 2),
@@ -174,26 +186,44 @@ def test_budgeted_tails_match_fraction_brute_force():
         for most in range(6):
             # shortest first, then in the order of combinations_with_replacement
             expected = [c for k in range(most + 1) for c in fits[k]]
-            assert list(budgeted_tails(int(scaled), most)) == expected, (most, budget)
+            assert _tails(int(scaled), most) == expected, (most, budget)
 
 
-def test_budgeted_tails_boundary_and_cap():
+def test_tail_walk_boundary_and_cap():
     # the head (0, 0, 5) keeps 5 x (1,5), which uses its whole budget
-    assert _displacement((5,) * 5) * COST_UNIT == tail_budget(0, 0, 5)
-    assert list(budgeted_tails(tail_budget(0, 0, 5), 5))[-1] == (5, 5, 5, 5, 5)
+    assert _displacement((5,) * 5) * COST_UNIT == _left(0, 0, 5)
+    assert _tails(_left(0, 0, 5), 5)[-1] == (5, 5, 5, 5, 5)
     # no head of the budget keeps a tail of 6 points: 6 x (1,5) displaces more
     # than 6 x (1,4) leave, and a seventh (1,4) breaks the budget
     triples = [(a, b, c) for a in range(17) for b in range(10) for c in range(7)
-               if tail_budget(a, b, c) >= 0]
-    assert len(triples) == 243 and tail_budget(0, 0, 7) < 0
-    assert max(len(tail) for a, b, c in triples
-               for tail in budgeted_tails(tail_budget(a, b, c), c)) == 5
+               if _left(a, b, c) >= 0]
+    assert len(triples) == 243 and _left(0, 0, 7) < 0
+    assert max(len(tail) for a, b, c in triples for tail in _tails(_left(a, b, c), c)) == 5
     # the one-point tails are r = 5..24: r > 24 alone exceeds the budget
-    assert list(budgeted_tails(tail_budget(0, 0, 1), 1)) == [()] + [(r,) for r in range(5, 25)]
-    assert list(budgeted_tails(0, 5)) == [()]
-    assert list(budgeted_tails(-1, 5)) == []
-    with pytest.raises(ValueError, match="most must be >= 0"):
-        budgeted_tails(BUDGET, -1)
+    assert _tails(_left(0, 0, 1), 1) == [()] + [(r,) for r in range(5, 25)]
+    assert _tails(0, 5) == [()]
+    assert _tails(-1, 5) == []
+
+
+def _within(values: tuple[int, ...]) -> bool:
+    return sum((r - Fraction(1, r) for r in values), Fraction(0)) <= 24
+
+
+def test_the_walk_lists_the_243_heads_and_the_427_index_sets():
+    # depth first with the smaller value first is lexicographic order; no
+    # budgeted basket has 17 points, and no set of 6 distinct indices fits
+    assert not _within((2,) * 17) and not _within((2, 3, 4, 5, 6, 7))
+    points = _budget_walk(2, 4, _COSTS, BUDGET, BUDGET // cost(2), repeat=True)
+    assert points == sorted(c for k in range(17)
+                            for c in combinations_with_replacement((2, 3, 4), k) if _within(c))
+    assert len(points) == 243 and len(_tail_free_heads()) == 243
+    # (P_-2, P_-3, P_-4) at P_-1 = 0 recovers each tail-free triple
+    triples = sorted((c.count(2), c.count(3), c.count(4)) for c in points)
+    recovered = [stage0_head(PlurigenusSequence((0, *head)), 0) for head in _tail_free_heads()]
+    assert sorted(recovered) == triples
+    sets = _budget_walk(2, TAIL_R_CAP, _COSTS, BUDGET, BUDGET // cost(2), repeat=False)
+    assert sets == sorted(c for k in range(6) for c in combinations(range(2, 25), k) if _within(c))
+    assert sets[0] == () and len(sets) == 428
 
 
 # a tail costing more than 24 on its own leaves gamma(B^(0)) < 0, so at

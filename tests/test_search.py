@@ -1,6 +1,5 @@
 """Geometric enumeration and the image-dimension replays."""
 
-from functools import partial
 from itertools import groupby
 from pathlib import Path
 
@@ -10,11 +9,10 @@ import fanobasket.search as search_module
 from fanobasket.basket import Basket, PlurigenusSequence, WeightedBasket
 from fanobasket.birational import replay_birationality
 from fanobasket.canonical import unpack
-from fanobasket.recovery import feasible_tails, within_budget
+from fanobasket.recovery import feasible_tails
 from fanobasket.search import (
     P1_EQ_1_HORIZONS,
     ConstraintSet,
-    _candidate_pool,
     _heads,
     candidates,
     enumerate_geometric,
@@ -152,13 +150,12 @@ def test_candidate_closures_are_disjoint():
         weak = ConstraintSet(p_exact={1: p1}, fano_strict=False)
         listed = []
         for head in _heads(weak):
-            cands = list(candidates(head, partial(within_budget, strict=False)))
+            cands = [wb.basket for wb in candidates(head, False)]
             seeds = [d.basket0 for d in feasible_tails(head) if d.basket0.gamma() >= 0]
             assert [seed for seed, _ in groupby(unpack(c, 0) for c in cands)] == seeds
             listed += cands
         strict = ConstraintSet(p_exact={1: p1})
-        strict_listed = [c for head in _heads(strict)
-                         for c in candidates(head, partial(within_budget, strict=True))]
+        strict_listed = [wb.basket for head in _heads(strict) for wb in candidates(head, True)]
         # gamma only drops along a packing, so the strict closures are the
         # weak ones cut to gamma > 0
         assert strict_listed == [c for c in listed if c.gamma() > 0]
@@ -206,7 +203,7 @@ def test_enumeration_after_clearing_the_candidate_pool_is_unchanged():
     for cs in (ConstraintSet(p_exact={1: 2}), ConstraintSet(p_exact={1: 1, 2: 1}, fano_strict=False)):
         first = enumerate_geometric_full(cs)
         assert enumerate_geometric_full(cs) == first
-        _candidate_pool.cache_clear()
+        candidates.cache_clear()
         assert enumerate_geometric_full(cs) == first
 
 
@@ -343,7 +340,7 @@ def test_report_serialization_round_trip():
 def test_reports_are_run_to_run_deterministic():
     first = replay_delta1("P1_eq_1")
     replay_delta1.cache_clear()  # a second, independent computation
-    _candidate_pool.cache_clear()
+    candidates.cache_clear()
     second = replay_delta1("P1_eq_1")
     assert second is not first and second.json_text() == first.json_text()
 
@@ -352,13 +349,13 @@ def test_reports_are_run_to_run_deterministic():
 def test_qfano39_leaves_the_shared_delta1_reports_unmutated(delta1_first):
     # QFano39 reads the same report objects that `replay_delta1` hands out
     replay_delta1.cache_clear()
-    _candidate_pool.cache_clear()
+    candidates.cache_clear()
     golden = {family: (GOLDEN_DIR / f"replay_{case}.json").read_text()
               for family, case in (("P1_eq_0", "p0"), ("P1_eq_1", "p1"))}
     before = {family: replay_delta1(family).json_text() + "\n" for family in golden}
     if not delta1_first:
         replay_delta1.cache_clear()
-        _candidate_pool.cache_clear()
+        candidates.cache_clear()
     birat1 = replay_birationality("QFano39").json_text() + "\n"
     after = {family: replay_delta1(family).json_text() + "\n" for family in golden}
     assert before == after == golden
@@ -389,23 +386,23 @@ def test_a_replays_pass_enumerates_the_p1_zero_family_once(capsys, monkeypatch):
     import fanobasket.birational as birational
     from fanobasket.cli import main
 
-    calls, closures = [], []
-    full, closure = enumerate_geometric_full, search_module.candidates
+    calls, builds = [], []
+    full, tails = enumerate_geometric_full, search_module.feasible_tails
 
     def counted(cs):
         calls.append(cs)
         return full(cs)
 
-    def built(head, prune):
-        closures.append(head)
-        return closure(head, prune)
+    def built(head):
+        builds.append(head)
+        return tails(head)
 
     for module in (search_module, birational):
         monkeypatch.setattr(module, "enumerate_geometric_full", counted)
-    monkeypatch.setattr(search_module, "candidates", built)
+    monkeypatch.setattr(search_module, "feasible_tails", built)
     replay_delta1.cache_clear()
     p1_zero_family.cache_clear()
-    _candidate_pool.cache_clear()
+    candidates.cache_clear()
     assert main(["replay", "list"]) == 0
     capsys.readouterr()
     for family in ("P1_ge_3", "P1_eq_2", "P1_eq_1", "P1_eq_0"):
@@ -421,12 +418,13 @@ def test_a_replays_pass_enumerates_the_p1_zero_family_once(capsys, monkeypatch):
     assert p1_zero_family.cache_info().misses == 1
     # the pool builds each head's closure once: (1,1,1,1) serves the ladders
     # n0 = 5, 6, >=7 and both QFano39 families
-    pool = _candidate_pool.cache_info()
-    assert pool.misses == len(closures) == len(set(closures))
-    assert closures.count(PlurigenusSequence((1, 1, 1, 1))) == 1
+    pool = candidates.cache_info()
+    assert pool.misses == len(builds) == len(set(builds))
+    assert builds.count(PlurigenusSequence((1, 1, 1, 1))) == 1
     heads = [head for cs in calls for head in _heads(cs)]
     assert pool.hits + pool.misses == len(heads)
     assert heads.count(PlurigenusSequence((1, 1, 1, 1))) == 5
+    assert (pool.hits, pool.misses) == (4, 49)
 
 
 def _bruteforce_survivors(cs: ConstraintSet, r_cap: int, size_cap: int):

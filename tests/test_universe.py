@@ -4,7 +4,8 @@
 walk that shares no code with recovery, the packing closure or `unpack`;
 every candidate pool, survivor list and certificate of the pipeline is
 checked against it for P_-1 = 0..3, weak and strict, and so are the budget
-test and the recovery identities on every one of its baskets.
+test, the recovery identities, `unpack` at levels 0 and 5 and P_-1..P_-12
+on every one of its baskets.
 """
 
 from math import lcm
@@ -15,12 +16,12 @@ from fanobasket.indexbound import _index_sets
 from fanobasket.recovery import recover, structural_tail, within_budget
 from fanobasket.search import (
     ConstraintSet,
-    _candidate_pool,
     _heads,
+    candidates,
     enumerate_geometric_full,
     is_geometric_candidate,
 )
-from oracles import CANONICAL_POINTS, budget_universe, plurigenera_closed_form
+from oracles import CANONICAL_POINTS, budget_universe, plurigenera_closed_form, unpack_reference
 
 
 def test_the_universe_counts():
@@ -57,7 +58,7 @@ def test_pools_and_survivors_are_the_universe_slices():
                 basket for basket, gamma in universe.items()
                 if all(at_zero[basket][m] + shift[m] >= 0 for m in (1, 2, 3))
                 and (gamma > 0 or not strict))
-            pool = [wb.basket for head in _heads(cs) for wb in _candidate_pool(head, strict)]
+            pool = [wb.basket for head in _heads(cs) for wb in candidates(head, strict)]
             assert sorted(pool) == expected, (p1, strict)
             assert len(set(pool)) == len(pool), (p1, strict)
             # the same slice through the exact filter: survivors and
@@ -108,3 +109,17 @@ def test_recovery_round_trips_on_every_universe_basket():
         out = recover(WeightedBasket(basket, 0).plurigenera(8), structural_tail(basket))
         assert out, (basket.text(), out)
         assert (out.basket0, out.basket5) == (unpack(basket, 0), unpack(basket, 5)), basket.text()
+
+
+def test_unpack_matches_the_reference_on_every_universe_basket():
+    # the stage-0 and stage-5 baskets that recovery states, on all 8,338
+    for basket in budget_universe():
+        for level in (0, 5):
+            assert unpack(basket, level) == unpack_reference(basket, level), (basket.text(), level)
+
+
+def test_plurigenera_match_the_closed_form_on_every_universe_basket():
+    # P_-1..P_-12 at p1 = 0, the recursion against the closed form, on all 8,338
+    for basket in budget_universe():
+        wb = WeightedBasket(basket, 0)
+        assert wb.plurigenera(12).values == plurigenera_closed_form(wb, 12), basket.text()

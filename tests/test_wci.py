@@ -1,13 +1,12 @@
 """Hilbert-series oracle and basket fitting."""
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from fanobasket.basket import PlurigenusSequence
-from fanobasket.recovery import BUDGET, cost, recover, stage0_head, tail_budget, within_budget
-from fanobasket.search import ConstraintSet, _candidate_pool, _heads, candidates
+from fanobasket.recovery import BUDGET, cost, recover, stage0_head
+from fanobasket.search import ConstraintSet, _heads, candidates
 from fanobasket.wci import (
     X19,
     X24_30,
@@ -110,6 +109,7 @@ def test_fit_basket_recovers_only_budgeted_tails(monkeypatch):
         return recover(p, tail)
 
     monkeypatch.setattr(recovery, "recover", counted)
+    candidates.cache_clear()  # an earlier fit of X66 would be read from the pool
     fits = fit_basket(anti_plurigenera_from_hilbert(X66, 40))
     assert [w.basket.text() for w in fits] == ["(1,2),(1,3),(2,5),(2,11)"]
     # one call per tail that fits the budget, out of the 230,230 tail
@@ -121,12 +121,12 @@ def test_the_24_budget_bounds_every_candidate_pool_at_152():
     # every budgeted stage-0 triple (n_{1,2}, n_{1,3}, n_{1,4}) at sigma5 = 0
     triples = {(a, b, c) for a in range(BUDGET // cost(2) + 1)
                for b in range(BUDGET // cost(3) + 1) for c in range(BUDGET // cost(4) + 1)
-               if tail_budget(a, b, c) >= 0}
+               if a * cost(2) + b * cost(3) + c * cost(4) <= BUDGET}
     sizes = {}
     for p1 in range(5):
         heads = list(_heads(ConstraintSet(p_exact={1: p1}, fano_strict=False)))
         assert {stage0_head(head, 0) for head in heads} <= triples, p1
-        sizes[p1] = {stage0_head(head, 0): len(_candidate_pool(head, False)) for head in heads}
+        sizes[p1] = {stage0_head(head, 0): len(candidates(head, False)) for head in heads}
     # P_-2..P_-4 of a triple rise with P_-1, so from P_-1 = 3 on none is
     # negative and the heads are every budgeted triple
     assert len(sizes[3]) == len(triples) == 243
@@ -136,11 +136,10 @@ def test_the_24_budget_bounds_every_candidate_pool_at_152():
     for p1 in range(3):
         assert all(size == sizes[3][triple] for triple, size in sizes[p1].items()), p1
     # a fit's candidates lie in the pool of the fixture's own head
-    weak = partial(within_budget, strict=False)
     for wci in (X66, X42, X24_30, X19, *(x6d_member(a, b) for a, b in X6D_PAIRS)):
         p = anti_plurigenera_from_hilbert(wci, 40)
         head = PlurigenusSequence(p.values[:4])
-        assert set(candidates(p, weak)) <= {wb.basket for wb in _candidate_pool(head, False)}
+        assert set(candidates(p, False)) <= set(candidates(head, False))
 
 
 def test_fit_basket_rejects_flat_zero_sequence():
