@@ -393,26 +393,29 @@ class WeightedBasket(Record):
     def plurigenera(self, upto: int) -> PlurigenusSequence:
         """P_{-1} .. P_{-upto}, read off the one table the basket keeps.
 
-        The table holds P_{-1}.. at one weight p1.  Asked at another weight or
-        past its length, it is rebuilt at this weight by the integer increment
-        recursion 2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
+        The table holds P_{-1}.. at one weight p1.  Asked past its length, it
+        grows from its last value by the integer increment recursion
+        2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
         w the residue table of each point, every term an integer once scaled
-        by L = lcm(r_i).  A recursion that faults keeps nothing.
+        by L = lcm(r_i); asked at another weight, it is rebuilt from P_{-1}.
+        A recursion that faults keeps nothing new.
         """
         weight, values = self.basket._table
         if weight != self.p1 or upto > len(values):
+            if weight != self.p1 or not values:
+                values = (self.p1,)
             big_l = self.basket.gorenstein_index()
             vol = self._scaled_volume()
             corr = _summed_residues(self.basket.counts(), big_l, upto)
             two_l, four_l = 2 * big_l, 4 * big_l
-            values, current = [self.p1], self.p1
-            for k in range(2, upto + 1):
+            grown, current = list(values), values[-1]
+            for k in range(len(values) + 1, upto + 1):
                 q, rem = divmod(k * k * vol + four_l - corr[k], two_l)
                 if rem:
                     raise IntegralityFault(f"non-integral increment at m={k} for {self}")
                 current += q
-                values.append(current)
-            values = tuple(values)
+                grown.append(current)
+            values = tuple(grown)
             self.basket._table = self.p1, values
         return PlurigenusSequence(values[:max(upto, 0)])
 

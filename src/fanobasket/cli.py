@@ -21,7 +21,7 @@ from .basket import Basket, BasketParseError, WeightedBasket
 from .birational import BirationalityInputs, replay_birationality, thm_main_threshold
 from .indexbound import max_index_given_rmax, max_index_report
 from .pencil import non_pencil_threshold, thm1_threshold_from_bounds
-from .reports import ReplayContradiction, require
+from .reports import ReplayContradiction, json_indent2, require
 from .search import ConstraintSet, enumerate_geometric, replay_delta1
 from .wci import WeightedCI, anti_plurigenera_from_hilbert, fit_basket
 
@@ -89,7 +89,7 @@ def cmd_rr(args) -> int:
         payload["volume"] = str(wb.volume())
         payload["rX"] = wb.gorenstein_index()
         payload["P"] = {f"-{m}": seq[m] for m in ms}
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, json_indent2(payload))
         return 0
     lines = [
         f"basket {wb.basket.text() or 'empty'}  p1 = {wb.p1}",
@@ -131,7 +131,7 @@ def cmd_enumerate(args) -> int:
     )
     survivors = enumerate_geometric(cs)
     if args.json:
-        _emit(args, json.dumps([wb.to_json() for wb in survivors], indent=2))
+        _emit(args, json_indent2([wb.to_json() for wb in survivors]))
     else:
         _emit(args, render_enumeration(survivors, min(args.horizon, 8)))
     return 0
@@ -141,7 +141,7 @@ def cmd_replay(args) -> int:
     if args.case == "list":
         rows = table_rows()
         if args.json:
-            _emit(args, json.dumps([wb.to_json() for wb in rows], indent=2))
+            _emit(args, json_indent2([wb.to_json() for wb in rows]))
         else:
             _emit(args, render_enumeration(rows))
         return 0
@@ -165,7 +165,7 @@ def cmd_index_bound(args) -> int:
         return 0
     report = max_index_report()
     if args.json:
-        _emit(args, json.dumps(report.to_json(), indent=2))
+        _emit(args, json_indent2(report.to_json()))
     else:
         wit = ",".join("{" + ",".join(map(str, w)) + "}" for w in report.witnesses)
         _emit(
@@ -195,7 +195,7 @@ def cmd_pencil(args) -> int:
                 for v in scan.verdicts
             ],
         }
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, json_indent2(payload))
         return 0
     lines = [
         f"basket {wb.basket.text()}  p1 = {wb.p1}  -K^3 = {wb.volume()}"
@@ -242,7 +242,7 @@ def cmd_wci(args) -> int:
             payload["fits"] = [
                 {**wb.to_json(), "volume": str(wb.volume())} for wb in fits
             ]
-        _emit(args, json.dumps(payload, indent=2))
+        _emit(args, json_indent2(payload))
         return 0
     lines = ["m,P_-m"] + [f"{m},{p[m]}" for m in range(1, len(p) + 1)]
     if fits is not None:

@@ -6,7 +6,8 @@ without changing the lcm, so the distinct indices of a basket form a set of
 values in 2..TAIL_R_CAP whose costs fit the budget, and the lcm of that set
 is the basket's r_X.  `_index_sets` lists every such set once per process,
 read off the increasing mode of `recovery._budget_walk`; the global maximum
-and the per-r_max questions of the Weak97 tree each read that one table.
+reads that one table, and the per-r_max questions of the Weak97 tree read
+its sets with largest entry r_max, grouped once per r_max.
 Costs are the exact integers of `recovery.cost`, in units of 1/COST_UNIT.
 """
 
@@ -26,6 +27,12 @@ def _index_sets() -> tuple[tuple[int, ...], ...]:
     before its extensions, and those before the sets that follow it.  No
     set within the budget holds more than BUDGET // cost(2) values."""
     return tuple(_budget_walk(2, TAIL_R_CAP, _COSTS, BUDGET, BUDGET // _COSTS[2], repeat=False)[1:])
+
+
+@cache
+def _sets_ending_at(r_max: int) -> tuple[tuple[int, ...], ...]:
+    """The `_index_sets` with largest entry r_max, in their order."""
+    return tuple(s for s in _index_sets() if s[-1] == r_max)
 
 
 class IndexReport(NamedTuple):
@@ -59,7 +66,7 @@ def _raw_subsets(r_max: int, must_contain: tuple[int, ...] = ()) -> list[tuple[i
     if not all(2 <= v <= r_max for v in must_contain):
         raise ValueError(f"must_contain values must lie in [2, {r_max}], got {must_contain}")
     forced = set(must_contain)
-    return [s for s in _index_sets() if s[-1] == r_max and forced.issubset(s)]
+    return [s for s in _sets_ending_at(r_max) if forced.issubset(s)]
 
 
 def max_index_given_rmax(r_max: int) -> int:

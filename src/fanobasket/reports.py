@@ -1,13 +1,37 @@
-"""Machine-checked replay reports: survivors, certificates, conclusions."""
+"""Machine-checked replay reports: survivors, certificates, conclusions, and
+the package's one indent-2 JSON writer (`json.dumps` indents in pure Python)."""
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .basket import Record, WeightedBasket
 
 SURVIVOR_HORIZON = 12  # degrees of the P vector a survivor row reports
+
+
+def json_indent2(value, pad: str = "\n") -> str:
+    """What `json.dumps` writes at an indent of 2, byte for byte, for str,
+    int, bool, None, and lists and str-keyed dicts of them, dispatched on
+    the exact type: anything else raises TypeError.  `pad` closes the value."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if kind is list:
+        items, ends = [json_indent2(v, inner) for v in value], "[]"
+    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key not a str
+        items, ends = [encode_basestring_ascii(k) + ": " + json_indent2(v, inner)
+                       for k, v in value.items()], "{}"
+    else:
+        raise TypeError(f"{kind.__name__} is not written as JSON")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
 
 
 class ReplayContradiction(Exception):
@@ -83,7 +107,7 @@ class ReplayReport(Record):
         return out
 
     def json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=False)
+        return json_indent2(self.to_json())
 
     def render(self) -> str:
         lines = [f"case: {self.case}", f"constraints: {self.constraints}"]

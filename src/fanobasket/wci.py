@@ -70,7 +70,9 @@ def fit_basket(p: PlurigenusSequence) -> list[WeightedBasket]:
     """
     if len(p) < 5:
         raise ValueError("need at least P_{-1}..P_{-5} to anchor a fit")
-    fits = [wb for wb in candidates(p, False) if wb.plurigenera(len(p)).values == p.values]
+    # the pool reads P_{-1}..P_{-8} only, so sequences that share them share it
+    pool = candidates(PlurigenusSequence(p.values[:8]), False)
+    fits = [wb for wb in pool if wb.plurigenera(len(p)).values == p.values]
     return sorted(fits, key=lambda w: w.basket)
 
 

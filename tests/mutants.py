@@ -34,6 +34,7 @@ FAST_TESTS = (
     "tests/test_pencil.py",
     "tests/test_recovery.py",
     "tests/test_indexbound.py",
+    "tests/test_reports.py",
 )
 
 # name -> (file under src/fanobasket, text, its replacement); the text must
@@ -88,6 +89,21 @@ MUTANTS = {
         "basket.py",
         "map((n * (big_l // r)).__mul__",
         "map((n + (big_l // r)).__mul__",
+    ),
+    "table growth starts one degree late": (
+        "basket.py",
+        "range(len(values) + 1, upto + 1)",
+        "range(len(values) + 2, upto + 1)",
+    ),
+    "writer indents by one space": (
+        "reports.py",
+        'inner = pad + "  "',
+        'inner = pad + " "',
+    ),
+    "per-r_max index sets read r_max - 1": (
+        "indexbound.py",
+        "_sets_ending_at(r_max)",
+        "_sets_ending_at(r_max - 1)",
     ),
 }
 

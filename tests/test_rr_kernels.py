@@ -242,8 +242,9 @@ def fresh(basket: Basket) -> Basket:
 
 
 def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
-    # a table is rebuilt at the weight asked when the weight changes or a
-    # horizon outgrows it, and serves shorter horizons at its own weight
+    # a table is rebuilt at the weight asked when the weight changes, grows
+    # from its last value when a horizon outgrows it, and serves shorter
+    # horizons at its own weight
     table_rows = [Basket.parse(row.basket) for row in P1_P2_ZERO_TABLE]
     for basket in BASKETS_840 + table_rows:
         shared = fresh(basket)
@@ -257,14 +258,30 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
 
 
 def test_a_faulting_recursion_keeps_nothing(monkeypatch):
+    # residues off by one make every increment odd: the recursion faults at
+    # the first degree it computes, from P_-1 or from a kept table's end
     real = basket_module._residues
-    monkeypatch.setattr(basket_module, "_residues", lambda b, r: tuple(w + 1 for w in real(b, r)))
+
+    def wrong(b, r):
+        return tuple(w + 1 for w in real(b, r))
+
     wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
+    expected = plurigenera_closed_form(wb, 10)
+    monkeypatch.setattr(basket_module, "_residues", wrong)
     for _ in range(2):
-        with pytest.raises(IntegralityFault):
+        with pytest.raises(IntegralityFault, match="m=2 "):
             wb.plurigenera(10)
+    assert wb.basket._table == (0, ())  # the empty table a basket starts with
     monkeypatch.undo()
-    assert wb.plurigenera(10).values == plurigenera_closed_form(wb, 10)
+    assert wb.plurigenera(6).values == expected[:6]
+    # an extension that faults keeps the valid prefix, and grows from it later
+    monkeypatch.setattr(basket_module, "_residues", wrong)
+    for _ in range(2):
+        with pytest.raises(IntegralityFault, match="m=7 "):
+            wb.plurigenera(10)
+        assert wb.basket._table == (1, expected[:6])
+    monkeypatch.undo()
+    assert wb.plurigenera(10).values == expected
 
 
 def test_the_memo_leaves_equality_hash_and_order_alone():

@@ -5,7 +5,7 @@ walk that shares no code with recovery, the packing closure or `unpack`;
 every candidate pool, survivor list and certificate of the pipeline is
 checked against it for P_-1 = 0..3, weak and strict, and so are the budget
 test, the recovery identities, `unpack` at levels 0 and 5 and P_-1..P_-12
-on every one of its baskets.
+on every one of its baskets, and P_-13..P_-24 grown from that table.
 """
 
 from math import lcm
@@ -119,7 +119,11 @@ def test_unpack_matches_the_reference_on_every_universe_basket():
 
 
 def test_plurigenera_match_the_closed_form_on_every_universe_basket():
-    # P_-1..P_-12 at p1 = 0, the recursion against the closed form, on all 8,338
+    # P_-1..P_-12 at p1 = 0, the recursion against the closed form, on all
+    # 8,338; then the same table, grown to P_-24 from its last value
     for basket in budget_universe():
-        wb = WeightedBasket(basket, 0)
-        assert wb.plurigenera(12).values == plurigenera_closed_form(wb, 12), basket.text()
+        wb = WeightedBasket(Basket.from_counts(basket.counts()), 0)  # an empty table
+        expected = plurigenera_closed_form(wb, 24)
+        assert wb.plurigenera(12).values == expected[:12], basket.text()
+        assert wb.plurigenera(24).values == expected, basket.text()
+        assert wb.basket._table == (0, expected), basket.text()

@@ -117,6 +117,17 @@ def test_fit_basket_recovers_only_budgeted_tails(monkeypatch):
     assert len(calls) == 21
 
 
+def test_fits_that_share_p1_to_p8_share_one_pool():
+    p = anti_plurigenera_from_hilbert(X42, 40)
+    candidates.cache_clear()
+    assert [w.basket.text() for w in fit_basket(p)] == ["(1,2),(1,3),(1,7)"]
+    assert fit_basket(PlurigenusSequence(p.values[:12])) == fit_basket(p)
+    # P_-9 off by one: the same pool, and no basket in it fits
+    assert fit_basket(PlurigenusSequence((*p.values[:8], p[9] + 1, *p.values[9:]))) == []
+    info = candidates.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_the_24_budget_bounds_every_candidate_pool_at_152():
     # every budgeted stage-0 triple (n_{1,2}, n_{1,3}, n_{1,4}) at sigma5 = 0
     triples = {(a, b, c) for a in range(BUDGET // cost(2) + 1)
