@@ -12,8 +12,10 @@ where l(-m) sums the periodic local corrections of the orbifold points.
 Everything here is exact and free of floating point.  The kernels run in
 integers: each point (b, r) has one residue table w_j = u (r - u) with
 u = jb mod r, and the sums over a basket are scaled by L = lcm(r_i), so that
-L (-K^3), 12 L l(-m) and 2 L (P_{-m} - P_{-(m-1)}) are integers.  A
-`fractions.Fraction` is built only where a rational value leaves the API.
+L (-K^3), 12 L l(-m) and 2 L (P_{-m} - P_{-(m-1)}) are integers.  Short
+P_{-m} tables are sums of per-point integer tables instead, which need no
+scale.  A `fractions.Fraction` is built only where a rational value leaves
+the API.
 """
 
 from __future__ import annotations
@@ -273,6 +275,34 @@ def _l_point_table(b: int, r: int) -> tuple[int, ...]:
     return tuple(accumulate(_residues(b, r)))
 
 
+# P_{-m} tables asked to this degree sum per-point integer tables; longer ones
+# run the L-scaled recursion, whose per-degree cost does not grow with the points
+POINT_HORIZON = 40
+
+
+@lru_cache(maxsize=64)  # bounded: the weights come from the caller
+def _point_free(p1: int) -> tuple[int, ...]:
+    # P_{-m} of the empty basket at weight p1, m = 1..POINT_HORIZON at index
+    # m - 1: p1 + (p1 - 3)(S2(m) - 1) + 2 (m - 1), S2(m) = m(m+1)(2m+1)/6
+    return tuple(p1 + (p1 - 3) * (m * (m + 1) * (2 * m + 1) // 6 - 1) + 2 * (m - 1)
+                 for m in range(1, POINT_HORIZON + 1))
+
+
+@lru_cache(maxsize=None)
+def _point_sums(b: int, r: int) -> tuple[int, ...]:
+    # T_m = sum_{k=2..m} (k^2 b (r - b) - w_(k mod r)) / 2r, m = 1..POINT_HORIZON
+    # at index m - 1: what one point (b, r) adds to P_{-m} at any weight
+    w, c, two_r = _residues(b, r), b * (r - b), 2 * r
+    sums, total = [0], 0
+    for k in range(2, POINT_HORIZON + 1):
+        q, rem = divmod(k * k * c - w[k % r], two_r)
+        if rem:  # u == kb (mod r) makes every step an integer for coprime (b, r)
+            raise IntegralityFault(f"non-integral step at m={k} for ({b}, {r})")
+        total += q
+        sums.append(total)
+    return tuple(sums)
+
+
 def _summed_residues(runs: tuple[Run, ...], big_l: int, upto: int) -> tuple[int, ...]:
     # c_k = sum n (L/r) w_(k mod r) over the runs, k = 0..upto, for
     # L = big_l = lcm(r_i)
@@ -393,31 +423,53 @@ class WeightedBasket(Record):
     def plurigenera(self, upto: int) -> PlurigenusSequence:
         """P_{-1} .. P_{-upto}, read off the one table the basket keeps.
 
-        The table holds P_{-1}.. at one weight p1.  Asked past its length, it
-        grows from its last value by the integer increment recursion
+        The table holds P_{-1}.. at one weight p1; asked at another weight, it
+        is rebuilt, and asked past its length, it grows.  Up to degree
+        `POINT_HORIZON` (40) its new entries are sums of per-point integer
+        tables, memoised once per point and shared by every basket:
+        P_{-m} = p1 + (p1 - 3)(S2(m) - 1) + 2 (m - 1) + sum n T_m(b, r), with
+        S2(m) = m(m+1)(2m+1)/6 and T_m(b, r) the sum over k = 2..m of
+        (k^2 b (r - b) - w_(k mod r)) / 2r, w the residue table of the point.
+        Past that degree a table grows from its last value, or from P_{-1},
+        by the integer increment recursion
         2 (P_{-k} - P_{-(k-1)}) = k^2 (-K^3) + 4 - sum n w_(k mod r) / r,
-        w the residue table of each point, every term an integer once scaled
-        by L = lcm(r_i); asked at another weight, it is rebuilt from P_{-1}.
-        A recursion that faults keeps nothing new.
+        every term an integer once scaled by L = lcm(r_i): summing per-point
+        tables to P_{-200} cost more than the recursion.  Each step of either
+        route is integer-checked, and a build that faults keeps nothing new.
         """
         weight, values = self.basket._table
         if weight != self.p1 or upto > len(values):
-            if weight != self.p1 or not values:
-                values = (self.p1,)
-            big_l = self.basket.gorenstein_index()
-            vol = self._scaled_volume()
-            corr = _summed_residues(self.basket.counts(), big_l, upto)
-            two_l, four_l = 2 * big_l, 4 * big_l
-            grown, current = list(values), values[-1]
-            for k in range(len(values) + 1, upto + 1):
-                q, rem = divmod(k * k * vol + four_l - corr[k], two_l)
-                if rem:
-                    raise IntegralityFault(f"non-integral increment at m={k} for {self}")
-                current += q
-                grown.append(current)
-            values = tuple(grown)
+            if weight != self.p1:
+                values = ()
+            if upto <= POINT_HORIZON:
+                values += self._point_summed(len(values), max(upto, 0))
+            else:
+                values = self._recursed(values or (self.p1,), upto)
             self.basket._table = self.p1, values
         return PlurigenusSequence(values[:max(upto, 0)])
+
+    def _recursed(self, values: tuple[int, ...], upto: int) -> tuple[int, ...]:
+        """`values`, P_{-1}.., grown to P_{-upto} by the L-scaled recursion."""
+        big_l = self.basket.gorenstein_index()
+        vol = self._scaled_volume()
+        corr = _summed_residues(self.basket.counts(), big_l, upto)
+        two_l, four_l = 2 * big_l, 4 * big_l
+        grown, current = list(values), values[-1]
+        for k in range(len(values) + 1, upto + 1):
+            q, rem = divmod(k * k * vol + four_l - corr[k], two_l)
+            if rem:
+                raise IntegralityFault(f"non-integral increment at m={k} for {self}")
+            current += q
+            grown.append(current)
+        return tuple(grown)
+
+    def _point_summed(self, start: int, upto: int) -> tuple[int, ...]:
+        """P_{-(start+1)} .. P_{-upto} from the per-point tables, upto <= POINT_HORIZON."""
+        sums = _point_free(self.p1)[start:upto]
+        for (b, r), n in self.basket.counts():
+            share = _point_sums(b, r)[start:upto]
+            sums = map(add, sums, map(n.__mul__, share) if n > 1 else share)
+        return tuple(sums)
 
     def gorenstein_index(self) -> int:
         return self.basket.gorenstein_index()

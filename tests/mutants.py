@@ -95,6 +95,21 @@ MUTANTS = {
         "range(len(values) + 1, upto + 1)",
         "range(len(values) + 2, upto + 1)",
     ),
+    "point table steps start at k = 3": (
+        "basket.py",
+        "for k in range(2, POINT_HORIZON + 1):",
+        "for k in range(3, POINT_HORIZON + 1):",
+    ),
+    "point-free term loses p1": (
+        "basket.py",
+        "tuple(p1 + (p1 - 3) *",
+        "tuple((p1 - 3) *",
+    ),
+    "point table integrality raise removed": (
+        "basket.py",
+        "if rem:  # u == kb (mod r) makes every step an integer",
+        "if False:  # u == kb (mod r) makes every step an integer",
+    ),
     "writer indents by one space": (
         "reports.py",
         'inner = pad + "  "',

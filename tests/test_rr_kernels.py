@@ -14,7 +14,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -22,11 +24,12 @@ import pytest
 import fanobasket.basket as basket_module
 import fanobasket.pencil as pencil
 import fanobasket.recovery as recovery
+import fanobasket.search as search
 from fanobasket.basket import Basket, IntegralityFault, WeightedBasket
 from fanobasket.birational import INDEX_840_SETS, _index_840_sweep, _residue_baskets
 from fanobasket.recovery import COST_UNIT, within_budget
 from fanobasket.tables import P1_P2_ZERO_TABLE
-from oracles import local_correction_unreduced, plurigenera_closed_form
+from oracles import CANONICAL_POINTS, local_correction_unreduced, plurigenera_closed_form
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,31 +260,97 @@ def test_kept_tables_answer_any_weight_and_horizon_in_any_order():
                     assert owner._table[0] == p1
 
 
-def test_a_faulting_recursion_keeps_nothing(monkeypatch):
-    # residues off by one make every increment odd: the recursion faults at
-    # the first degree it computes, from P_-1 or from a kept table's end
+def off_by_one(monkeypatch) -> None:
+    """Every residue table off by one, which makes each step of either route odd."""
     real = basket_module._residues
+    monkeypatch.setattr(basket_module, "_residues", lambda b, r: tuple(w + 1 for w in real(b, r)))
 
-    def wrong(b, r):
-        return tuple(w + 1 for w in real(b, r))
 
+def test_a_faulting_recursion_keeps_nothing(monkeypatch):
+    # tables past POINT_HORIZON run the recursion; with wrong residues it
+    # faults at the first degree it computes, from P_-1 or from a kept table's
+    # end, whichever route built that table
+    far = basket_module.POINT_HORIZON + 10
     wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
-    expected = plurigenera_closed_form(wb, 10)
-    monkeypatch.setattr(basket_module, "_residues", wrong)
+    expected = plurigenera_closed_form(wb, far)
+    off_by_one(monkeypatch)
     for _ in range(2):
-        with pytest.raises(IntegralityFault, match="m=2 "):
-            wb.plurigenera(10)
+        with pytest.raises(IntegralityFault, match="increment at m=2 "):
+            wb.plurigenera(far)
     assert wb.basket._table == (0, ())  # the empty table a basket starts with
     monkeypatch.undo()
-    assert wb.plurigenera(6).values == expected[:6]
+    assert wb.plurigenera(far - 4).values == expected[:far - 4]
     # an extension that faults keeps the valid prefix, and grows from it later
-    monkeypatch.setattr(basket_module, "_residues", wrong)
+    off_by_one(monkeypatch)
     for _ in range(2):
-        with pytest.raises(IntegralityFault, match="m=7 "):
-            wb.plurigenera(10)
-        assert wb.basket._table == (1, expected[:6])
+        with pytest.raises(IntegralityFault, match=f"increment at m={far - 3} "):
+            wb.plurigenera(far)
+        assert wb.basket._table == (1, expected[:far - 4])
+    monkeypatch.undo()
+    assert wb.plurigenera(far).values == expected
+    # a table summed from the per-point tables grows by the recursion
+    short, near = WeightedBasket(fresh(wb.basket), 1), basket_module.POINT_HORIZON
+    assert short.plurigenera(near).values == expected[:near]
+    off_by_one(monkeypatch)
+    with pytest.raises(IntegralityFault, match=f"increment at m={near + 1} "):
+        short.plurigenera(far)
+    assert short.basket._table == (1, expected[:near])
+
+
+def test_a_faulting_point_table_keeps_nothing(monkeypatch):
+    # tables to POINT_HORIZON sum the per-point tables; with the per-point
+    # memo emptied and wrong residues, a point's table faults at its first
+    # step, and neither the basket nor the memo keeps anything
+    real = basket_module._residues
+    point_sums = lru_cache(maxsize=None)(basket_module._point_sums.__wrapped__)
+    monkeypatch.setattr(basket_module, "_point_sums", point_sums)
+    wb = WeightedBasket(Basket.parse("(1,2),(2,5)"), 1)
+    expected = plurigenera_closed_form(wb, 10)
+    off_by_one(monkeypatch)
+    for upto in (10, basket_module.POINT_HORIZON, 1):
+        with pytest.raises(IntegralityFault, match=r"step at m=2 for \(1, 2\)"):
+            wb.plurigenera(upto)
+        assert wb.basket._table == (0, ())
+        assert point_sums.cache_info().currsize == 0
+    # a growth that faults keeps the valid prefix
+    monkeypatch.setattr(basket_module, "_residues", real)
+    assert wb.plurigenera(6).values == expected[:6]
+    assert point_sums.cache_info().currsize == 2
+    point_sums.cache_clear()
+    off_by_one(monkeypatch)
+    with pytest.raises(IntegralityFault, match=r"step at m=2 for \(1, 2\)"):
+        wb.plurigenera(10)
+    assert wb.basket._table == (1, expected[:6])
+    assert point_sums.cache_info().currsize == 0
     monkeypatch.undo()
     assert wb.plurigenera(10).values == expected
+
+
+def test_both_routes_fault_under_optimize():
+    # a table to P_-10 sums per-point tables, one to P_-50 runs the recursion
+    out = faults_under_optimize(
+        "(lambda: wb.plurigenera(10), lambda: wb.plurigenera(50),"
+        " lambda: basket._point_sums(1, 3))")
+    assert out == "1 IntegralityFault IntegralityFault IntegralityFault\n"
+
+
+def test_point_tables_match_the_closed_form_on_every_canonical_point():
+    # the point-free part is P_-m of the empty basket, and T_m(b, r) what the
+    # one point (b, r) adds to it, both read off the closed form
+    horizon = basket_module.POINT_HORIZON
+    for p1 in (0, 1, 7):
+        empty = plurigenera_closed_form(WeightedBasket(Basket(), p1), horizon)
+        assert basket_module._point_free(p1) == empty, p1
+    free = basket_module._point_free(0)
+    for b, r in CANONICAL_POINTS:
+        one_point = plurigenera_closed_form(WeightedBasket(Basket([(b, r)]), 0), horizon)
+        assert basket_module._point_sums(b, r) == tuple(map(sub, one_point, free)), (b, r)
+
+
+def test_the_m1_growth_stays_within_the_point_horizon():
+    # `_m1_from_choice` grows the candidate filter's P_-12 tables to M1_HORIZON;
+    # within POINT_HORIZON that growth sums per-point tables, not the recursion
+    assert search.M1_HORIZON <= basket_module.POINT_HORIZON
 
 
 def test_the_memo_leaves_equality_hash_and_order_alone():

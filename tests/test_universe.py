@@ -5,12 +5,13 @@ walk that shares no code with recovery, the packing closure or `unpack`;
 every candidate pool, survivor list and certificate of the pipeline is
 checked against it for P_-1 = 0..3, weak and strict, and so are the budget
 test, the recovery identities, `unpack` at levels 0 and 5 and P_-1..P_-12
-on every one of its baskets, and P_-13..P_-24 grown from that table.
+on every one of its baskets, and P_-13..P_-24 grown from that table; the
+per-point sums and the recursion agree on each of them to P_-40.
 """
 
 from math import lcm
 
-from fanobasket.basket import Basket, WeightedBasket
+from fanobasket.basket import POINT_HORIZON, Basket, WeightedBasket
 from fanobasket.canonical import unpack
 from fanobasket.indexbound import _index_sets
 from fanobasket.recovery import recover, structural_tail, within_budget
@@ -119,11 +120,20 @@ def test_unpack_matches_the_reference_on_every_universe_basket():
 
 
 def test_plurigenera_match_the_closed_form_on_every_universe_basket():
-    # P_-1..P_-12 at p1 = 0, the recursion against the closed form, on all
-    # 8,338; then the same table, grown to P_-24 from its last value
+    # P_-1..P_-12 at p1 = 0, summed from the per-point tables, against the
+    # closed form, on all 8,338; then the same table, grown to P_-24
     for basket in budget_universe():
         wb = WeightedBasket(Basket.from_counts(basket.counts()), 0)  # an empty table
         expected = plurigenera_closed_form(wb, 24)
         assert wb.plurigenera(12).values == expected[:12], basket.text()
         assert wb.plurigenera(24).values == expected, basket.text()
         assert wb.basket._table == (0, expected), basket.text()
+
+
+def test_both_table_routes_agree_on_every_universe_basket():
+    # a fresh table to POINT_HORIZON sums per-point tables; one a degree
+    # longer runs the recursion from P_-1: at p1 = 0 they agree on all 8,338
+    for basket in budget_universe():
+        summed = WeightedBasket(Basket.from_counts(basket.counts()), 0).plurigenera(POINT_HORIZON)
+        recursed = WeightedBasket(Basket.from_counts(basket.counts()), 0).plurigenera(POINT_HORIZON + 1)
+        assert summed.values == recursed.values[:POINT_HORIZON], basket.text()
