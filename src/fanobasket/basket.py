@@ -437,16 +437,17 @@ class WeightedBasket(Record):
         tables to P_{-200} cost more than the recursion.  Each step of either
         route is integer-checked, and a build that faults keeps nothing new.
         """
+        upto = max(upto, 0)
         weight, values = self.basket._table
         if weight != self.p1 or upto > len(values):
             if weight != self.p1:
                 values = ()
             if upto <= POINT_HORIZON:
-                values += self._point_summed(len(values), max(upto, 0))
+                values += self._point_summed(len(values), upto)
             else:
                 values = self._recursed(values or (self.p1,), upto)
             self.basket._table = self.p1, values
-        return PlurigenusSequence(values[:max(upto, 0)])
+        return PlurigenusSequence(values[:upto])
 
     def _recursed(self, values: tuple[int, ...], upto: int) -> tuple[int, ...]:
         """`values`, P_{-1}.., grown to P_{-upto} by the L-scaled recursion."""
