@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Iterator
 
 
@@ -469,7 +469,7 @@ class WeightedBasket(Record):
         sums = _point_free(self.p1)[start:upto]
         for (b, r), n in self.basket.counts():
             share = _point_sums(b, r)[start:upto]
-            sums = map(add, sums, map(n.__mul__, share) if n > 1 else share)
+            sums = map(add, sums, map(mul, share, repeat(n)) if n > 1 else share)
         return tuple(sums)
 
     def gorenstein_index(self) -> int:

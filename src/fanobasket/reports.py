@@ -15,7 +15,8 @@ SURVIVOR_HORIZON = 12  # degrees of the P vector a survivor row reports
 def json_indent2(value, pad: str = "\n") -> str:
     """What `json.dumps` writes at an indent of 2, byte for byte, for str,
     int, bool, None, and lists and str-keyed dicts of them, dispatched on
-    the exact type: anything else raises TypeError.  `pad` closes the value."""
+    the exact type; a report row writes itself, and anything else raises
+    TypeError.  `pad` closes the value."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -23,15 +24,23 @@ def json_indent2(value, pad: str = "\n") -> str:
         return int.__repr__(value)
     if value is None or kind is bool:
         return "null" if value is None else "true" if value else "false"
-    inner = pad + "  "
     if kind is list:
-        items, ends = [json_indent2(v, inner) for v in value], "[]"
-    elif kind is dict:  # encode_basestring_ascii raises TypeError on a key not a str
-        items, ends = [encode_basestring_ascii(k) + ": " + json_indent2(v, inner)
-                       for k, v in value.items()], "{}"
+        members, ends = value, "[]"
+    elif kind is dict:
+        members, ends = value.values(), "{}"
+    elif kind is SurvivorRow or kind is EliminatedRow:
+        return value.json_at(pad)
     else:
         raise TypeError(f"{kind.__name__} is not written as JSON")
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+    if not value:
+        return ends
+    inner = pad + "  "
+    # str and int members are written inline, the rest by one call each
+    items = [encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int
+             else json_indent2(v, inner) for v in members]
+    if kind is dict:  # encode_basestring_ascii raises TypeError on a key not a str
+        items = [encode_basestring_ascii(k) + ": " + item for k, item in zip(value, items)]
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
 
 
 class ReplayContradiction(Exception):
@@ -63,6 +72,25 @@ class SurvivorRow(NamedTuple):
             **{k: v for k, v in sorted(self.notes.items())},
         }
 
+    def json_at(self, pad: str) -> str:
+        """`json_indent2(self.to_json(), pad)`, written straight from the row."""
+        if not _SURVIVOR_KEYS.isdisjoint(self.notes):  # a note overrides a row key in place
+            return json_indent2(self.to_json(), pad)
+        wb, field = self.wb, pad + "  "
+        entry = field + "  "
+        text = (f'{{{field}"basket": {encode_basestring_ascii(wb.basket.text())},'
+                f'{field}"p1": {int.__repr__(wb.p1)},{field}"volume": "{wb.volume()!s}",'
+                f'{field}"rX": {wb.gorenstein_index()},{field}"rmax": {wb.basket.r_max()},'
+                f'{field}"P": [{entry}'
+                + f",{entry}".join(map(int.__repr__, wb.plurigenera(SURVIVOR_HORIZON).values))
+                + f"{field}]")
+        for k, v in sorted(self.notes.items()):
+            text += f",{field}{encode_basestring_ascii(k)}: {json_indent2(v, field)}"
+        return text + pad + "}"
+
+
+_SURVIVOR_KEYS = frozenset(("basket", "p1", "volume", "rX", "rmax", "P"))
+
 
 class EliminatedRow(NamedTuple):
     wb: WeightedBasket
@@ -77,6 +105,14 @@ class EliminatedRow(NamedTuple):
             "branch": self.branch,
         }
 
+    def json_at(self, pad: str) -> str:
+        """`json_indent2(self.to_json(), pad)`, written straight from the row."""
+        field = pad + "  "
+        return (f'{{{field}"basket": {encode_basestring_ascii(self.wb.basket.text())},'
+                f'{field}"p1": {int.__repr__(self.wb.p1)},'
+                f'{field}"certificate": {encode_basestring_ascii(self.certificate)},'
+                f'{field}"branch": {encode_basestring_ascii(self.branch)}{pad}}}')
+
 
 class ReplayReport(Record):
     """One replay, filled in as it runs; it starts with no survivors,
@@ -90,12 +126,13 @@ class ReplayReport(Record):
         self.survivors, self.eliminated, self.leaves, self.coverage = [], [], [], []
         self.conclusion = ""
 
-    def to_json(self) -> dict:
+    def _fields(self) -> dict:
+        """What `to_json` gives, with the rows themselves in place of their dicts."""
         out = {
             "case": self.case,
             "constraints": self.constraints,
-            "survivors": [s.to_json() for s in self.survivors],
-            "eliminated": [e.to_json() for e in self.eliminated],
+            "survivors": self.survivors,
+            "eliminated": self.eliminated,
             "conclusion": self.conclusion,
         }
         if self.axioms:
@@ -106,8 +143,15 @@ class ReplayReport(Record):
             out["coverage"] = self.coverage
         return out
 
+    def to_json(self) -> dict:
+        out = self._fields()
+        out["survivors"] = [s.to_json() for s in self.survivors]
+        out["eliminated"] = [e.to_json() for e in self.eliminated]
+        return out
+
     def json_text(self) -> str:
-        return json_indent2(self.to_json())
+        """`json_indent2(self.to_json())`, each row written by its own writer."""
+        return json_indent2(self._fields())
 
     def render(self) -> str:
         lines = [f"case: {self.case}", f"constraints: {self.constraints}"]

@@ -213,12 +213,11 @@ def _m1_from_choice(wb: WeightedBasket, m: int) -> tuple[int, str]:
     """
     text = wb.basket.text()
     require(k1_all_points(wb.basket, m), f"{text}: local criterion fails at m={m}")
-    seq = wb.plurigenera(M1_HORIZON)
-    pm = seq[m]
+    pm = wb.plurigenera(m)[m]  # the table grows to M1_HORIZON only when P_-m < 3
     if pm >= 3:
         return m, f"P_-{m} = {pm} >= 3"
     require(pm >= 1, f"{text}: P_-{m} = {pm} < 1 cannot drive the criterion")
-    thresholds = k2_thresholds(seq.multiples_of(m))
+    thresholds = k2_thresholds(wb.plurigenera(M1_HORIZON).multiples_of(m))
     require(thresholds is not None, f"{text}: doubling horizon {M1_HORIZON} too short at m={m}")
     m1 = thresholds.l0 * m
     return m1, f"n0={thresholds.n0}, l0={thresholds.l0} along multiples of {m}"

@@ -115,6 +115,26 @@ MUTANTS = {
         'inner = pad + "  "',
         'inner = pad + " "',
     ),
+    "survivor row writer indents by one space": (
+        "reports.py",
+        'wb, field = self.wb, pad + "  "',
+        'wb, field = self.wb, pad + " "',
+    ),
+    "eliminated row writer indents by one space": (
+        "reports.py",
+        'field = pad + "  "\n        return',
+        'field = pad + " "\n        return',
+    ),
+    "P_-m of 3 does not settle m1": (
+        "search.py",
+        "if pm >= 3:",
+        "if pm > 3:",
+    ),
+    "point share scaled by one count less": (
+        "basket.py",
+        "map(mul, share, repeat(n))",
+        "map(mul, share, repeat(n - 1))",
+    ),
     "per-r_max index sets read r_max - 1": (
         "indexbound.py",
         "_sets_ending_at(r_max)",

@@ -195,6 +195,13 @@ def neighbours(fr: tuple[Fraction, ...], frac: Fraction) -> tuple[Fraction, Frac
     return upper, fr[lo + 1]
 
 
+@cache
+def _s_set_members(n: int, cap: int) -> tuple[tuple[Fraction, ...], frozenset[Fraction]]:
+    """`s_set(n, cap)` and its members as a set, built once per (n, cap)."""
+    sset = s_set(n, cap)
+    return sset, frozenset(sset)
+
+
 def unpack_reference(basket: Basket, n: int) -> Basket:
     """B^(n) by splitting every point against the truncated S^(n) of `s_set`,
     its neighbours found by `neighbours`; oracle for `canonical.unpack`.
@@ -203,8 +210,7 @@ def unpack_reference(basket: Basket, n: int) -> Basket:
     is (r q_hi - b p_hi) copies of the lower one plus (b p_lo - r q_lo) of the
     upper one: both counts are positive and the pairs sum to (b, r).
     """
-    sset = s_set(n, max(basket.r_max(), 2))
-    members = set(sset)
+    sset, members = _s_set_members(n, max(basket.r_max(), 2))
     runs = []
     for (b, r), count in basket.counts():
         frac = Fraction(b, r)

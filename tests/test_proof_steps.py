@@ -56,6 +56,36 @@ FAULTS = {
         " not [700]",
         "; largest 840, expected 840\n",
     ),
+    # every volume-positive basket of the 24-budget has -K^3 >= 1/330 at its
+    # least such weight, so the sweep is handed an index-840 basket outside it
+    "840 sweep volume floor": (
+        "import fanobasket.birational as birational\n"
+        "from fanobasket.basket import Basket\n"
+        "baskets = birational._residue_baskets\n"
+        "birational._residue_baskets = lambda sets: [\n"
+        "    Basket.parse('(1,4),(1,6),(1,8),(4,35)'), *baskets(sets)]\n",
+        ("replay", "birat2"),
+        "contradiction: Weak97 840 sweep, (1,4),(1,6),(1,8),(4,35) with p1 = 0:",
+        " -K^3 = 1/840 < 1/330\n",
+    ),
+    # QFano39's worst leaf sits exactly at 39, so one more passes the target
+    "leaf threshold above the target": (
+        "import fanobasket.birational as birational\n"
+        "threshold = birational.thm_main_threshold\n"
+        "birational.thm_main_threshold = lambda inp, variant: threshold(inp, variant) + 1\n",
+        ("replay", "birat1"),
+        "contradiction: QFano39 leaf P1=1, n0=6, escape at 7: threshold 40 > 39",
+        "\n",
+    ),
+    # with every leaf one lower the tree proves more than its target claims
+    "worst leaf below the target": (
+        "import fanobasket.birational as birational\n"
+        "threshold = birational.thm_main_threshold\n"
+        "birational.thm_main_threshold = lambda inp, variant: threshold(inp, variant) - 1\n",
+        ("replay", "birat1"),
+        "contradiction: QFano39: worst leaf 38 != target 39",
+        "\n",
+    ),
     # the same cap rule at a leaf with no isolated index
     "Weak97 index cap 210": (
         "import fanobasket.birational as birational\n"

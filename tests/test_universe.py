@@ -4,9 +4,9 @@
 walk that shares no code with recovery, the packing closure or `unpack`;
 every candidate pool, survivor list and certificate of the pipeline is
 checked against it for P_-1 = 0..3, weak and strict, and so are the budget
-test, the recovery identities, `unpack` at levels 0 and 5 and P_-1..P_-12
-on every one of its baskets, and P_-13..P_-24 grown from that table; the
-per-point sums and the recursion agree on each of them to P_-40.
+test, the recovery identities, `unpack` at levels 0, 5, 7, 9, 12, 17 and 24,
+P_-1..P_-12 on every one of its baskets, and P_-13..P_-24 grown from that
+table; the per-point sums and the recursion agree on each of them to P_-40.
 """
 
 from math import lcm
@@ -113,9 +113,10 @@ def test_recovery_round_trips_on_every_universe_basket():
 
 
 def test_unpack_matches_the_reference_on_every_universe_basket():
-    # the stage-0 and stage-5 baskets that recovery states, on all 8,338
+    # the stage-0 and stage-5 baskets that recovery states, and five chain
+    # levels up to r = 24, on all 8,338
     for basket in budget_universe():
-        for level in (0, 5):
+        for level in (0, 5, 7, 9, 12, 17, 24):
             assert unpack(basket, level) == unpack_reference(basket, level), (basket.text(), level)
 
 
